@@ -7,15 +7,18 @@
 //! (the value restriction guarantees the promise is only captured under
 //! λs, never demanded), and the promise is then filled with the result.
 //!
-//! The interpreter counts evaluation steps; the benchmark harness uses
-//! the counter to measure the paper's §3.1 claim about the asymptotic
-//! cost of opaque recursive modules.
+//! [`Interp::run`] first erases the term into a type-free [`Code`] tree
+//! and then walks that tree. The code tree has one node per term node,
+//! and the interpreter counts one step per node it enters; the benchmark
+//! harness uses the counter to measure the paper's §3.1 claim about the
+//! asymptotic cost of opaque recursive modules.
 
-use std::cell::RefCell;
+use std::cell::OnceCell;
 use std::rc::Rc;
 
 use recmod_syntax::ast::{PrimOp, Term};
 
+use crate::code::{erase, Code};
 use crate::error::{EvalError, EvalResult};
 use crate::value::{Env, Value};
 
@@ -35,7 +38,7 @@ pub const DEFAULT_MAX_DEPTH: u64 = 50_000;
 /// boundary alongside the result.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EvalStats {
-    /// Evaluation steps (one per `eval` entry).
+    /// Evaluation steps (one per code node entered).
     pub steps: u64,
     /// Function and type-function closures allocated.
     pub closures: u64,
@@ -53,6 +56,11 @@ pub struct Interp {
     depth: u64,
     max_depth: u64,
     limits: recmod_telemetry::Limits,
+    /// Shared results: `*` (also the dummy a type application binds),
+    /// `true` and `false`.
+    unit: Rc<Value>,
+    tru: Rc<Value>,
+    fls: Rc<Value>,
 }
 
 impl Default for Interp {
@@ -74,14 +82,11 @@ impl Interp {
 
     /// A fresh evaluator with explicit fuel and recursion-depth limits.
     pub fn with_limits(fuel: u64, max_depth: u64) -> Self {
-        let limits = recmod_telemetry::Limits::default();
-        Interp {
-            stats: EvalStats::default(),
-            fuel,
-            depth: 0,
-            max_depth,
-            limits,
-        }
+        Self::with_pipeline_limits(&recmod_telemetry::Limits {
+            eval_fuel: fuel,
+            eval_depth: max_depth,
+            ..recmod_telemetry::Limits::default()
+        })
     }
 
     /// A fresh evaluator honoring a pipeline-wide
@@ -95,6 +100,9 @@ impl Interp {
             depth: 0,
             max_depth: limits.eval_depth,
             limits: *limits,
+            unit: Rc::new(Value::Unit),
+            tru: Rc::new(Value::Bool(true)),
+            fls: Rc::new(Value::Bool(false)),
         }
     }
 
@@ -108,29 +116,40 @@ impl Interp {
         self.stats
     }
 
-    /// Resets the step counter (fuel is unaffected).
+    /// Resets every [`EvalStats`] counter (steps, closures, backpatches
+    /// and the maximum environment depth). Fuel is a budget, not a
+    /// counter, and is unaffected.
     pub fn reset_steps(&mut self) {
         self.stats = EvalStats::default();
     }
 
-    /// Evaluates a closed term in the empty environment.
+    /// Erases a closed term into its code tree and evaluates it in the
+    /// empty environment.
+    ///
+    /// # Errors
+    ///
+    /// Any [`EvalError`]; a malformed term that cannot be erased (a
+    /// primitive without exactly two operands) is
+    /// [`EvalError::Stuck`] before any step is taken.
     pub fn run(&mut self, e: &Term) -> EvalResult<Rc<Value>> {
-        self.eval(&Env::new(), e)
+        let code = erase(e)?;
+        self.eval(&Env::new(), &code)
     }
 
-    /// Evaluates `e` under `env`.
-    pub fn eval(&mut self, env: &Env, e: &Term) -> EvalResult<Rc<Value>> {
+    /// Evaluates `c` under `env`, guarding the recursion depth.
+    fn eval(&mut self, env: &Env, c: &Code) -> EvalResult<Rc<Value>> {
         self.depth += 1;
         if self.depth > self.max_depth {
             self.depth -= 1;
             return Err(EvalError::DepthExceeded);
         }
-        let out = self.eval_inner(env, e);
+        let out = self.step(env, c);
         self.depth -= 1;
         out
     }
 
-    fn eval_inner(&mut self, env: &Env, e: &Term) -> EvalResult<Rc<Value>> {
+    /// One step: charge fuel for the node `c`, then evaluate it.
+    fn step(&mut self, env: &Env, c: &Code) -> EvalResult<Rc<Value>> {
         self.stats.steps += 1;
         if self.stats.steps > self.fuel {
             return Err(EvalError::FuelExhausted);
@@ -140,109 +159,112 @@ impl Interp {
         if self.stats.steps.is_multiple_of(4096) && self.limits.deadline_passed() {
             return Err(EvalError::Limit(self.limits.deadline_error("eval")));
         }
-        match e {
-            Term::Var(i) => env.lookup(*i)?.force(),
-            Term::Snd(_) => Err(EvalError::OpenTerm),
-            Term::Star => Ok(Rc::new(Value::Unit)),
-            Term::Lam(_, body) => {
+        match c {
+            Code::Var(i) => env.lookup(*i)?.force(),
+            Code::Open => Err(EvalError::OpenTerm),
+            Code::Const(v) => Ok(v.clone()),
+            Code::Lam(body) => {
                 self.stats.closures += 1;
                 Ok(Rc::new(Value::Closure {
                     env: env.clone(),
-                    body: Rc::new((**body).clone()),
+                    body: body.clone(),
                 }))
             }
-            Term::App(f, a) => {
+            Code::App(f, a) => {
                 let fv = self.eval(env, f)?;
                 let av = self.eval(env, a)?;
-                self.apply(&fv, av)
+                match fv.forced()? {
+                    Value::Closure { env: cenv, body } => {
+                        let inner = self.extend(cenv, av);
+                        self.eval(&inner, body)
+                    }
+                    _ => Err(EvalError::Stuck("a function")),
+                }
             }
-            Term::Pair(a, b) => {
+            Code::Pair(a, b) => {
                 let av = self.eval(env, a)?;
                 let bv = self.eval(env, b)?;
                 Ok(Rc::new(Value::Pair(av, bv)))
             }
-            Term::Proj1(p) => match &*self.eval(env, p)?.force()? {
+            Code::Proj1(p) => match self.eval(env, p)?.forced()? {
                 Value::Pair(a, _) => Ok(a.clone()),
                 _ => Err(EvalError::Stuck("a pair")),
             },
-            Term::Proj2(p) => match &*self.eval(env, p)?.force()? {
+            Code::Proj2(p) => match self.eval(env, p)?.forced()? {
                 Value::Pair(_, b) => Ok(b.clone()),
                 _ => Err(EvalError::Stuck("a pair")),
             },
-            Term::TLam(_, body) => {
+            Code::TLam(body) => {
                 self.stats.closures += 1;
                 Ok(Rc::new(Value::TClosure {
                     env: env.clone(),
-                    body: Rc::new((**body).clone()),
+                    body: body.clone(),
                 }))
             }
-            Term::TApp(f, _) => {
-                let fv = self.eval(env, f)?.force()?;
-                match &*fv {
-                    Value::TClosure { env: cenv, body } => {
-                        // The constructor argument is erased; bind a dummy
-                        // so de Bruijn indices line up.
-                        let inner = self.extend(cenv, Rc::new(Value::Unit));
-                        self.eval(&inner, body)
-                    }
-                    _ => Err(EvalError::Stuck("a type function")),
+            Code::TApp(f) => match self.eval(env, f)?.forced()? {
+                Value::TClosure { env: cenv, body } => {
+                    // The constructor argument is erased; bind a dummy so
+                    // de Bruijn indices line up.
+                    let inner = self.extend(cenv, self.unit.clone());
+                    self.eval(&inner, body)
                 }
-            }
-            Term::Fix(_, body) => {
-                let cell = Rc::new(RefCell::new(None));
+                _ => Err(EvalError::Stuck("a type function")),
+            },
+            Code::Fix(body) => {
+                let cell = Rc::new(OnceCell::new());
                 let promise = Rc::new(Value::Promise(cell.clone()));
                 let inner = self.extend(env, promise);
                 let v = self.eval(&inner, body)?;
-                *cell.borrow_mut() = Some(v.clone());
+                // Each `fix` makes a fresh cell, so this is its only fill.
+                let _ = cell.set(v.clone());
                 self.stats.backpatches += 1;
                 Ok(v)
             }
-            Term::IntLit(n) => Ok(Rc::new(Value::Int(*n))),
-            Term::BoolLit(b) => Ok(Rc::new(Value::Bool(*b))),
-            Term::Prim(op, args) => {
-                let a = self.eval(env, &args[0])?.as_int()?;
-                let b = self.eval(env, &args[1])?.as_int()?;
-                Ok(Rc::new(match op {
-                    PrimOp::Add => Value::Int(a.wrapping_add(b)),
-                    PrimOp::Sub => Value::Int(a.wrapping_sub(b)),
-                    PrimOp::Mul => Value::Int(a.wrapping_mul(b)),
-                    PrimOp::Eq => Value::Bool(a == b),
-                    PrimOp::Lt => Value::Bool(a < b),
-                }))
+            Code::Prim(op, a, b) => {
+                let a = self.eval(env, a)?.as_int()?;
+                let b = self.eval(env, b)?.as_int()?;
+                Ok(match op {
+                    PrimOp::Add => Rc::new(Value::Int(a.wrapping_add(b))),
+                    PrimOp::Sub => Rc::new(Value::Int(a.wrapping_sub(b))),
+                    PrimOp::Mul => Rc::new(Value::Int(a.wrapping_mul(b))),
+                    PrimOp::Eq => self.boolean(a == b),
+                    PrimOp::Lt => self.boolean(a < b),
+                })
             }
-            Term::If(c, t, f) => {
+            Code::If(c, t, f) => {
                 if self.eval(env, c)?.as_bool()? {
                     self.eval(env, t)
                 } else {
                     self.eval(env, f)
                 }
             }
-            Term::Inj(i, _, body) => {
+            Code::Inj(i, body) => {
                 let v = self.eval(env, body)?;
                 Ok(Rc::new(Value::Inj(*i, v)))
             }
-            Term::Case(scrut, branches) => {
-                let sv = self.eval(env, scrut)?.force()?;
-                match &*sv {
-                    Value::Inj(i, payload) => match branches.get(*i) {
-                        Some(branch) => {
-                            let inner = self.extend(env, payload.clone());
-                            self.eval(&inner, branch)
-                        }
-                        None => Err(EvalError::Stuck("a branch for this injection")),
-                    },
-                    _ => Err(EvalError::Stuck("a sum value")),
-                }
-            }
-            Term::Roll(_, body) => self.eval(env, body),
-            Term::Unroll(body) => self.eval(env, body),
-            Term::Fail(_) => Err(EvalError::Failure),
-            Term::Let(bound, body) => {
+            Code::Case(scrut, branches) => match self.eval(env, scrut)?.forced()? {
+                Value::Inj(i, payload) => match branches.get(*i) {
+                    Some(branch) => {
+                        let inner = self.extend(env, payload.clone());
+                        self.eval(&inner, branch)
+                    }
+                    None => Err(EvalError::Stuck("a branch for this injection")),
+                },
+                _ => Err(EvalError::Stuck("a sum value")),
+            },
+            Code::Coerce(body) => self.eval(env, body),
+            Code::Fail => Err(EvalError::Failure),
+            Code::Let(bound, body) => {
                 let v = self.eval(env, bound)?;
                 let inner = self.extend(env, v);
                 self.eval(&inner, body)
             }
         }
+    }
+
+    /// The shared `true` or `false` value.
+    fn boolean(&self, b: bool) -> Rc<Value> {
+        if b { &self.tru } else { &self.fls }.clone()
     }
 
     /// `env.push` plus max-env-depth bookkeeping (O(1): `Env::len` is
@@ -251,16 +273,6 @@ impl Interp {
         let inner = env.push(v);
         self.stats.max_env_depth = self.stats.max_env_depth.max(inner.len() as u64);
         inner
-    }
-
-    fn apply(&mut self, f: &Rc<Value>, arg: Rc<Value>) -> EvalResult<Rc<Value>> {
-        match &*f.force()? {
-            Value::Closure { env, body } => {
-                let inner = self.extend(env, arg);
-                self.eval(&inner, body)
-            }
-            _ => Err(EvalError::Stuck("a function")),
-        }
     }
 }
 
@@ -275,7 +287,11 @@ impl Interp {
 ///
 /// # Panics
 ///
-/// Panics if the worker thread cannot be spawned or itself panics.
+/// Panics if the worker thread cannot be spawned. A panic inside `f` is
+/// re-raised on the calling thread with its original payload.
+// The one panic path is spawn failure: there is no thread to evaluate on
+// and no structured error this signature could carry.
+#[allow(clippy::expect_used)]
 pub fn run_big_stack<T, F>(stack_mb: usize, f: F) -> T
 where
     T: Send + 'static,
@@ -286,7 +302,7 @@ where
         .spawn(f)
         .expect("failed to spawn evaluation thread")
         .join()
-        .expect("evaluation thread panicked")
+        .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
 }
 
 #[cfg(test)]
@@ -396,9 +412,23 @@ mod tests {
             );
             let e = app(loop_, Term::Star);
             let mut interp = Interp::with_fuel(5_000);
-            interp.eval(&Env::new(), &e).err()
+            (interp.run(&e).err(), interp.stats())
         });
-        assert!(matches!(outcome, Some(EvalError::FuelExhausted)));
+        // Pinned: the code tree stops where evaluating the term did.
+        let want = EvalStats {
+            steps: 5_001,
+            closures: 1,
+            backpatches: 1,
+            max_env_depth: 2,
+        };
+        assert_eq!(outcome, (Some(EvalError::FuelExhausted), want));
+    }
+
+    #[test]
+    fn big_stack_reraises_the_workers_own_panic() {
+        let payload = std::panic::catch_unwind(|| run_big_stack(1, || panic!("boom")))
+            .expect_err("the worker panicked");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"boom"));
     }
 
     #[test]
@@ -408,6 +438,56 @@ mod tests {
         assert_eq!(interp.steps(), 1);
         interp.reset_steps();
         assert_eq!(interp.steps(), 0);
+    }
+
+    #[test]
+    fn reset_steps_zeroes_every_counter() {
+        // (fix(f:int⇀int. λn. n)) 1 — a closure, a backpatch, and an
+        // environment two deep.
+        let e = app(
+            fix(
+                partial(tcon(Con::Int), tcon(Con::Int)),
+                lam(tcon(Con::Int), var(0)),
+            ),
+            int(1),
+        );
+        let mut interp = Interp::new();
+        interp.run(&e).unwrap();
+        let s = interp.stats();
+        assert!(s.steps > 0 && s.closures > 0 && s.backpatches > 0 && s.max_env_depth > 0);
+        interp.reset_steps();
+        assert_eq!(interp.stats(), EvalStats::default());
+    }
+
+    #[test]
+    fn closures_from_one_lambda_share_its_body() {
+        // let mk = λu:unit. λx:int. x in (mk *, mk *): two closures
+        // built by the same inner λ.
+        let mk = lam(Ty::Unit, lam(tcon(Con::Int), var(0)));
+        let e = let_(mk, pair(app(var(0), Term::Star), app(var(0), Term::Star)));
+        let v = run(&e).unwrap();
+        let Value::Pair(a, b) = &*v else {
+            panic!("expected a pair, got {v}")
+        };
+        let (Value::Closure { body: body_a, .. }, Value::Closure { body: body_b, .. }) =
+            (&**a, &**b)
+        else {
+            panic!("expected two closures, got {v}")
+        };
+        assert!(!Rc::ptr_eq(a, b), "two distinct closures");
+        assert!(Rc::ptr_eq(body_a, body_b), "one shared body");
+    }
+
+    #[test]
+    fn malformed_prim_is_a_stuck_error() {
+        // Reachable only through the public AST. Erasure rejects it even
+        // under a λ that never runs, before any step is taken.
+        for args in [vec![], vec![int(1)], vec![int(1), int(2), int(3)]] {
+            let e = lam(tcon(Con::Int), Term::Prim(PrimOp::Add, args));
+            let mut interp = Interp::new();
+            assert!(matches!(interp.run(&e), Err(EvalError::Stuck(_))));
+            assert_eq!(interp.steps(), 0);
+        }
     }
 
     #[test]

@@ -30,10 +30,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod code;
 pub mod error;
 pub mod interp;
 pub mod value;
 
+pub use code::Code;
 pub use error::{EvalError, EvalResult};
 pub use interp::{run_big_stack, EvalStats, Interp, DEFAULT_EVAL_FUEL};
 pub use value::{Env, Value};

@@ -1,11 +1,10 @@
 //! Run-time values and environments.
 
-use std::cell::RefCell;
+use std::cell::OnceCell;
 use std::fmt;
 use std::rc::Rc;
 
-use recmod_syntax::ast::Term;
-
+use crate::code::Code;
 use crate::error::{EvalError, EvalResult};
 
 /// A run-time value. Types are erased: `roll`/`unroll` vanish, `Λ`
@@ -27,45 +26,52 @@ pub enum Value {
     Closure {
         /// The captured environment.
         env: Env,
-        /// The body (under one binder).
-        body: Rc<Term>,
+        /// The body (under one binder), shared with the `Code` tree.
+        body: Rc<Code>,
     },
     /// A type-function closure (`Λ`); applied with a dummy binding.
     TClosure {
         /// The captured environment.
         env: Env,
-        /// The body (under one binder).
-        body: Rc<Term>,
+        /// The body (under one binder), shared with the `Code` tree.
+        body: Rc<Code>,
     },
     /// A promise created by `fix` and backpatched when the right-hand
     /// side finishes evaluating. Reading an unfilled promise is a
     /// "black hole" (ruled out by the value restriction).
-    Promise(Rc<RefCell<Option<Rc<Value>>>>),
+    Promise(Rc<OnceCell<Rc<Value>>>),
 }
 
 impl Value {
     /// Follows promise indirections, failing on an unfilled promise.
     pub fn force(self: &Rc<Self>) -> EvalResult<Rc<Value>> {
-        match &**self {
-            Value::Promise(cell) => match &*cell.borrow() {
-                Some(v) => v.force(),
-                None => Err(EvalError::BlackHole),
-            },
-            _ => Ok(self.clone()),
+        let mut v = self;
+        while let Value::Promise(cell) = &**v {
+            v = cell.get().ok_or(EvalError::BlackHole)?;
         }
+        Ok(v.clone())
+    }
+
+    /// [`force`](Value::force) by reference: no reference count moves.
+    pub(crate) fn forced(&self) -> EvalResult<&Value> {
+        let mut v = self;
+        while let Value::Promise(cell) = v {
+            v = cell.get().ok_or(EvalError::BlackHole)?;
+        }
+        Ok(v)
     }
 
     /// The integer payload, or a stuck error.
-    pub fn as_int(self: &Rc<Self>) -> EvalResult<i64> {
-        match &*self.force()? {
+    pub fn as_int(&self) -> EvalResult<i64> {
+        match self.forced()? {
             Value::Int(n) => Ok(*n),
             _ => Err(EvalError::Stuck("an integer")),
         }
     }
 
     /// The boolean payload, or a stuck error.
-    pub fn as_bool(self: &Rc<Self>) -> EvalResult<bool> {
-        match &*self.force()? {
+    pub fn as_bool(&self) -> EvalResult<bool> {
+        match self.forced()? {
             Value::Bool(b) => Ok(*b),
             _ => Err(EvalError::Stuck("a boolean")),
         }
@@ -82,7 +88,7 @@ impl fmt::Display for Value {
             Value::Inj(i, v) => write!(f, "inj{i} {v}"),
             Value::Closure { .. } => f.write_str("<fn>"),
             Value::TClosure { .. } => f.write_str("<tfn>"),
-            Value::Promise(cell) => match &*cell.borrow() {
+            Value::Promise(cell) => match cell.get() {
                 Some(v) => write!(f, "{v}"),
                 None => f.write_str("<blackhole>"),
             },
@@ -117,8 +123,9 @@ impl Env {
         })))
     }
 
-    /// Looks up a de Bruijn index.
-    pub fn lookup(&self, index: usize) -> EvalResult<Rc<Value>> {
+    /// Looks up a de Bruijn index by reference; clone the result or
+    /// [`force`](Value::force) it (one clone, through any promise).
+    pub fn lookup(&self, index: usize) -> EvalResult<&Rc<Value>> {
         let mut cur = self;
         for _ in 0..index {
             match &cur.0 {
@@ -127,7 +134,7 @@ impl Env {
             }
         }
         match &cur.0 {
-            Some(node) => Ok(node.value.clone()),
+            Some(node) => Ok(&node.value),
             None => Err(EvalError::OpenTerm),
         }
     }
@@ -163,13 +170,13 @@ mod tests {
 
     #[test]
     fn unfilled_promise_is_a_black_hole() {
-        let v: Rc<Value> = Rc::new(Value::Promise(Rc::new(RefCell::new(None))));
+        let v: Rc<Value> = Rc::new(Value::Promise(Rc::new(OnceCell::new())));
         assert!(matches!(v.force(), Err(EvalError::BlackHole)));
     }
 
     #[test]
     fn filled_promise_forces_through() {
-        let cell = Rc::new(RefCell::new(Some(Rc::new(Value::Int(9)))));
+        let cell = Rc::new(OnceCell::from(Rc::new(Value::Int(9))));
         let v: Rc<Value> = Rc::new(Value::Promise(cell));
         assert_eq!(v.as_int().unwrap(), 9);
     }

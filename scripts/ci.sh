@@ -10,11 +10,12 @@ echo "== cargo clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== cargo clippy (panic-free core: deny unwrap/expect/panic) =="
-# The kernel, phase-splitter, surface pipeline, the batch driver, and
-# the interner they all sit on must stay panic-free in non-test code:
-# every failure is a structured TypeError/SurfaceError/FileOutcome.
+# The kernel, phase-splitter, surface pipeline, evaluator, the batch
+# driver, and the interner they all sit on must stay panic-free in
+# non-test code: every failure is a structured
+# TypeError/SurfaceError/EvalError/FileOutcome.
 cargo clippy -p recmod-kernel -p recmod-phase -p recmod-surface -p recmod-syntax \
-  -p recmod-driver --lib -- \
+  -p recmod-eval -p recmod-driver --lib -- \
   -D warnings \
   -D clippy::unwrap_used \
   -D clippy::expect_used \

@@ -120,6 +120,18 @@ fn evaluator_reports_limit_on_deep_recursion() {
             .run(&term)
             .expect_err("100000-deep recursion must exhaust the strict budget");
         assert!(err.is_limit(), "got: {err}");
+        // The depth guard fires at the same step the `Term`-walking
+        // interpreter stopped at: the code tree keeps step accounting.
+        assert_eq!(err, recmod::eval::EvalError::DepthExceeded);
+        assert_eq!(
+            interp.stats(),
+            recmod::eval::EvalStats {
+                steps: 6_496,
+                closures: 501,
+                backpatches: 1,
+                max_env_depth: 2,
+            }
+        );
     });
 }
 

@@ -246,3 +246,35 @@ fn e1_asymptotic_gap_in_counters() {
     assert_eq!(ok20.mu_unrolls, 0);
     assert!(tk20.mu_unrolls > 0);
 }
+
+/// The exact evaluator counters of the E1 ladder, recorded from the
+/// `Term`-walking interpreter before evaluation moved onto the erased
+/// code tree. The code tree has one node per `Term` node, so every
+/// counter must match to the unit; the `steps` column is EXPERIMENTS.md's
+/// E1 table.
+#[test]
+fn e1_eval_counters_are_pinned() {
+    // (opaque, n, steps, closures, backpatches, max_env_depth)
+    const PINNED: [(bool, usize, u64, u64, u64, u64); 10] = [
+        (true, 10, 6_093, 316, 8, 15),
+        (true, 20, 22_578, 1_121, 8, 15),
+        (true, 40, 87_048, 4_231, 8, 15),
+        (true, 80, 341_988, 16_451, 8, 15),
+        (true, 160, 1_355_868, 64_891, 8, 15),
+        (false, 10, 863, 59, 6, 10),
+        (false, 20, 1_653, 109, 6, 10),
+        (false, 40, 3_233, 209, 6, 10),
+        (false, 80, 6_393, 409, 6, 10),
+        (false, 160, 12_713, 809, 6, 10),
+    ];
+    for (opaque, n, steps, closures, backpatches, max_env_depth) in PINNED {
+        let (stats, _) = recmod_bench::list_run_stats(opaque, n);
+        let want = recmod::eval::EvalStats {
+            steps,
+            closures,
+            backpatches,
+            max_env_depth,
+        };
+        assert_eq!(stats, want, "opaque={opaque} n={n}");
+    }
+}
