@@ -1445,16 +1445,22 @@ fn run_source_inner(
             let mut interp = recmod::eval::Interp::with_pipeline_limits(&opts.limits);
             let outcome = interp.run(&term).map(|v| v.to_string());
             let stats = interp.stats();
+            // The counters are reported on both arms: a run that fails
+            // or hits a limit is exactly when they are wanted.
+            let report_steps = || {
+                if opts.steps {
+                    eprintln!("steps: {}", stats.steps);
+                }
+            };
             match outcome {
                 Ok(v) => {
                     out!("{v}");
-                    if opts.steps {
-                        eprintln!("steps: {}", stats.steps);
-                    }
+                    report_steps();
                     (0, Some((compiled, Some(stats))), Vec::new())
                 }
                 Err(e) => {
                     eprintln!("{file}: runtime error: {e}");
+                    report_steps();
                     // Runtime failures carry a code too: resource-class
                     // ones map onto the L taxonomy, stuck states are
                     // compiler bugs; an ordinary `raise Fail` is the
@@ -1473,7 +1479,7 @@ fn run_source_inner(
                     let diags = diag_code
                         .map(|c| vec![Diagnostic::internal(c, format!("runtime error: {e}"))])
                         .unwrap_or_default();
-                    (code, None, diags)
+                    (code, Some((compiled, Some(stats))), diags)
                 }
             }
         }

@@ -385,3 +385,77 @@ fn limit_exit_writes_a_crash_bundle() {
         "input hash present"
     );
 }
+
+/// The `steps:` line `--steps` writes to stderr.
+fn steps_line(out: &Output) -> u64 {
+    let err = String::from_utf8_lossy(&out.stderr);
+    err.lines()
+        .find_map(|l| l.strip_prefix("steps: "))
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no steps line: {err}"))
+}
+
+/// `eval.steps` from a `--stats=json` document on stdout.
+fn stats_eval_steps(out: &Output) -> u64 {
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let doc = recmod::telemetry::json::parse(&stdout)
+        .unwrap_or_else(|e| panic!("stats stdout is not valid JSON ({e}):\n{stdout}"));
+    doc.get("eval")
+        .and_then(|e| e.get("steps"))
+        .and_then(|s| s.as_u64())
+        .unwrap_or_else(|| panic!("no eval.steps: {stdout}"))
+}
+
+#[test]
+fn failed_runs_still_report_their_counters() {
+    let dir = scratch("failed-run-counters");
+    let crash_dir = dir.to_str().expect("utf8 path");
+    // Deep object recursion under the default limits stops at the
+    // evaluator's depth guard, not with a host stack overflow: the
+    // pipeline thread's stack must hold every interpreter frame up to
+    // the guard, in debug builds too.
+    let deep = "fun f (n : int) : int = if n = 0 then 0 else 1 + f (n - 1);\nf 100000\n";
+    let out = recmodc_stdin(
+        &["run", "-", "--diagnostics=json", "--crash-dir", crash_dir],
+        deep,
+    );
+    assert_eq!(
+        code(&out),
+        3,
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let codes: Vec<_> = all_diagnostics(&diagnostics_doc(&out))
+        .iter()
+        .filter_map(|d| d.get("code").and_then(|c| c.as_str()))
+        .map(str::to_string)
+        .collect();
+    assert_eq!(codes, ["L001"]);
+
+    // Depth guard (exit 3) and `raise Fail` (exit 1): `--steps` and
+    // `--stats` both report the run that stopped, and agree.
+    let failing =
+        "fun g (n : int) : int = if n = 0 then (raise Fail : int) else g (n - 1);\ng 10\n";
+    for (src, want) in [(deep, 3), (failing, 1)] {
+        let out = recmodc_stdin(
+            &[
+                "run",
+                "-",
+                "--steps",
+                "--stats=json",
+                "--crash-dir",
+                crash_dir,
+            ],
+            src,
+        );
+        assert_eq!(
+            code(&out),
+            want,
+            "stderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let steps = steps_line(&out);
+        assert!(steps > 0);
+        assert_eq!(steps, stats_eval_steps(&out));
+    }
+}

@@ -1,10 +1,27 @@
-//! The erased code tree the interpreter runs.
+//! The erased, closure-converted code tree the interpreter runs.
 //!
-//! [`erase`] translates a closed [`Term`] into a [`Code`] tree once,
-//! before evaluation: type annotations, kinds and constructors are
-//! dropped, literals become shared values, and every binder body that
-//! can be captured by a closure (`λ`, `Λ`) is put behind an [`Rc`], so
-//! building a closure is a reference-count bump rather than a deep copy.
+//! [`erase`] translates a [`Term`] into a [`Code`] tree once, before
+//! evaluation: type annotations, kinds and constructors are dropped,
+//! literals become shared values, and every variable is resolved to the
+//! place its value lives at run time:
+//!
+//! * bound in the current function (its parameter, or a `let`, `case`
+//!   or `fix` binder inside its body): [`Slot::Local`], a slot in the
+//!   interpreter's frame stack counted from the frame base;
+//! * bound outside the current function: [`Slot::Captured`], an index
+//!   into the running closure's flat capture array;
+//! * not bound at all: [`Code::Open`], an error when reached.
+//!
+//! `λ`/`Λ` become an `Rc`-shared [`Lambda`] that lists what each closure
+//! built from it must capture, so building a closure copies exactly the
+//! values the body uses, and a binding is a push onto the frame stack
+//! rather than a heap-allocated environment node.
+//!
+//! Every binder records its *static depth*: the number of binders
+//! enclosing it, itself included. The interpreter runs a program from
+//! the empty environment and a closure captures its definition site, so
+//! the static depth is the length the environment would have at that
+//! binder, and `EvalStats::max_env_depth` reads it directly.
 //!
 //! The translation keeps **exactly one `Code` node per `Term` node**
 //! (even `roll`/`unroll`, which do nothing at run time, keep a node).
@@ -19,19 +36,43 @@ use recmod_syntax::ast::{PrimOp, Term};
 use crate::error::{EvalError, EvalResult};
 use crate::value::Value;
 
+/// Where a variable's value lives while a function body runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Slot {
+    /// A frame-stack slot, counted from the current frame's base (slot
+    /// 0 is the function's argument).
+    Local(usize),
+    /// An index into the running closure's capture array.
+    Captured(usize),
+}
+
+/// A closure-converted `λx:τ.e` or `Λα:κ.e`, shared by every closure
+/// built from it.
+#[derive(Debug)]
+pub struct Lambda {
+    /// Where, in the function that builds the closure, each captured
+    /// value lives; the body reads capture `i` as [`Slot::Captured`]`(i)`.
+    pub(crate) captures: Box<[Slot]>,
+    /// The body, run in a fresh frame whose slot 0 is the argument.
+    pub(crate) body: Code,
+    /// Static depth of the parameter binder.
+    pub(crate) depth: usize,
+}
+
 /// A type-erased program node. Variants mirror [`Term`] one-to-one,
-/// minus the type information the evaluator never reads.
+/// minus the type information the evaluator never reads; the binders
+/// `let`, `case` and `fix` carry their static depth.
 #[derive(Debug)]
 pub enum Code {
-    /// A term variable (de Bruijn index).
-    Var(usize),
-    /// `snd(s)`: a structure variable survived phase splitting; running
-    /// it is [`EvalError::OpenTerm`].
+    /// A bound variable, resolved to where its value lives.
+    Var(Slot),
+    /// A free variable, or `snd(s)` (a structure variable survived
+    /// phase splitting); running it is [`EvalError::OpenTerm`].
     Open,
     /// A literal (`*`, an integer or a boolean), allocated once.
     Const(Rc<Value>),
-    /// `λx:τ.e`; the body is shared by every closure built from it.
-    Lam(Rc<Code>),
+    /// `λx:τ.e`.
+    Lam(Rc<Lambda>),
     /// Application.
     App(Box<Code>, Box<Code>),
     /// Pair construction.
@@ -40,12 +81,12 @@ pub enum Code {
     Proj1(Box<Code>),
     /// Second projection.
     Proj2(Box<Code>),
-    /// `Λα:κ.e`; the body is shared by every closure built from it.
-    TLam(Rc<Code>),
+    /// `Λα:κ.e`; applied, it binds a dummy argument.
+    TLam(Rc<Lambda>),
     /// Type application; the constructor argument is erased.
     TApp(Box<Code>),
     /// `fix(x:σ.e)`, implemented by backpatching.
-    Fix(Box<Code>),
+    Fix(Box<Code>, usize),
     /// A binary primitive.
     Prim(PrimOp, Box<Code>, Box<Code>),
     /// Conditional.
@@ -53,16 +94,16 @@ pub enum Code {
     /// Sum injection.
     Inj(usize, Box<Code>),
     /// Case analysis; each branch binds the payload.
-    Case(Box<Code>, Box<[Code]>),
+    Case(Box<Code>, Box<[Code]>, usize),
     /// `roll` or `unroll`: no run-time effect, but still one step.
     Coerce(Box<Code>),
     /// `fail[σ]`.
     Fail,
     /// `let x = e₁ in e₂`.
-    Let(Box<Code>, Box<Code>),
+    Let(Box<Code>, Box<Code>, usize),
 }
 
-/// Erases a term into its [`Code`] tree.
+/// Erases and closure-converts a term into its [`Code`] tree.
 ///
 /// # Errors
 ///
@@ -70,35 +111,116 @@ pub enum Code {
 /// operands (only reachable for terms built by hand through the public
 /// AST; the surface pipeline never produces one).
 pub fn erase(t: &Term) -> EvalResult<Code> {
-    let boxed = |t: &Term| erase(t).map(Box::new);
-    Ok(match t {
-        Term::Var(i) => Code::Var(*i),
-        Term::Snd(_) => Code::Open,
-        Term::Star => Code::Const(Rc::new(Value::Unit)),
-        Term::IntLit(n) => Code::Const(Rc::new(Value::Int(*n))),
-        Term::BoolLit(b) => Code::Const(Rc::new(Value::Bool(*b))),
-        Term::Lam(_, body) => Code::Lam(Rc::new(erase(body)?)),
-        Term::TLam(_, body) => Code::TLam(Rc::new(erase(body)?)),
-        Term::App(f, a) => Code::App(boxed(f)?, boxed(a)?),
-        Term::Pair(a, b) => Code::Pair(boxed(a)?, boxed(b)?),
-        Term::Proj1(p) => Code::Proj1(boxed(p)?),
-        Term::Proj2(p) => Code::Proj2(boxed(p)?),
-        Term::TApp(f, _) => Code::TApp(boxed(f)?),
-        Term::Fix(_, body) => Code::Fix(boxed(body)?),
-        Term::Prim(op, args) => match args.as_slice() {
-            [a, b] => Code::Prim(*op, boxed(a)?, boxed(b)?),
-            _ => return Err(EvalError::Stuck("two operands for a primitive")),
-        },
-        Term::If(c, t, f) => Code::If(boxed(c)?, boxed(t)?, boxed(f)?),
-        Term::Inj(i, _, body) => Code::Inj(*i, boxed(body)?),
-        Term::Case(scrut, branches) => Code::Case(
-            boxed(scrut)?,
-            branches.iter().map(erase).collect::<EvalResult<_>>()?,
-        ),
-        Term::Roll(_, body) | Term::Unroll(body) => Code::Coerce(boxed(body)?),
-        Term::Fail(_) => Code::Fail,
-        Term::Let(bound, body) => Code::Let(boxed(bound)?, boxed(body)?),
-    })
+    Eraser {
+        depth: 0,
+        scopes: vec![Scope::default()],
+    }
+    .code(t)
+}
+
+/// One function being erased: the outermost scope is the program.
+#[derive(Default)]
+struct Scope {
+    /// Static depth outside the function; its parameter is at this level.
+    base: usize,
+    /// The levels the function captures, each with where the enclosing
+    /// function finds it.
+    captures: Vec<(usize, Slot)>,
+}
+
+struct Eraser {
+    /// Binders enclosing the node being erased.
+    depth: usize,
+    /// The functions enclosing it, outermost first; bases increase.
+    scopes: Vec<Scope>,
+}
+
+impl Eraser {
+    fn code(&mut self, t: &Term) -> EvalResult<Code> {
+        Ok(match t {
+            Term::Var(i) => self.resolve(*i).map_or(Code::Open, Code::Var),
+            Term::Snd(_) => Code::Open,
+            Term::Star => Code::Const(Rc::new(Value::Unit)),
+            Term::IntLit(n) => Code::Const(Rc::new(Value::Int(*n))),
+            Term::BoolLit(b) => Code::Const(Rc::new(Value::Bool(*b))),
+            Term::Lam(_, body) => Code::Lam(self.lambda(body)?),
+            Term::TLam(_, body) => Code::TLam(self.lambda(body)?),
+            Term::App(f, a) => Code::App(self.boxed(f)?, self.boxed(a)?),
+            Term::Pair(a, b) => Code::Pair(self.boxed(a)?, self.boxed(b)?),
+            Term::Proj1(p) => Code::Proj1(self.boxed(p)?),
+            Term::Proj2(p) => Code::Proj2(self.boxed(p)?),
+            Term::TApp(f, _) => Code::TApp(self.boxed(f)?),
+            Term::Fix(_, body) => Code::Fix(Box::new(self.under(body)?), self.depth + 1),
+            Term::Prim(op, args) => match args.as_slice() {
+                [a, b] => Code::Prim(*op, self.boxed(a)?, self.boxed(b)?),
+                _ => return Err(EvalError::Stuck("two operands for a primitive")),
+            },
+            Term::If(c, t, f) => Code::If(self.boxed(c)?, self.boxed(t)?, self.boxed(f)?),
+            Term::Inj(i, _, body) => Code::Inj(*i, self.boxed(body)?),
+            Term::Case(scrut, branches) => {
+                let scrut = self.boxed(scrut)?;
+                let branches = branches
+                    .iter()
+                    .map(|b| self.under(b))
+                    .collect::<EvalResult<_>>()?;
+                Code::Case(scrut, branches, self.depth + 1)
+            }
+            Term::Roll(_, body) | Term::Unroll(body) => Code::Coerce(self.boxed(body)?),
+            Term::Fail(_) => Code::Fail,
+            Term::Let(bound, body) => {
+                let bound = self.boxed(bound)?;
+                Code::Let(bound, Box::new(self.under(body)?), self.depth + 1)
+            }
+        })
+    }
+
+    fn boxed(&mut self, t: &Term) -> EvalResult<Box<Code>> {
+        self.code(t).map(Box::new)
+    }
+
+    /// Erases `t` under one more binder, whose static depth is then
+    /// `self.depth + 1`.
+    fn under(&mut self, t: &Term) -> EvalResult<Code> {
+        self.depth += 1;
+        let out = self.code(t);
+        self.depth -= 1;
+        out
+    }
+
+    /// Erases the body of a `λ`/`Λ` as a function of its own.
+    fn lambda(&mut self, body: &Term) -> EvalResult<Rc<Lambda>> {
+        self.scopes.push(Scope {
+            base: self.depth,
+            captures: Vec::new(),
+        });
+        let body = self.under(body);
+        let captures = self.scopes.pop().map(|s| s.captures).unwrap_or_default();
+        Ok(Rc::new(Lambda {
+            captures: captures.into_iter().map(|(_, slot)| slot).collect(),
+            body: body?,
+            depth: self.depth + 1,
+        }))
+    }
+
+    /// Resolves de Bruijn index `i` in the innermost function, adding it
+    /// to the captures of every function between its binder and here.
+    /// `None` when nothing binds it.
+    fn resolve(&mut self, i: usize) -> Option<Slot> {
+        let level = self.depth.checked_sub(i)?.checked_sub(1)?;
+        let owner = self.scopes.iter().rposition(|s| s.base <= level)?;
+        let mut slot = Slot::Local(level - self.scopes.get(owner)?.base);
+        for scope in self.scopes.iter_mut().skip(owner + 1) {
+            let index = match scope.captures.iter().position(|&(l, _)| l == level) {
+                Some(index) => index,
+                None => {
+                    scope.captures.push((level, slot));
+                    scope.captures.len() - 1
+                }
+            };
+            slot = Slot::Captured(index);
+        }
+        Some(slot)
+    }
 }
 
 #[cfg(test)]
@@ -135,18 +257,18 @@ mod tests {
     fn code_nodes(c: &Code) -> usize {
         1 + match c {
             Code::Var(_) | Code::Open | Code::Const(_) | Code::Fail => 0,
-            Code::Lam(b) | Code::TLam(b) => code_nodes(b),
+            Code::Lam(l) | Code::TLam(l) => code_nodes(&l.body),
             Code::Proj1(b)
             | Code::Proj2(b)
             | Code::TApp(b)
-            | Code::Fix(b)
+            | Code::Fix(b, _)
             | Code::Inj(_, b)
             | Code::Coerce(b) => code_nodes(b),
-            Code::App(a, b) | Code::Pair(a, b) | Code::Let(a, b) | Code::Prim(_, a, b) => {
+            Code::App(a, b) | Code::Pair(a, b) | Code::Let(a, b, _) | Code::Prim(_, a, b) => {
                 code_nodes(a) + code_nodes(b)
             }
             Code::If(c, t, f) => code_nodes(c) + code_nodes(t) + code_nodes(f),
-            Code::Case(s, bs) => code_nodes(s) + bs.iter().map(code_nodes).sum::<usize>(),
+            Code::Case(s, bs, _) => code_nodes(s) + bs.iter().map(code_nodes).sum::<usize>(),
         }
     }
 
@@ -174,5 +296,52 @@ mod tests {
         );
         let code = erase(&t).unwrap();
         assert_eq!(code_nodes(&code), term_nodes(&t));
+    }
+
+    #[test]
+    fn variables_resolve_to_frame_slots_and_captures() {
+        // let z = 0 in λa. λb. let c = b in λd. a + c
+        let int_ty = || tcon(Con::Int);
+        let t = let_(
+            int(0),
+            lam(
+                int_ty(),
+                lam(
+                    int_ty(),
+                    let_(var(0), lam(int_ty(), prim(PrimOp::Add, var(3), var(1)))),
+                ),
+            ),
+        );
+        let Code::Let(_, outer, 1) = erase(&t).unwrap() else {
+            panic!("expected a let at depth 1")
+        };
+        let Code::Lam(la) = *outer else {
+            panic!("expected λa")
+        };
+        let Code::Lam(lb) = &la.body else {
+            panic!("expected λb")
+        };
+        let Code::Let(bound, body, 4) = &lb.body else {
+            panic!("expected a let at depth 4")
+        };
+        let Code::Lam(ld) = &**body else {
+            panic!("expected λd")
+        };
+        // λa uses nothing from outside; λb reaches `a` in λa's frame;
+        // λd reaches `a` through λb's captures and `c` in λb's frame.
+        assert_eq!((la.depth, &*la.captures), (2, &[][..]));
+        assert_eq!((lb.depth, &*lb.captures), (3, &[Slot::Local(0)][..]));
+        assert!(matches!(**bound, Code::Var(Slot::Local(0))));
+        assert_eq!(
+            (ld.depth, &*ld.captures),
+            (5, &[Slot::Captured(0), Slot::Local(1)][..])
+        );
+        let Code::Prim(_, a, c) = &ld.body else {
+            panic!("expected a + c")
+        };
+        assert!(matches!(
+            (&**a, &**c),
+            (Code::Var(Slot::Captured(0)), Code::Var(Slot::Captured(1)))
+        ));
     }
 }

@@ -7,10 +7,14 @@
 //! (the value restriction guarantees the promise is only captured under
 //! λs, never demanded), and the promise is then filled with the result.
 //!
-//! [`Interp::run`] first erases the term into a type-free [`Code`] tree
-//! and then walks that tree. The code tree has one node per term node,
-//! and the interpreter counts one step per node it enters; the benchmark
-//! harness uses the counter to measure the paper's §3.1 claim about the
+//! [`Interp::run`] first erases the term into a type-free,
+//! closure-converted [`Code`] tree and then walks that tree. Bindings
+//! live on one frame stack: `let`, `case` and `fix` push a slot and
+//! pop it on exit, an application opens a frame whose slot 0 is the
+//! argument, and a closure carries a flat array of the values its body
+//! uses from outside. The code tree has one node per term node, and the
+//! interpreter counts one step per node it enters; the benchmark harness
+//! uses the counter to measure the paper's §3.1 claim about the
 //! asymptotic cost of opaque recursive modules.
 
 use std::cell::OnceCell;
@@ -18,9 +22,9 @@ use std::rc::Rc;
 
 use recmod_syntax::ast::{PrimOp, Term};
 
-use crate::code::{erase, Code};
+use crate::code::{erase, Code, Lambda, Slot};
 use crate::error::{EvalError, EvalResult};
-use crate::value::{Env, Value};
+use crate::value::Value;
 
 /// The default evaluation step budget.
 pub const DEFAULT_EVAL_FUEL: u64 = 500_000_000;
@@ -44,7 +48,8 @@ pub struct EvalStats {
     pub closures: u64,
     /// `fix` promises created and backpatched.
     pub backpatches: u64,
-    /// Deepest environment extended during the run.
+    /// Deepest environment extended during the run: the largest static
+    /// depth of a binder entered (see [`Code`]).
     pub max_env_depth: u64,
 }
 
@@ -61,6 +66,11 @@ pub struct Interp {
     unit: Rc<Value>,
     tru: Rc<Value>,
     fls: Rc<Value>,
+    /// The frame stack: the running function's argument and the
+    /// `let`/`case`/`fix` bindings inside it, above those of its callers.
+    stack: Vec<Rc<Value>>,
+    /// Where the running function's frame starts in `stack`.
+    base: usize,
 }
 
 impl Default for Interp {
@@ -103,6 +113,8 @@ impl Interp {
             unit: Rc::new(Value::Unit),
             tru: Rc::new(Value::Bool(true)),
             fls: Rc::new(Value::Bool(false)),
+            stack: Vec::new(),
+            base: 0,
         }
     }
 
@@ -133,23 +145,24 @@ impl Interp {
     /// [`EvalError::Stuck`] before any step is taken.
     pub fn run(&mut self, e: &Term) -> EvalResult<Rc<Value>> {
         let code = erase(e)?;
-        self.eval(&Env::new(), &code)
+        self.eval(&[], &code)
     }
 
-    /// Evaluates `c` under `env`, guarding the recursion depth.
-    fn eval(&mut self, env: &Env, c: &Code) -> EvalResult<Rc<Value>> {
+    /// Evaluates `c` in the current frame, with `caps` the running
+    /// closure's captures, guarding the recursion depth.
+    fn eval(&mut self, caps: &[Rc<Value>], c: &Code) -> EvalResult<Rc<Value>> {
         self.depth += 1;
         if self.depth > self.max_depth {
             self.depth -= 1;
             return Err(EvalError::DepthExceeded);
         }
-        let out = self.step(env, c);
+        let out = self.step(caps, c);
         self.depth -= 1;
         out
     }
 
     /// One step: charge fuel for the node `c`, then evaluate it.
-    fn step(&mut self, env: &Env, c: &Code) -> EvalResult<Rc<Value>> {
+    fn step(&mut self, caps: &[Rc<Value>], c: &Code) -> EvalResult<Rc<Value>> {
         self.stats.steps += 1;
         if self.stats.steps > self.fuel {
             return Err(EvalError::FuelExhausted);
@@ -160,69 +173,56 @@ impl Interp {
             return Err(EvalError::Limit(self.limits.deadline_error("eval")));
         }
         match c {
-            Code::Var(i) => env.lookup(*i)?.force(),
+            Code::Var(slot) => self.slot(caps, *slot)?.force(),
             Code::Open => Err(EvalError::OpenTerm),
             Code::Const(v) => Ok(v.clone()),
-            Code::Lam(body) => {
-                self.stats.closures += 1;
-                Ok(Rc::new(Value::Closure {
-                    env: env.clone(),
-                    body: body.clone(),
-                }))
+            Code::Lam(lam) => {
+                let captured = self.capture(caps, lam)?;
+                Ok(Rc::new(Value::Closure(lam.clone(), captured)))
             }
             Code::App(f, a) => {
-                let fv = self.eval(env, f)?;
-                let av = self.eval(env, a)?;
+                let fv = self.eval(caps, f)?;
+                let av = self.eval(caps, a)?;
                 match fv.forced()? {
-                    Value::Closure { env: cenv, body } => {
-                        let inner = self.extend(cenv, av);
-                        self.eval(&inner, body)
-                    }
+                    Value::Closure(lam, captured) => self.call(lam, captured, av),
                     _ => Err(EvalError::Stuck("a function")),
                 }
             }
             Code::Pair(a, b) => {
-                let av = self.eval(env, a)?;
-                let bv = self.eval(env, b)?;
+                let av = self.eval(caps, a)?;
+                let bv = self.eval(caps, b)?;
                 Ok(Rc::new(Value::Pair(av, bv)))
             }
-            Code::Proj1(p) => match self.eval(env, p)?.forced()? {
+            Code::Proj1(p) => match self.eval(caps, p)?.forced()? {
                 Value::Pair(a, _) => Ok(a.clone()),
                 _ => Err(EvalError::Stuck("a pair")),
             },
-            Code::Proj2(p) => match self.eval(env, p)?.forced()? {
+            Code::Proj2(p) => match self.eval(caps, p)?.forced()? {
                 Value::Pair(_, b) => Ok(b.clone()),
                 _ => Err(EvalError::Stuck("a pair")),
             },
-            Code::TLam(body) => {
-                self.stats.closures += 1;
-                Ok(Rc::new(Value::TClosure {
-                    env: env.clone(),
-                    body: body.clone(),
-                }))
+            Code::TLam(lam) => {
+                let captured = self.capture(caps, lam)?;
+                Ok(Rc::new(Value::TClosure(lam.clone(), captured)))
             }
-            Code::TApp(f) => match self.eval(env, f)?.forced()? {
-                Value::TClosure { env: cenv, body } => {
-                    // The constructor argument is erased; bind a dummy so
-                    // de Bruijn indices line up.
-                    let inner = self.extend(cenv, self.unit.clone());
-                    self.eval(&inner, body)
-                }
+            Code::TApp(f) => match self.eval(caps, f)?.forced()? {
+                // The constructor argument is erased; bind a dummy so
+                // the body's slots line up.
+                Value::TClosure(lam, captured) => self.call(lam, captured, self.unit.clone()),
                 _ => Err(EvalError::Stuck("a type function")),
             },
-            Code::Fix(body) => {
+            Code::Fix(body, depth) => {
                 let cell = Rc::new(OnceCell::new());
                 let promise = Rc::new(Value::Promise(cell.clone()));
-                let inner = self.extend(env, promise);
-                let v = self.eval(&inner, body)?;
+                let v = self.under(caps, promise, *depth, body)?;
                 // Each `fix` makes a fresh cell, so this is its only fill.
                 let _ = cell.set(v.clone());
                 self.stats.backpatches += 1;
                 Ok(v)
             }
             Code::Prim(op, a, b) => {
-                let a = self.eval(env, a)?.as_int()?;
-                let b = self.eval(env, b)?.as_int()?;
+                let a = self.eval(caps, a)?.as_int()?;
+                let b = self.eval(caps, b)?.as_int()?;
                 Ok(match op {
                     PrimOp::Add => Rc::new(Value::Int(a.wrapping_add(b))),
                     PrimOp::Sub => Rc::new(Value::Int(a.wrapping_sub(b))),
@@ -232,34 +232,86 @@ impl Interp {
                 })
             }
             Code::If(c, t, f) => {
-                if self.eval(env, c)?.as_bool()? {
-                    self.eval(env, t)
+                if self.eval(caps, c)?.as_bool()? {
+                    self.eval(caps, t)
                 } else {
-                    self.eval(env, f)
+                    self.eval(caps, f)
                 }
             }
             Code::Inj(i, body) => {
-                let v = self.eval(env, body)?;
+                let v = self.eval(caps, body)?;
                 Ok(Rc::new(Value::Inj(*i, v)))
             }
-            Code::Case(scrut, branches) => match self.eval(env, scrut)?.forced()? {
+            Code::Case(scrut, branches, depth) => match self.eval(caps, scrut)?.forced()? {
                 Value::Inj(i, payload) => match branches.get(*i) {
-                    Some(branch) => {
-                        let inner = self.extend(env, payload.clone());
-                        self.eval(&inner, branch)
-                    }
+                    Some(branch) => self.under(caps, payload.clone(), *depth, branch),
                     None => Err(EvalError::Stuck("a branch for this injection")),
                 },
                 _ => Err(EvalError::Stuck("a sum value")),
             },
-            Code::Coerce(body) => self.eval(env, body),
+            Code::Coerce(body) => self.eval(caps, body),
             Code::Fail => Err(EvalError::Failure),
-            Code::Let(bound, body) => {
-                let v = self.eval(env, bound)?;
-                let inner = self.extend(env, v);
-                self.eval(&inner, body)
+            Code::Let(bound, body, depth) => {
+                let v = self.eval(caps, bound)?;
+                self.under(caps, v, *depth, body)
             }
         }
+    }
+
+    /// The value in a slot of the current frame or of `caps`. Erasure
+    /// only resolves a variable to a slot that is filled whenever its
+    /// node runs, so the error is unreachable from [`Interp::run`].
+    fn slot<'a>(&'a self, caps: &'a [Rc<Value>], slot: Slot) -> EvalResult<&'a Rc<Value>> {
+        match slot {
+            Slot::Local(i) => self.stack.get(self.base + i),
+            Slot::Captured(i) => caps.get(i),
+        }
+        .ok_or(EvalError::OpenTerm)
+    }
+
+    /// Counts a new closure over `lam` and builds its capture array.
+    fn capture(&mut self, caps: &[Rc<Value>], lam: &Lambda) -> EvalResult<Box<[Rc<Value>]>> {
+        self.stats.closures += 1;
+        let mut captured = Vec::with_capacity(lam.captures.len());
+        for &slot in &lam.captures {
+            captured.push(self.slot(caps, slot)?.clone());
+        }
+        Ok(captured.into_boxed_slice())
+    }
+
+    /// Applies a closure: runs its body in a new frame holding `arg`.
+    /// Like [`under`](Self::under), it pops what it pushed on every
+    /// outcome, so the stack is empty between runs, errors included.
+    fn call(
+        &mut self,
+        lam: &Lambda,
+        captured: &[Rc<Value>],
+        arg: Rc<Value>,
+    ) -> EvalResult<Rc<Value>> {
+        self.note_depth(lam.depth);
+        let caller = std::mem::replace(&mut self.base, self.stack.len());
+        self.stack.push(arg);
+        let out = self.eval(captured, &lam.body);
+        self.stack.truncate(self.base);
+        self.base = caller;
+        out
+    }
+
+    /// Runs `body` with `v` bound in one more slot of the current frame;
+    /// `depth` is the binder's static depth.
+    fn under(
+        &mut self,
+        caps: &[Rc<Value>],
+        v: Rc<Value>,
+        depth: usize,
+        body: &Code,
+    ) -> EvalResult<Rc<Value>> {
+        self.note_depth(depth);
+        let top = self.stack.len();
+        self.stack.push(v);
+        let out = self.eval(caps, body);
+        self.stack.truncate(top);
+        out
     }
 
     /// The shared `true` or `false` value.
@@ -267,12 +319,9 @@ impl Interp {
         if b { &self.tru } else { &self.fls }.clone()
     }
 
-    /// `env.push` plus max-env-depth bookkeeping (O(1): `Env::len` is
-    /// cached on each node).
-    fn extend(&mut self, env: &Env, v: Rc<Value>) -> Env {
-        let inner = env.push(v);
-        self.stats.max_env_depth = self.stats.max_env_depth.max(inner.len() as u64);
-        inner
+    /// Records entering a binder of static depth `depth`.
+    fn note_depth(&mut self, depth: usize) {
+        self.stats.max_env_depth = self.stats.max_env_depth.max(depth as u64);
     }
 }
 
@@ -469,13 +518,83 @@ mod tests {
         let Value::Pair(a, b) = &*v else {
             panic!("expected a pair, got {v}")
         };
-        let (Value::Closure { body: body_a, .. }, Value::Closure { body: body_b, .. }) =
-            (&**a, &**b)
-        else {
+        let (Value::Closure(lam_a, _), Value::Closure(lam_b, _)) = (&**a, &**b) else {
             panic!("expected two closures, got {v}")
         };
         assert!(!Rc::ptr_eq(a, b), "two distinct closures");
-        assert!(Rc::ptr_eq(body_a, body_b), "one shared body");
+        assert!(Rc::ptr_eq(lam_a, lam_b), "one shared body");
+    }
+
+    #[test]
+    fn closures_capture_exactly_what_their_body_uses() {
+        // (λx.λy.x) 7: the inner closure captures x and nothing else.
+        let k = lam(tcon(Con::Int), lam(tcon(Con::Int), var(1)));
+        let v = run(&app(k, int(7))).unwrap();
+        let Value::Closure(_, captured) = &*v else {
+            panic!("expected a closure, got {v}")
+        };
+        assert_eq!(captured.len(), 1);
+        assert_eq!(captured[0].as_int().unwrap(), 7);
+        // λx.x uses nothing from outside.
+        let v = run(&lam(tcon(Con::Int), var(0))).unwrap();
+        let Value::Closure(_, captured) = &*v else {
+            panic!("expected a closure, got {v}")
+        };
+        assert!(captured.is_empty());
+    }
+
+    #[test]
+    fn open_variable_fails_only_when_reached() {
+        // An unbound variable under a λ that never runs is harmless.
+        let under = lam(tcon(Con::Int), var(1));
+        assert!(matches!(&*run(&under).unwrap(), Value::Closure(..)));
+        // let a = 1 in (λx. (λy. <free>) a) 2: the inner λ captures `a`
+        // across one function level; the free variable fails when the
+        // inner body runs. The stats are pinned to those of the
+        // environment-walking evaluator this one replaced.
+        let e = let_(
+            int(1),
+            app(
+                lam(tcon(Con::Int), app(lam(tcon(Con::Int), var(3)), var(1))),
+                int(2),
+            ),
+        );
+        let mut interp = Interp::new();
+        assert_eq!(interp.run(&e).err(), Some(EvalError::OpenTerm));
+        let want = EvalStats {
+            steps: 9,
+            closures: 2,
+            backpatches: 0,
+            max_env_depth: 3,
+        };
+        assert_eq!(interp.stats(), want);
+    }
+
+    #[test]
+    fn frame_stack_is_reset_after_an_error() {
+        // Fails inside a call, with let-bound slots below it on the stack.
+        let bad = let_(
+            int(1),
+            let_(
+                int(2),
+                app(lam(tcon(Con::Int), fail(tcon(Con::Int))), var(0)),
+            ),
+        );
+        // let a = 5 in (λx. x + a) 3 = 8: a local and a captured read.
+        let good = let_(
+            int(5),
+            app(
+                lam(tcon(Con::Int), prim(PrimOp::Add, var(0), var(1))),
+                int(3),
+            ),
+        );
+        let mut fresh = Interp::new();
+        assert_eq!(fresh.run(&good).unwrap().as_int().unwrap(), 8);
+        let mut interp = Interp::new();
+        assert_eq!(interp.run(&bad).err(), Some(EvalError::Failure));
+        interp.reset_steps();
+        assert_eq!(interp.run(&good).unwrap().as_int().unwrap(), 8);
+        assert_eq!(interp.stats(), fresh.stats());
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub mod error;
 pub mod interp;
 pub mod value;
 
-pub use code::Code;
+pub use code::{Code, Lambda, Slot};
 pub use error::{EvalError, EvalResult};
 pub use interp::{run_big_stack, EvalStats, Interp, DEFAULT_EVAL_FUEL};
-pub use value::{Env, Value};
+pub use value::Value;

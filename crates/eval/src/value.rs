@@ -1,10 +1,10 @@
-//! Run-time values and environments.
+//! Run-time values.
 
 use std::cell::OnceCell;
 use std::fmt;
 use std::rc::Rc;
 
-use crate::code::Code;
+use crate::code::Lambda;
 use crate::error::{EvalError, EvalResult};
 
 /// A run-time value. Types are erased: `roll`/`unroll` vanish, `Λ`
@@ -22,20 +22,11 @@ pub enum Value {
     Pair(Rc<Value>, Rc<Value>),
     /// A sum injection, tagged with its branch index.
     Inj(usize, Rc<Value>),
-    /// A function closure.
-    Closure {
-        /// The captured environment.
-        env: Env,
-        /// The body (under one binder), shared with the `Code` tree.
-        body: Rc<Code>,
-    },
+    /// A function closure: the shared code and the values its body uses
+    /// from its definition site, in the order erasure numbered them.
+    Closure(Rc<Lambda>, Box<[Rc<Value>]>),
     /// A type-function closure (`Λ`); applied with a dummy binding.
-    TClosure {
-        /// The captured environment.
-        env: Env,
-        /// The body (under one binder), shared with the `Code` tree.
-        body: Rc<Code>,
-    },
+    TClosure(Rc<Lambda>, Box<[Rc<Value>]>),
     /// A promise created by `fix` and backpatched when the right-hand
     /// side finishes evaluating. Reading an unfilled promise is a
     /// "black hole" (ruled out by the value restriction).
@@ -86,8 +77,8 @@ impl fmt::Display for Value {
             Value::Bool(b) => write!(f, "{b}"),
             Value::Pair(a, b) => write!(f, "({a}, {b})"),
             Value::Inj(i, v) => write!(f, "inj{i} {v}"),
-            Value::Closure { .. } => f.write_str("<fn>"),
-            Value::TClosure { .. } => f.write_str("<tfn>"),
+            Value::Closure(..) => f.write_str("<fn>"),
+            Value::TClosure(..) => f.write_str("<tfn>"),
             Value::Promise(cell) => match cell.get() {
                 Some(v) => write!(f, "{v}"),
                 None => f.write_str("<blackhole>"),
@@ -96,77 +87,9 @@ impl fmt::Display for Value {
     }
 }
 
-/// A persistent (structure-shared) evaluation environment indexed by the
-/// unified de Bruijn indices of `recmod-syntax`.
-#[derive(Debug, Clone, Default)]
-pub struct Env(Option<Rc<Node>>);
-
-#[derive(Debug)]
-struct Node {
-    value: Rc<Value>,
-    len: usize,
-    next: Env,
-}
-
-impl Env {
-    /// The empty environment.
-    pub fn new() -> Self {
-        Env(None)
-    }
-
-    /// Extends the environment with one binding (index 0 of the result).
-    pub fn push(&self, value: Rc<Value>) -> Env {
-        Env(Some(Rc::new(Node {
-            value,
-            len: self.len() + 1,
-            next: self.clone(),
-        })))
-    }
-
-    /// Looks up a de Bruijn index by reference; clone the result or
-    /// [`force`](Value::force) it (one clone, through any promise).
-    pub fn lookup(&self, index: usize) -> EvalResult<&Rc<Value>> {
-        let mut cur = self;
-        for _ in 0..index {
-            match &cur.0 {
-                Some(node) => cur = &node.next,
-                None => return Err(EvalError::OpenTerm),
-            }
-        }
-        match &cur.0 {
-            Some(node) => Ok(&node.value),
-            None => Err(EvalError::OpenTerm),
-        }
-    }
-
-    /// Number of bindings (O(1); cached on each node).
-    pub fn len(&self) -> usize {
-        match &self.0 {
-            Some(node) => node.len,
-            None => 0,
-        }
-    }
-
-    /// True when no bindings are present.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_none()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn env_lookup_is_lifo() {
-        let env = Env::new()
-            .push(Rc::new(Value::Int(1)))
-            .push(Rc::new(Value::Int(2)));
-        assert_eq!(env.lookup(0).unwrap().as_int().unwrap(), 2);
-        assert_eq!(env.lookup(1).unwrap().as_int().unwrap(), 1);
-        assert!(env.lookup(2).is_err());
-        assert_eq!(env.len(), 2);
-    }
 
     #[test]
     fn unfilled_promise_is_a_black_hole() {

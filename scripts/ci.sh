@@ -38,6 +38,23 @@ echo "== NbE engine differential (2000 dedicated iterations) =="
 FUZZ_CLASS=nbe-differential FUZZ_ITERS=2000 \
   cargo test -q -p recmod-tests --release --test fuzz seeded
 
+echo "== expression differential (2000 dedicated iterations) =="
+# One of the evaluator's two oracles: random expressions with lets and
+# up to two nested applied `fn`s, whose bodies read variables bound
+# outside them, so variables resolve to frame slots and to closure
+# captures across function levels. The pipeline's value must equal a
+# reference interpreter's.
+FUZZ_CLASS=expression-differential FUZZ_ITERS=2000 \
+  cargo test -q -p recmod-tests --release --test fuzz seeded
+
+echo "== module differential (2000 dedicated iterations) =="
+# The evaluator's other oracle: random operation sequences on the
+# paper's transparent and opaque recursive list modules and on a native
+# model must give the same checksums (the §3 observational-equivalence
+# claim).
+FUZZ_CLASS=module-differential FUZZ_ITERS=2000 \
+  cargo test -q -p recmod-tests --release --test fuzz seeded
+
 echo "== cost-model gate (counters vs tests/golden_costs.json) =="
 # Deterministic per-example counters (fuel, unrolls, cache traffic —
 # never wall clocks) compared against the checked-in baseline. Gating:

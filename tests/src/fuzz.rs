@@ -84,7 +84,14 @@ enum GenExp {
     Bin(GenOp, Box<GenExp>, Box<GenExp>),
     If(Box<GenExp>, Box<GenExp>, Box<GenExp>),
     Let(Box<GenExp>, Box<GenExp>),
+    /// `((fn (xk : int) => body) arg)`: the body is under one more
+    /// binder, and the evaluator runs it as a closure, so its reads of
+    /// outer `let`- and `fn`-bound variables go through captures.
+    Call(Box<GenExp>, Box<GenExp>),
 }
+
+/// How deep class 0 nests `fn`s.
+const MAX_FN_NESTING: usize = 2;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum GenOp {
@@ -108,8 +115,10 @@ enum GenVal {
 }
 
 /// Generates a well-typed expression of type `want`. `scope` holds the
-/// types of the let-bound variables currently visible (`x0`, `x1`, …).
-fn gen_exp(rng: &mut Rng, scope: &mut Vec<GenTy>, want: GenTy, depth: usize) -> GenExp {
+/// types of the `let`- and `fn`-bound variables currently visible
+/// (`x0`, `x1`, …); `fns` is how many more `fn`s may nest inside (0
+/// generates none and draws exactly what the `fn`-free generator drew).
+fn gen_exp(rng: &mut Rng, scope: &mut Vec<GenTy>, fns: usize, want: GenTy, depth: usize) -> GenExp {
     let vars: Vec<usize> = (0..scope.len()).filter(|&i| scope[i] == want).collect();
     if depth == 0 || rng.chance(1, 4) {
         // Leaf: a variable of the right type when one exists, else a
@@ -123,20 +132,44 @@ fn gen_exp(rng: &mut Rng, scope: &mut Vec<GenTy>, want: GenTy, depth: usize) -> 
         };
     }
     let d = depth - 1;
+    if fns > 0 && rng.chance(1, 5) {
+        let outer: Vec<usize> = (0..scope.len())
+            .filter(|&i| scope[i] == GenTy::Int)
+            .collect();
+        let arg = gen_exp(rng, scope, fns, GenTy::Int, d);
+        scope.push(GenTy::Int);
+        let mut body = gen_exp(rng, scope, fns - 1, want, d);
+        scope.pop();
+        if !outer.is_empty() {
+            // Make the result depend on a variable bound outside the
+            // `fn`, which the body can only reach through a capture.
+            let x = Box::new(GenExp::Var(outer[rng.below(outer.len() as u64) as usize]));
+            let fifty = || Box::new(GenExp::Int(50));
+            body = match want {
+                GenTy::Int => GenExp::Bin(GenOp::Add, x, Box::new(body)),
+                GenTy::Bool => GenExp::If(
+                    Box::new(body),
+                    Box::new(GenExp::Bin(GenOp::Lt, x.clone(), fifty())),
+                    Box::new(GenExp::Bin(GenOp::Lt, fifty(), x)),
+                ),
+            };
+        }
+        return GenExp::Call(Box::new(body), Box::new(arg));
+    }
     match want {
         GenTy::Int => match rng.below(3) {
             0 => {
                 let op = [GenOp::Add, GenOp::Sub, GenOp::Mul][rng.below(3) as usize];
                 GenExp::Bin(
                     op,
-                    Box::new(gen_exp(rng, scope, GenTy::Int, d)),
-                    Box::new(gen_exp(rng, scope, GenTy::Int, d)),
+                    Box::new(gen_exp(rng, scope, fns, GenTy::Int, d)),
+                    Box::new(gen_exp(rng, scope, fns, GenTy::Int, d)),
                 )
             }
             1 => GenExp::If(
-                Box::new(gen_exp(rng, scope, GenTy::Bool, d)),
-                Box::new(gen_exp(rng, scope, GenTy::Int, d)),
-                Box::new(gen_exp(rng, scope, GenTy::Int, d)),
+                Box::new(gen_exp(rng, scope, fns, GenTy::Bool, d)),
+                Box::new(gen_exp(rng, scope, fns, GenTy::Int, d)),
+                Box::new(gen_exp(rng, scope, fns, GenTy::Int, d)),
             ),
             _ => {
                 let bound_ty = if rng.chance(1, 2) {
@@ -144,9 +177,9 @@ fn gen_exp(rng: &mut Rng, scope: &mut Vec<GenTy>, want: GenTy, depth: usize) -> 
                 } else {
                     GenTy::Bool
                 };
-                let rhs = gen_exp(rng, scope, bound_ty, d);
+                let rhs = gen_exp(rng, scope, fns, bound_ty, d);
                 scope.push(bound_ty);
-                let body = gen_exp(rng, scope, GenTy::Int, d);
+                let body = gen_exp(rng, scope, fns, GenTy::Int, d);
                 scope.pop();
                 GenExp::Let(Box::new(rhs), Box::new(body))
             }
@@ -160,14 +193,14 @@ fn gen_exp(rng: &mut Rng, scope: &mut Vec<GenTy>, want: GenTy, depth: usize) -> 
                 };
                 GenExp::Bin(
                     op,
-                    Box::new(gen_exp(rng, scope, GenTy::Int, d)),
-                    Box::new(gen_exp(rng, scope, GenTy::Int, d)),
+                    Box::new(gen_exp(rng, scope, fns, GenTy::Int, d)),
+                    Box::new(gen_exp(rng, scope, fns, GenTy::Int, d)),
                 )
             }
             1 => GenExp::If(
-                Box::new(gen_exp(rng, scope, GenTy::Bool, d)),
-                Box::new(gen_exp(rng, scope, GenTy::Bool, d)),
-                Box::new(gen_exp(rng, scope, GenTy::Bool, d)),
+                Box::new(gen_exp(rng, scope, fns, GenTy::Bool, d)),
+                Box::new(gen_exp(rng, scope, fns, GenTy::Bool, d)),
+                Box::new(gen_exp(rng, scope, fns, GenTy::Bool, d)),
             ),
             _ => GenExp::Bool(rng.chance(1, 2)),
         },
@@ -211,6 +244,13 @@ fn render(e: &GenExp, binders: usize, out: &mut String) {
             render(body, binders + 1, out);
             out.push_str(" end)");
         }
+        GenExp::Call(body, arg) => {
+            out.push_str(&format!("((fn (x{binders} : int) => "));
+            render(body, binders + 1, out);
+            out.push_str(") ");
+            render(arg, binders, out);
+            out.push(')');
+        }
     }
 }
 
@@ -249,6 +289,14 @@ fn ref_eval(e: &GenExp, env: &mut Vec<GenVal>) -> GenVal {
             env.pop();
             out
         }
+        GenExp::Call(body, arg) => {
+            // The `fn` is a closure over the whole environment at its
+            // definition; applying it runs the body in that environment
+            // extended by the argument.
+            let mut closure = env.clone();
+            closure.push(ref_eval(arg, env));
+            ref_eval(body, &mut closure)
+        }
     }
 }
 
@@ -259,7 +307,7 @@ fn case_expression_differential(rng: &mut Rng) -> Result<(), String> {
         GenTy::Bool
     };
     let depth = rng.range(1, 6);
-    let e = gen_exp(rng, &mut Vec::new(), want, depth);
+    let e = gen_exp(rng, &mut Vec::new(), MAX_FN_NESTING, want, depth);
     let mut src = String::new();
     render(&e, 0, &mut src);
     let expected = ref_eval(&e, &mut Vec::new());
@@ -440,7 +488,7 @@ fn case_ill_formed(rng: &mut Rng) -> Result<(), String> {
         1 => recmod::corpus::TRANSPARENT_LIST.to_string(),
         2 => recmod::corpus::EXPR_DECL_RDS.to_string(),
         _ => {
-            let e = gen_exp(rng, &mut Vec::new(), GenTy::Int, 4);
+            let e = gen_exp(rng, &mut Vec::new(), 0, GenTy::Int, 4);
             let mut src = String::new();
             render(&e, 0, &mut src);
             src
@@ -819,7 +867,7 @@ fn observed_source(rng: &mut Rng) -> String {
         1 => recmod::corpus::TRANSPARENT_LIST.to_string(),
         2 => recmod::corpus::EXPR_DECL_RDS.to_string(),
         _ => {
-            let e = gen_exp(rng, &mut Vec::new(), GenTy::Int, 4);
+            let e = gen_exp(rng, &mut Vec::new(), 0, GenTy::Int, 4);
             let mut src = String::new();
             render(&e, 0, &mut src);
             src
@@ -1284,8 +1332,8 @@ mod tests {
     fn generator_is_deterministic() {
         let mut a = Rng::new(7);
         let mut b = Rng::new(7);
-        let ea = gen_exp(&mut a, &mut Vec::new(), GenTy::Int, 5);
-        let eb = gen_exp(&mut b, &mut Vec::new(), GenTy::Int, 5);
+        let ea = gen_exp(&mut a, &mut Vec::new(), MAX_FN_NESTING, GenTy::Int, 5);
+        let eb = gen_exp(&mut b, &mut Vec::new(), MAX_FN_NESTING, GenTy::Int, 5);
         let (mut sa, mut sb) = (String::new(), String::new());
         render(&ea, 0, &mut sa);
         render(&eb, 0, &mut sb);
