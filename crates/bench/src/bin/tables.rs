@@ -4,9 +4,9 @@
 //! cargo run -p recmod-bench --release --bin tables
 //! ```
 //!
-//! Unlike the wall-clock benches (`benches/`), these tables use
-//! deterministic counters (interpreter steps, checker fuel, μ-unrolls)
-//! so the numbers are machine-independent and exactly reproducible.
+//! The tables use deterministic counters (interpreter steps, checker
+//! fuel, μ-unrolls, NbE machine steps) so the numbers are
+//! machine-independent and exactly reproducible.
 
 use recmod::kernel::{Ctx, RecMode, Tc};
 use recmod::syntax::ast::Kind;
@@ -123,12 +123,13 @@ fn table_e8() {
     println!();
 }
 
-/// P2: elaboration fuel, μ-unrolls, and whnf steps, by program size.
+/// P2: elaboration fuel, μ-unrolls, and NbE machine steps, by program
+/// size.
 fn table_p2() {
     println!("Table P2 — front-end cost (kernel counters burned during compile)");
     println!(
         "{:>24} {:>10} {:>14} {:>12} {:>12}",
-        "workload", "size", "fuel", "μ-unrolls", "whnf steps"
+        "workload", "size", "fuel", "μ-unrolls", "NbE steps"
     );
     let row = |workload: &str, size: usize, src: &str| {
         let elab = recmod::surface::Elaborator::new();
@@ -138,7 +139,7 @@ fn table_p2() {
         let stats = c.elab.tc.stats();
         println!(
             "{workload:>24} {size:>10} {burned:>14} {:>12} {:>12}",
-            stats.mu_unrolls, stats.whnf_steps
+            stats.mu_unrolls, stats.eval_steps
         );
     };
     for n in [4usize, 16, 64] {

@@ -1,10 +1,10 @@
 //! # recmod-bench
 //!
-//! Workload generators and measurement helpers for the benchmark
-//! harness. Every table and figure of `EXPERIMENTS.md` is regenerated
-//! either by a wall-clock bench binary (`benches/`, built on
-//! [`harness`]) or by the `tables` binary (`src/bin/tables.rs`), both
-//! of which build their inputs here.
+//! Workload generators for the experiment tables and the tests, plus
+//! the deterministic cost model ([`costs`]). The `tables` binary
+//! (`src/bin/tables.rs`) regenerates the counter tables of
+//! `EXPERIMENTS.md` from these generators; `bench_json --costs` is the
+//! cost-model gate. Wall-clock measurement lives in `perfbench/`.
 //!
 //! Generators are deterministic (seeded [`rng::Rng`], a SplitMix64) so
 //! runs are reproducible without any external crates.
@@ -13,41 +13,17 @@
 #![warn(missing_docs)]
 
 pub mod costs;
-pub mod harness;
 pub mod rng;
 
-use recmod::kernel::{Ctx, RecMode, Tc};
+use recmod::corpus;
 use recmod::syntax::ast::{Con, Kind};
 use recmod::syntax::dsl::*;
 use recmod::syntax::intern::hc;
 use rng::Rng;
 
-/// Re-export of the paper corpus for the benches.
-pub use recmod::corpus;
-
 // ---------------------------------------------------------------------
 // E1 — list workload
 // ---------------------------------------------------------------------
-
-/// Interpreter steps to build and sum an `n`-element list with the
-/// opaque (§3) or transparent (§4) recursive `List` module.
-pub fn list_steps(opaque: bool, n: usize) -> u64 {
-    recmod::eval::run_big_stack(512, move || {
-        let program = corpus::list_program(opaque, n);
-        let out = recmod::run(&program).expect("list program runs");
-        assert_eq!(out.value_int(), Some((n * (n + 1) / 2) as i64));
-        out.steps
-    })
-}
-
-/// Compiles a list program and returns the closed term plus the number
-/// of top-level bindings (used by wall-clock benches).
-pub fn list_term(opaque: bool, n: usize) -> recmod::syntax::ast::Term {
-    let program = corpus::list_program(opaque, n);
-    recmod::compile(&program)
-        .expect("list program compiles")
-        .program()
-}
 
 /// Full counter profile of one list run: evaluator counters plus the
 /// kernel judgement counters burned compiling the program. Used by the
@@ -149,29 +125,6 @@ pub fn gen_nested_pair(size: usize, seed: u64) -> (Con, Con) {
     (nested, flat)
 }
 
-/// Times (in nanoseconds) one equivalence check of a μ against its
-/// unrolling, in the given mode. Returns `None` when the check fails
-/// (e.g. plain iso mode, by design).
-pub fn time_equiv(mode: RecMode, a: &Con, b: &Con) -> Option<u64> {
-    let tc = Tc::with_mode(mode);
-    let mut ctx = Ctx::new();
-    let start = std::time::Instant::now();
-    let r = tc.con_equiv(&mut ctx, a, b, &Kind::Type);
-    let ns = start.elapsed().as_nanos() as u64;
-    r.ok().map(|_| ns)
-}
-
-/// A deep singleton chain context: `α₀:Q(int), α₁:Q(α₀), …` — and the
-/// constructor `α_{n-1}`, whose weak-head normalization walks the chain.
-pub fn singleton_chain(n: usize) -> (Ctx, Con) {
-    let mut ctx = Ctx::new();
-    ctx.push(recmod::kernel::Entry::Con(q(Con::Int)));
-    for _ in 1..n {
-        ctx.push(recmod::kernel::Entry::Con(q(cvar(0))));
-    }
-    (ctx, cvar(0))
-}
-
 // ---------------------------------------------------------------------
 // P2 — elaboration workloads
 // ---------------------------------------------------------------------
@@ -215,21 +168,13 @@ pub fn gen_rec_datatypes(k: usize) -> String {
     )
 }
 
-/// Compiles a program, asserting success, and returns elapsed time.
-pub fn time_compile(src: &str) -> std::time::Duration {
-    let start = std::time::Instant::now();
-    let c = recmod::compile(src).expect("generated program compiles");
-    std::hint::black_box(&c);
-    start.elapsed()
-}
-
 // ---------------------------------------------------------------------
 // F4/F5 — phase-splitting workloads
 // ---------------------------------------------------------------------
 
 /// A recursive module (internal language) with a `width`-ary static
 /// tuple of mutually recursive types and a unit dynamic part — input
-/// for the Figure-4 splitting bench.
+/// for the Figure-4 splitting tests.
 pub fn gen_internal_fix(width: usize) -> recmod::syntax::ast::Module {
     use recmod::syntax::ast::Ty;
     let kind = kind_of_width(width);
@@ -237,7 +182,7 @@ pub fn gen_internal_fix(width: usize) -> recmod::syntax::ast::Module {
     let parts: Vec<Con> = (0..width)
         .map(|i| {
             let next = (i + 1) % width;
-            carrow(Con::Int, crate::proj_n(Con::Fst(0), next, width))
+            carrow(Con::Int, proj_n(Con::Fst(0), next, width))
         })
         .collect();
     let body = strct(tuple_con(parts), recmod::syntax::ast::Term::Star);
@@ -265,7 +210,7 @@ fn tuple_con(mut parts: Vec<Con>) -> Con {
 }
 
 /// Right-nested tuple projection (mirrors the elaborator's layout).
-pub fn proj_n(base: Con, slot: usize, arity: usize) -> Con {
+fn proj_n(base: Con, slot: usize, arity: usize) -> Con {
     let mut cur = base;
     if arity <= 1 {
         return cur;
@@ -283,6 +228,7 @@ pub fn proj_n(base: Con, slot: usize, arity: usize) -> Con {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use recmod::kernel::{Ctx, RecMode, Tc};
 
     #[test]
     fn generated_mu_is_wellkinded_and_contractive() {
@@ -340,13 +286,14 @@ mod tests {
 
     #[test]
     fn singleton_chain_normalizes_to_int() {
+        // `α₀:Q(int), α₁:Q(α₀), …`: weak-head normalizing the last
+        // variable walks the whole chain.
         let tc = Tc::new();
-        let (mut ctx, c) = singleton_chain(50);
-        assert_eq!(tc.whnf(&mut ctx, &c).unwrap(), Con::Int);
-    }
-
-    #[test]
-    fn list_steps_smoke() {
-        assert!(list_steps(false, 5) > 0);
+        let mut ctx = Ctx::new();
+        ctx.push(recmod::kernel::Entry::Con(q(Con::Int)));
+        for _ in 1..50 {
+            ctx.push(recmod::kernel::Entry::Con(q(cvar(0))));
+        }
+        assert_eq!(tc.whnf(&mut ctx, &cvar(0)).unwrap(), Con::Int);
     }
 }

@@ -23,8 +23,6 @@
 //!
 //! * `--jobs N` — batch worker threads (default: available parallelism);
 //! * `--corpus` — batch-check the built-in corpus (`recmod::corpus`);
-//! * `--cold` — batch mode: rebuild the typechecker per file instead of
-//!   keeping per-worker caches warm (for measuring the warm-cache effect);
 //! * `--steps` — print the interpreter step count after `run`;
 //! * `--fuel N` — set the kernel's normalization/equivalence fuel budget;
 //! * `--limits K=V,...` — set resource limits (`depth`, `nodes`, `fuel`,
@@ -110,7 +108,7 @@ fn usage() -> ExitCode {
          recmodc -e \"<expression>\" [options]\n\
          options: --steps --fuel N --limits K=V,... --deadline-ms N\n         \
          --max-errors N --stats[=json] --diagnostics=json --trace[=DEPTH]\n         \
-         --jobs N --corpus --cold --crash-dir DIR --cache-dir DIR --no-cache\n         \
+         --jobs N --corpus --crash-dir DIR --cache-dir DIR --no-cache\n         \
          --profile[=FILE] --profile-text --profile-by=judgement|stage|file\n         \
          --log-json FILE (batch only)\n\
          exit codes: 0 ok, 1 program error, 2 usage, 3 limit hit, 4 internal error\n         \
@@ -150,10 +148,6 @@ struct Options {
     deadline_ms: Option<u64>,
     jobs: Option<usize>,
     corpus: bool,
-    /// Batch mode: rebuild the typechecker for every file instead of
-    /// keeping per-worker caches warm (for measuring the warm-cache
-    /// effect; see EXPERIMENTS.md).
-    cold: bool,
     /// `--profile[=FILE]`: write a Chrome Trace Event JSON file.
     profile: Option<String>,
     /// `--profile-text`: print a text profile of the span tree.
@@ -240,7 +234,6 @@ fn parse_options(args: Vec<String>) -> Result<(Vec<String>, Options), String> {
         deadline_ms: None,
         jobs: None,
         corpus: false,
-        cold: false,
         profile: None,
         profile_text: false,
         profile_by: ProfileBy::Judgement,
@@ -261,7 +254,6 @@ fn parse_options(args: Vec<String>) -> Result<(Vec<String>, Options), String> {
         match a.as_str() {
             "--steps" => opts.steps = true,
             "--corpus" => opts.corpus = true,
-            "--cold" => opts.cold = true,
             "--jobs" => {
                 let n = it.next().ok_or("--jobs needs a number")?;
                 let jobs: usize = n.parse().map_err(|_| format!("bad job count: {n}"))?;
@@ -758,7 +750,6 @@ fn run_batch(paths: &[String], opts: &Options) -> ExitCode {
         limits: opts.limits,
         deadline_ms: opts.deadline_ms,
         max_errors: opts.max_errors,
-        warm: !opts.cold,
         telemetry,
         cache: opts.cache_config(),
         ..driver::DriverConfig::default()

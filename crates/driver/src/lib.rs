@@ -228,10 +228,6 @@ pub struct DriverConfig {
     pub deadline_ms: Option<u64>,
     /// Diagnostics rendered per file before eliding the rest.
     pub max_errors: usize,
-    /// Keep each worker's elaborator (interner, whnf memo, equivalence
-    /// cache) warm across files. `false` rebuilds the pipeline per file
-    /// — the pre-driver behavior, kept for benchmarking the difference.
-    pub warm: bool,
     /// Per-worker thread stack size.
     pub stack_size: usize,
     /// Install a telemetry sink in each worker and merge the reports.
@@ -263,7 +259,6 @@ impl Default for DriverConfig {
             limits: Limits::default(),
             deadline_ms: None,
             max_errors: 20,
-            warm: true,
             stack_size: DEFAULT_STACK_SIZE,
             telemetry: None,
             file_counters: false,
@@ -573,11 +568,11 @@ fn compile_one(
         }
     }
     let elab = match slot.take() {
-        Some(mut e) if config.warm => {
+        Some(mut e) => {
             e.renew(limits);
             e
         }
-        _ => Elaborator::with_limits(limits),
+        None => Elaborator::with_limits(limits),
     };
 
     #[allow(clippy::result_large_err)] // one call per file; never propagated
@@ -622,10 +617,7 @@ fn compile_one(
         FileStatus::Limit | FileStatus::Internal => Some(recmod_telemetry::diag::crash_data()),
         FileStatus::Ok | FileStatus::Error => None,
     };
-    *slot = match returned {
-        Some(e) if config.warm => Some(e),
-        _ => None,
-    };
+    *slot = returned;
 
     let counters = counter_delta(before);
     if let (Some((c, k)), FileStatus::Ok | FileStatus::Error) = (ckey, status) {
@@ -803,32 +795,6 @@ mod tests {
         let total: usize = res.workers.iter().map(|w| w.files).sum();
         assert_eq!(total, 23);
         assert_eq!(res.outcomes.len(), 23);
-    }
-
-    #[test]
-    fn warm_and_cold_agree() {
-        let js = jobs(8);
-        let warm = compile_batch(
-            &js,
-            &DriverConfig {
-                jobs: 2,
-                warm: true,
-                ..DriverConfig::default()
-            },
-        );
-        let cold = compile_batch(
-            &js,
-            &DriverConfig {
-                jobs: 2,
-                warm: false,
-                ..DriverConfig::default()
-            },
-        );
-        for (a, b) in warm.outcomes.iter().zip(&cold.outcomes) {
-            assert_eq!(a.status, b.status);
-            assert_eq!(a.diagnostics, b.diagnostics);
-            assert_eq!(a.summaries, b.summaries);
-        }
     }
 
     #[test]

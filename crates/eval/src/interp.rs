@@ -13,8 +13,8 @@
 //! pop it on exit, an application opens a frame whose slot 0 is the
 //! argument, and a closure carries a flat array of the values its body
 //! uses from outside. The code tree has one node per term node, and the
-//! interpreter counts one step per node it enters; the benchmark harness
-//! uses the counter to measure the paper's §3.1 claim about the
+//! interpreter counts one step per node it enters; the E1 experiment
+//! table uses the counter to measure the paper's §3.1 claim about the
 //! asymptotic cost of opaque recursive modules.
 
 use std::cell::OnceCell;

@@ -8,7 +8,7 @@
 //! Recursive values (`fix`) are implemented by backpatching; the value
 //! restriction enforced by `recmod-kernel` guarantees the recursive
 //! binding is never demanded before it is constructed. The interpreter
-//! counts steps, which the benchmark harness uses to reproduce the
+//! counts steps, which the E1 experiment table uses to reproduce the
 //! paper's §3.1 claim that the *opaque* recursive-module implementation
 //! of lists "leads to poor behavior in practice" (each `cons`/`uncons`
 //! traverses the whole list) while the §4 transparent implementation has

@@ -120,8 +120,8 @@ thread_local! {
 
 /// Forces every subsequently constructed [`Tc`] **on this thread** to
 /// use `engine`; pass `None` to restore the `RECMOD_EQUIV` / default
-/// resolution. Used by the differential fuzzer and the benchmark
-/// harness, which must run both engines in one process.
+/// resolution. Used by the differential fuzzer, which must run both
+/// engines in one process.
 pub fn set_thread_engine(engine: Option<EquivEngine>) {
     ENGINE_OVERRIDE.with(|c| c.set(engine));
 }
