@@ -6,7 +6,9 @@
 //!
 //! The tables use deterministic counters (interpreter steps, checker
 //! fuel, μ-unrolls, NbE machine steps) so the numbers are
-//! machine-independent and exactly reproducible.
+//! machine-independent and exactly reproducible. The P2 intern-probe
+//! column is exact only for this binary's run order: which rewrite-memo
+//! slots collide depends on the global node-id order.
 
 use recmod::kernel::{Ctx, RecMode, Tc};
 use recmod::syntax::ast::Kind;
@@ -123,29 +125,25 @@ fn table_e8() {
     println!();
 }
 
-/// P2: elaboration fuel, μ-unrolls, and NbE machine steps, by program
-/// size.
+/// P2: elaboration fuel, μ-unrolls, NbE machine steps and intern
+/// probes, by program size.
 fn table_p2() {
     println!("Table P2 — front-end cost (kernel counters burned during compile)");
     println!(
-        "{:>24} {:>10} {:>14} {:>12} {:>12}",
-        "workload", "size", "fuel", "μ-unrolls", "NbE steps"
+        "{:>24} {:>10} {:>14} {:>12} {:>12} {:>14}",
+        "workload", "size", "fuel", "μ-unrolls", "NbE steps", "intern probes"
     );
     let row = |workload: &str, size: usize, src: &str| {
-        let elab = recmod::surface::Elaborator::new();
-        let before = elab.tc.fuel();
-        let c = recmod::compile_with(elab, src).unwrap();
-        let burned = before - c.elab.tc.fuel();
-        let stats = c.elab.tc.stats();
+        let c = bench::compile_cost(src);
         println!(
-            "{workload:>24} {size:>10} {burned:>14} {:>12} {:>12}",
-            stats.mu_unrolls, stats.eval_steps
+            "{workload:>24} {size:>10} {:>14} {:>12} {:>12} {:>14}",
+            c.fuel, c.mu_unrolls, c.nbe_steps, c.intern_probes
         );
     };
     for n in [4usize, 16, 64] {
         row("module_chain", n, &bench::gen_module_chain(n));
     }
-    for k in [1usize, 2, 4, 8] {
+    for k in [1usize, 2, 4, 8, 16, 24, 32] {
         row("rec_datatypes", k, &bench::gen_rec_datatypes(k));
     }
     println!();

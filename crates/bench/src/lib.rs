@@ -129,6 +129,48 @@ pub fn gen_nested_pair(size: usize, seed: u64) -> (Con, Con) {
 // P2 — elaboration workloads
 // ---------------------------------------------------------------------
 
+/// The P2 counters of one compile.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CompileCost {
+    /// Kernel fuel burned.
+    pub fuel: u64,
+    /// μ-unrolls performed.
+    pub mu_unrolls: u64,
+    /// NbE machine steps (`kernel.eval_steps`).
+    pub nbe_steps: u64,
+    /// Interner probes (hits + misses) made by the compiling thread.
+    pub intern_probes: u64,
+}
+
+/// Compiles `src` (which must be well-typed) on a fresh thread with its
+/// interned nodes pinned, and returns the P2 counters. Pinning makes the
+/// id-keyed kernel memo hits — and so fuel — a pure function of the
+/// source (see `costs::measure_in_thread`); the fresh thread gives the
+/// compile fresh per-thread interner counters and rewrite memo.
+pub fn compile_cost(src: &str) -> CompileCost {
+    let src = src.to_string();
+    recmod::eval::run_big_stack(512, move || {
+        use recmod::syntax::intern::{intern_stats, pin_thread};
+        let _pin = pin_thread();
+        let probes = || {
+            let s = intern_stats();
+            s.hits + s.misses
+        };
+        let elab = recmod::surface::Elaborator::new();
+        let fuel = elab.tc.fuel();
+        let probes_before = probes();
+        let c = recmod::compile_with(elab, &src).expect("P2 workload compiles");
+        let intern_probes = probes() - probes_before;
+        let stats = c.elab.tc.stats();
+        CompileCost {
+            fuel: fuel - c.elab.tc.fuel(),
+            mu_unrolls: stats.mu_unrolls,
+            nbe_steps: stats.eval_steps,
+            intern_probes,
+        }
+    })
+}
+
 /// A surface program with `n` chained plain structures (each using the
 /// previous one) plus a main expression touching the last.
 pub fn gen_module_chain(n: usize) -> String {

@@ -14,9 +14,10 @@
 //!   transparent kind (the constructor `c` such that `κ = Q(c : strip κ)`).
 
 use recmod_syntax::ast::{Con, Kind};
-use recmod_syntax::dsl::{capp, clam, cpair, cproj1, cproj2, q};
-use recmod_syntax::intern::hc;
-use recmod_syntax::subst::{shift_con, subst_con_kind};
+use recmod_syntax::dsl::{clam, cpair, q};
+use recmod_syntax::intern::{hc, HC};
+use recmod_syntax::memo::{self, Key, Op};
+use recmod_syntax::subst::{shift_con_hc, shift_kind_hc, subst_con_kind, subst_con_kind_hc};
 
 /// Computes the principal (most transparent) kind `Q(c : κ)` of a
 /// constructor `c` already known to have kind `κ`.
@@ -36,19 +37,44 @@ pub fn selfify(c: &Con, k: &Kind) -> Kind {
         Kind::Type => q(c.clone()),
         Kind::Unit => Kind::Unit,
         Kind::Singleton(c0) => Kind::Singleton(c0.clone()),
-        Kind::Pi(k1, k2) => {
-            // Q(c : Πα:κ₁.κ₂) = Πα:κ₁.Q(c α : κ₂)    (paper Figure 2)
-            let app = capp(shift_con(c, 1, 0), Con::Var(0));
-            Kind::Pi(k1.clone(), hc(selfify(&app, k2)))
-        }
-        Kind::Sigma(k1, k2) => {
-            // Q(c : Σα:κ₁.κ₂) = Q(π₁c : κ₁) × Q(π₂c : κ₂[π₁c/α])
-            let l = selfify(&cproj1(c.clone()), k1);
-            let k2i = subst_con_kind(k2, &cproj1(c.clone()));
-            let r = selfify(&cproj2(c.clone()), &k2i);
-            Kind::times(l, r)
-        }
+        Kind::Pi(..) | Kind::Sigma(..) => selfify_hc(&hc(c.clone()), &hc(k.clone())).take(),
     }
+}
+
+/// [`selfify`] on interned pointers. A Π or Σ result is remembered in
+/// the per-thread [`memo`] table under `(c id, κ id)`: the kernel
+/// selfifies the same variable at the same kind from many judgement
+/// calls, and a Σ of width k re-selfifies every later component after
+/// each substitution.
+fn selfify_hc(c: &HC<Con>, k: &HC<Kind>) -> HC<Kind> {
+    let (k1, k2) = match &**k {
+        Kind::Type => return hc(Kind::Singleton(c.clone())),
+        Kind::Unit | Kind::Singleton(_) => return k.clone(),
+        Kind::Pi(k1, k2) | Kind::Sigma(k1, k2) => (k1, k2),
+    };
+    let key = Key {
+        op: Op::Selfify,
+        base: 0,
+        param: c.id(),
+        node: k.id(),
+    };
+    if let Some(hit) = memo::lookup(&key) {
+        return hit;
+    }
+    let out = if let Kind::Pi(..) = &**k {
+        // Q(c : Πα:κ₁.κ₂) = Πα:κ₁.Q(c α : κ₂)    (paper Figure 2)
+        let app = hc(Con::App(shift_con_hc(c, 1, 0), hc(Con::Var(0))));
+        hc(Kind::Pi(k1.clone(), selfify_hc(&app, k2)))
+    } else {
+        // Q(c : Σα:κ₁.κ₂) = Q(π₁c : κ₁) × Q(π₂c : κ₂[π₁c/α])
+        let p1 = Con::Proj1(c.clone());
+        let k2i = subst_con_kind_hc(k2, &p1);
+        let l = selfify_hc(&hc(p1), k1);
+        let r = selfify_hc(&hc(Con::Proj2(c.clone())), &k2i);
+        hc(Kind::Sigma(l, shift_kind_hc(&r, 1, 0)))
+    };
+    memo::insert(key, out.clone());
+    out
 }
 
 /// Erases singleton information: `strip(Q(c)) = T`, congruently elsewhere.
@@ -101,7 +127,7 @@ pub fn kind_definition(k: &Kind) -> Option<Con> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use recmod_syntax::dsl::{cvar, pi, sigma, tkind};
+    use recmod_syntax::dsl::{capp, cproj1, cproj2, cvar, pi, sigma, tkind};
 
     #[test]
     fn selfify_at_type_is_singleton() {
@@ -128,6 +154,25 @@ mod tests {
         let k = sigma(tkind(), tkind());
         let out = selfify(&cvar(0), &k);
         assert_eq!(out, Kind::times(q(cproj1(cvar(0))), q(cproj2(cvar(0)))));
+    }
+
+    #[test]
+    fn a_repeated_sigma_selfify_is_answered_by_the_memo() {
+        use recmod_syntax::intern::intern_stats;
+        let probes = || {
+            let s = intern_stats();
+            s.hits + s.misses
+        };
+        // Σα:T.Πβ:T.Q(α): a dependent Σ, so the rebuild substitutes.
+        // Held interned, as the kernel's contexts hold their kinds: a
+        // re-interned dead node would get a fresh id, hence a new key.
+        let k = hc(sigma(tkind(), pi(tkind(), q(cvar(1)))));
+        let first = selfify(&cvar(2), &k);
+        let before = probes();
+        let again = selfify(&cvar(2), &k);
+        // Interning the constructor and the kind is the whole cost.
+        assert_eq!(probes(), before + 2);
+        assert_eq!(first, again);
     }
 
     #[test]

@@ -14,6 +14,8 @@
 //! * a generic variable-occurrence traversal ([`map`]);
 //! * shifting and the three substitution forms — constructor, term, and
 //!   structure ([`subst`]);
+//! * a bounded per-thread memo that remembers those rewrites across
+//!   calls, keyed by node id ([`memo`]);
 //! * a pretty-printer in the paper's notation ([`pretty`]);
 //! * ergonomic construction helpers ([`dsl`]).
 //!
@@ -39,6 +41,7 @@ pub mod dsl;
 pub mod fxhash;
 pub mod intern;
 pub mod map;
+pub mod memo;
 pub mod pretty;
 pub mod size;
 pub mod subst;

@@ -17,15 +17,30 @@
 //! whose [`VarMap::floor`] is `Some(fl)` promises to leave every index
 //! strictly below `fl + d` untouched at traversal depth `d`; a subtree
 //! whose `fv_bound` proves it contains only such indices is returned as
-//! the *same pointer*, without being visited. This is what makes
-//! shifting and substitution cheap on wide, mostly-closed syntax: the
-//! traversal cost is proportional to the spine that actually mentions
-//! the affected variables, not to the size of the tree. Rebuilt nodes
-//! are re-interned, so even a rebuilt-but-unchanged subtree comes back
-//! pointer-identical to its input.
+//! the *same pointer*, without being visited. Within one call, then, the
+//! work is proportional to the spine that mentions the affected
+//! variables. Rebuilt nodes are re-interned, so even a rebuilt-but-
+//! unchanged subtree comes back pointer-identical to its input.
+//!
+//! # Memoization across calls
+//!
+//! That per-call bound hides the real repetition: the kernel applies the
+//! same shift or substitution to the same interned node from many
+//! separate judgement calls, and within one call a shared subtree is
+//! rebuilt once per path that reaches it. A map that declares an
+//! [`VarMap::identity`] is a pure function of `floor + d`, its identity
+//! and the occurrence, so [`map_con_hc`] and [`map_kind_hc`] remember
+//! each rebuilt pointer in the per-thread [`crate::memo`] table under
+//! `(op, floor + d, param, node id)` and answer a repeat from there. Node
+//! ids are never reused, so a key names one structure forever and a hit
+//! is the very pointer a rebuild would intern. Every other map — the
+//! occurrence probes, the NbE environment substitution, term and
+//! structure substitution, the rds and phase-splitting redirections —
+//! declares no identity and always rebuilds.
 
 use crate::ast::{Con, Index, Kind, Module, Sig, Term, Ty};
 use crate::intern::{hc, HC};
+use crate::memo::{self, Key, Memoized, Op};
 
 /// A rewriting strategy for variable occurrences.
 ///
@@ -52,6 +67,17 @@ pub trait VarMap {
     fn floor(&self) -> Option<usize> {
         None
     }
+
+    /// The map's memo identity `(op, param)`: declaring one promises
+    /// that the map has a floor and that its result on a subtree at
+    /// depth `d` is a pure function of `floor() + d`, `op`, `param` and
+    /// the subtree, so it may be remembered across calls (see
+    /// [`crate::memo`]). `None`, the default, keeps the map memo-free.
+    /// Takes `&mut self` so a map can compute its parameter lazily,
+    /// once per call, and only when the sharing fast path fails.
+    fn identity(&mut self) -> Option<(Op, u64)> {
+        None
+    }
 }
 
 /// Skip test for the sharing fast path: at depth `d`, a subtree whose
@@ -64,22 +90,51 @@ fn untouched<M: VarMap>(m: &M, d: usize, fvb: usize) -> bool {
     }
 }
 
+/// The memo key for applying `m` to `node` at depth `d`, if `m` has an
+/// identity.
+fn memo_key<M: VarMap>(m: &mut M, d: usize, node: u64) -> Option<Key> {
+    let (op, param) = m.identity()?;
+    let base = (m.floor()? + d) as u64;
+    Some(Key {
+        op,
+        base,
+        param,
+        node,
+    })
+}
+
+/// The shared body of [`map_kind_hc`] and [`map_con_hc`]: the sharing
+/// fast path, then the memo, then a rebuild.
+fn map_hc<T: Memoized, M: VarMap>(
+    x: &HC<T>,
+    d: usize,
+    m: &mut M,
+    rebuild: impl FnOnce(&T, usize, &mut M) -> T,
+) -> HC<T> {
+    if untouched(m, d, x.fv_bound()) {
+        return x.clone();
+    }
+    let key = memo_key(m, d, x.id());
+    if let Some(hit) = key.as_ref().and_then(memo::lookup) {
+        return hit;
+    }
+    let out = hc(rebuild(x.get(), d, m));
+    if let Some(key) = key {
+        memo::insert(key, out.clone());
+    }
+    out
+}
+
 /// Applies `m` to every variable occurrence under a kind pointer,
 /// returning the identical pointer when the subtree is out of reach.
 pub fn map_kind_hc<M: VarMap>(k: &HC<Kind>, d: usize, m: &mut M) -> HC<Kind> {
-    if untouched(m, d, k.fv_bound()) {
-        return k.clone();
-    }
-    hc(map_kind(k, d, m))
+    map_hc(k, d, m, map_kind)
 }
 
 /// Applies `m` to every variable occurrence under a constructor pointer,
 /// returning the identical pointer when the subtree is out of reach.
 pub fn map_con_hc<M: VarMap>(c: &HC<Con>, d: usize, m: &mut M) -> HC<Con> {
-    if untouched(m, d, c.fv_bound()) {
-        return c.clone();
-    }
-    hc(map_con(c, d, m))
+    map_hc(c, d, m, map_con)
 }
 
 /// Applies `m` to every variable occurrence in `k`, starting at depth `d`.

@@ -14,6 +14,16 @@
 //! re-interned, so unchanged structure always comes back
 //! pointer-identical. See [`crate::map`] for the mechanism.
 //!
+//! That bounds one call, not the kernel's many calls on the same nodes.
+//! Shifts and constructor substitutions therefore declare a
+//! [`VarMap::identity`] — `(cutoff, by)` and `(target, replacement id)`
+//! — and every constructor or kind pointer they rebuild is remembered
+//! in the per-thread [`crate::memo`] table under that identity, the
+//! depth and the input's node id. A repeat of the same rewrite on the
+//! same node, in this call or a later one, is one table probe instead
+//! of a rebuild. Term and structure substitutions stay memo-free: their
+//! replacements are not interned.
+//!
 //! # Panics
 //!
 //! Eliminating a binder that is referenced at the *wrong sort* (e.g. a
@@ -38,10 +48,11 @@
 //! error rather than a crash.
 
 use crate::ast::{Con, Index, Kind, Module, Sig, Term, Ty};
-use crate::intern::HC;
+use crate::intern::{hc, HC};
 use crate::map::{
     map_con, map_con_hc, map_kind, map_kind_hc, map_module, map_sig, map_term, map_ty, VarMap,
 };
+use crate::memo::Op;
 
 // ---------------------------------------------------------------------------
 // Shifting
@@ -83,6 +94,10 @@ impl VarMap for Shift {
     fn floor(&self) -> Option<usize> {
         // Indices below the cutoff are untouched.
         Some(self.cutoff)
+    }
+    fn identity(&mut self) -> Option<(Op, u64)> {
+        // At depth d the shift moves every index ≥ cutoff + d by `by`.
+        Some((Op::Shift, self.by as u64))
     }
 }
 
@@ -157,12 +172,24 @@ pub fn shift_kind_hc(k: &HC<Kind>, by: isize, cutoff: usize) -> HC<Kind> {
 
 /// Substitutes for the constructor binder at index `target` (counted from
 /// the root of the traversal) and removes that binder.
-pub(crate) struct SubstCon<'a> {
+struct SubstCon<'a> {
     target: usize,
     replacement: &'a Con,
+    /// The replacement's canonical pointer, interned on the first memo
+    /// probe of the call; it also keeps the replacement's id live.
+    interned: Option<HC<Con>>,
 }
 
-impl SubstCon<'_> {
+impl<'a> SubstCon<'a> {
+    /// Substitution of `replacement` for index `0`.
+    fn new(replacement: &'a Con) -> Self {
+        SubstCon {
+            target: 0,
+            replacement,
+            interned: None,
+        }
+    }
+
     fn index(&self, d: usize, i: Index) -> Option<Index> {
         let t = self.target + d;
         if i == t {
@@ -217,80 +244,49 @@ impl VarMap for SubstCon<'_> {
         // everything above it is decremented.
         Some(self.target)
     }
+    fn identity(&mut self) -> Option<(Op, u64)> {
+        let rep = self
+            .interned
+            .get_or_insert_with(|| hc(self.replacement.clone()));
+        Some((Op::SubstCon, rep.id()))
+    }
 }
 
 /// `k[c/α]` where `α` is the innermost binder of `k`'s context
 /// (index `0`); the binder is removed.
 pub fn subst_con_kind(k: &Kind, c: &Con) -> Kind {
-    map_kind(
-        k,
-        0,
-        &mut SubstCon {
-            target: 0,
-            replacement: c,
-        },
-    )
+    map_kind(k, 0, &mut SubstCon::new(c))
 }
 
 /// `body[c/α]` for constructors (index `0`; removes the binder).
 pub fn subst_con_con(body: &Con, c: &Con) -> Con {
-    map_con(
-        body,
-        0,
-        &mut SubstCon {
-            target: 0,
-            replacement: c,
-        },
-    )
+    map_con(body, 0, &mut SubstCon::new(c))
 }
 
 /// [`subst_con_con`] at the pointer level: a body that does not mention
 /// the binder comes back as the identical pointer.
 pub fn subst_con_con_hc(body: &HC<Con>, c: &Con) -> HC<Con> {
-    map_con_hc(
-        body,
-        0,
-        &mut SubstCon {
-            target: 0,
-            replacement: c,
-        },
-    )
+    map_con_hc(body, 0, &mut SubstCon::new(c))
+}
+
+/// [`subst_con_kind`] at the pointer level.
+pub fn subst_con_kind_hc(k: &HC<Kind>, c: &Con) -> HC<Kind> {
+    map_kind_hc(k, 0, &mut SubstCon::new(c))
 }
 
 /// `t[c/α]` for types (index `0`; removes the binder).
 pub fn subst_con_ty(t: &Ty, c: &Con) -> Ty {
-    map_ty(
-        t,
-        0,
-        &mut SubstCon {
-            target: 0,
-            replacement: c,
-        },
-    )
+    map_ty(t, 0, &mut SubstCon::new(c))
 }
 
 /// `e[c/α]` for terms (index `0`; removes the binder).
 pub fn subst_con_term(e: &Term, c: &Con) -> Term {
-    map_term(
-        e,
-        0,
-        &mut SubstCon {
-            target: 0,
-            replacement: c,
-        },
-    )
+    map_term(e, 0, &mut SubstCon::new(c))
 }
 
 /// `s[c/α]` for signatures (index `0`; removes the binder).
 pub fn subst_con_sig(s: &Sig, c: &Con) -> Sig {
-    map_sig(
-        s,
-        0,
-        &mut SubstCon {
-            target: 0,
-            replacement: c,
-        },
-    )
+    map_sig(s, 0, &mut SubstCon::new(c))
 }
 
 // ---------------------------------------------------------------------------
@@ -522,6 +518,35 @@ mod tests {
         let same = subst_con_con_hc(&fully_closed, &Con::Bool);
         assert!(HC::ptr_eq(&fully_closed, &same));
         drop(closed);
+    }
+
+    fn probes() -> u64 {
+        let s = crate::intern::intern_stats();
+        s.hits + s.misses
+    }
+
+    #[test]
+    fn a_repeated_rewrite_is_answered_by_the_memo() {
+        // λα:T. α ⇀ β(1): a shift at cutoff 0 rebuilds the whole spine.
+        let c = crate::intern::hc(clam(tkind(), carrow(cvar(0), cvar(1))));
+        let first = shift_con_hc(&c, 2, 0);
+        let before = probes();
+        let again = shift_con_hc(&c, 2, 0);
+        assert_eq!(probes(), before, "a repeat makes no intern probe");
+        assert!(HC::ptr_eq(&first, &again));
+        // Another amount is another key.
+        assert_eq!(
+            *shift_con_hc(&c, 3, 0),
+            clam(tkind(), carrow(cvar(0), cvar(4)))
+        );
+        // A substitution interns its replacement once, then hits.
+        let body = crate::intern::hc(carrow(cvar(0), cvar(0)));
+        let first = subst_con_con_hc(&body, &Con::Int);
+        let before = probes();
+        let again = subst_con_con_hc(&body, &Con::Int);
+        assert_eq!(probes(), before + 1);
+        assert!(HC::ptr_eq(&first, &again));
+        assert_eq!(*again, carrow(Con::Int, Con::Int));
     }
 
     #[test]

@@ -27,8 +27,8 @@ cargo build --release --workspace
 echo "== cargo test =="
 cargo test --workspace -q
 
-echo "== bounded fuzz (2000 seeded iterations) =="
-FUZZ_ITERS=2000 cargo test -q -p recmod-tests --release --test fuzz
+echo "== bounded fuzz (2200 seeded iterations, 200 per class) =="
+FUZZ_ITERS=2200 cargo test -q -p recmod-tests --release --test fuzz
 
 echo "== NbE engine differential (2000 dedicated iterations) =="
 # The NbE machine vs the legacy substitution engine on random well- and
@@ -36,6 +36,14 @@ echo "== NbE engine differential (2000 dedicated iterations) =="
 # codes, and rendered diagnostics must be identical (EXPERIMENTS.md R1
 # documents a 50k-iteration campaign of this class).
 FUZZ_CLASS=nbe-differential FUZZ_ITERS=2000 \
+  cargo test -q -p recmod-tests --release --test fuzz seeded
+
+echo "== rewrite-memo differential (2000 dedicated iterations) =="
+# The per-thread rewrite memo (crates/syntax/src/memo.rs) against a
+# memo-free reference: long random sequences of shifts, constructor
+# substitutions and selfifications, with interner sweeps interleaved,
+# must return the very pointers the reference traversal interns.
+FUZZ_CLASS=subst-memo-differential FUZZ_ITERS=2000 \
   cargo test -q -p recmod-tests --release --test fuzz seeded
 
 echo "== expression differential (2000 dedicated iterations) =="

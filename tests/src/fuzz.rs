@@ -1,7 +1,7 @@
 //! The seeded fuzzing + differential harness.
 //!
 //! Every case is fully determined by one `u64` seed (SplitMix64), so a
-//! failure report is a reproduction recipe. A seed drives one of ten
+//! failure report is a reproduction recipe. A seed drives one of eleven
 //! case classes:
 //!
 //! * **Expression differential** — a random well-typed expression
@@ -59,6 +59,12 @@
 //!   error codes, and rendered diagnostics must all agree (resource
 //!   verdicts are inconclusive — the engines deliberately meter fuel
 //!   differently).
+//! * **Rewrite-memo differential** — random open constructors and
+//!   dependent kinds go through long random sequences of shifts,
+//!   constructor substitutions and selfifications, which consult the
+//!   per-thread rewrite memo (`recmod_syntax::memo`), with pool drops
+//!   and interner sweeps interleaved; every result must be the very
+//!   pointer a memo-free reference traversal interns.
 //!
 //! The driver ([`run_case`]) reports `Err(description)` on any
 //! disagreement; panics are caught by the caller (`tests/fuzz.rs`)
@@ -66,6 +72,7 @@
 
 use recmod::kernel::{Ctx, RecMode, Tc, TypeError};
 use recmod::syntax::ast::{Con, Kind};
+use recmod::syntax::intern::HC;
 use recmod::telemetry::Limits;
 use recmod_bench::rng::Rng;
 
@@ -1286,12 +1293,318 @@ fn case_nbe_differential(rng: &mut Rng) -> Result<(), String> {
 }
 
 // ---------------------------------------------------------------------
+// Class 11: rewrite-memo differential (memoized shift/subst/selfify)
+// ---------------------------------------------------------------------
+
+/// `Fst` indices the class-11 generator draws start here: far above any
+/// binder depth it builds, so a substitution for index `0` never meets
+/// an `Fst` at its target (that would be an ill-sorted input).
+const MEMO_FST_BASE: usize = 40;
+
+/// The class-11 reference maps: the same rules as the library's shift
+/// and constructor substitution, with no floor and no identity, so they
+/// visit and rebuild every node and never touch the rewrite memo.
+enum RefMap<'a> {
+    Shift { by: isize, cutoff: usize },
+    Subst { replacement: &'a Con },
+}
+
+impl recmod::syntax::map::VarMap for RefMap<'_> {
+    fn cvar(&mut self, d: usize, i: usize) -> Con {
+        match *self {
+            RefMap::Shift { by, cutoff } if i >= cutoff + d => Con::Var((i as isize + by) as usize),
+            RefMap::Shift { .. } => Con::Var(i),
+            RefMap::Subst { replacement } if i == d => ref_shift_con(replacement, d as isize, 0),
+            RefMap::Subst { .. } => Con::Var(if i > d { i - 1 } else { i }),
+        }
+    }
+    fn tvar(&mut self, _: usize, i: usize) -> recmod::syntax::ast::Term {
+        recmod::syntax::ast::Term::Var(i)
+    }
+    fn fst(&mut self, d: usize, i: usize) -> Con {
+        match *self {
+            RefMap::Shift { by, cutoff } if i >= cutoff + d => Con::Fst((i as isize + by) as usize),
+            RefMap::Shift { .. } => Con::Fst(i),
+            RefMap::Subst { .. } => Con::Fst(if i > d { i - 1 } else { i }),
+        }
+    }
+    fn snd(&mut self, _: usize, i: usize) -> recmod::syntax::ast::Term {
+        recmod::syntax::ast::Term::Snd(i)
+    }
+    fn mvar(&mut self, _: usize, i: usize) -> recmod::syntax::ast::Module {
+        recmod::syntax::ast::Module::Var(i)
+    }
+}
+
+fn ref_shift_con(c: &Con, by: isize, cutoff: usize) -> Con {
+    recmod::syntax::map::map_con(c, 0, &mut RefMap::Shift { by, cutoff })
+}
+
+fn ref_shift_kind(k: &Kind, by: isize, cutoff: usize) -> Kind {
+    recmod::syntax::map::map_kind(k, 0, &mut RefMap::Shift { by, cutoff })
+}
+
+fn ref_subst_con(c: &Con, replacement: &Con) -> Con {
+    recmod::syntax::map::map_con(c, 0, &mut RefMap::Subst { replacement })
+}
+
+fn ref_subst_kind(k: &Kind, replacement: &Con) -> Kind {
+    recmod::syntax::map::map_kind(k, 0, &mut RefMap::Subst { replacement })
+}
+
+/// Reference selfification over the reference maps (paper Figure 2,
+/// extended to Σ).
+fn ref_selfify(c: &Con, k: &Kind) -> Kind {
+    use recmod::syntax::intern::hc;
+    match k {
+        Kind::Type => Kind::Singleton(hc(c.clone())),
+        Kind::Unit | Kind::Singleton(_) => k.clone(),
+        Kind::Pi(k1, k2) => {
+            let app = Con::App(hc(ref_shift_con(c, 1, 0)), hc(Con::Var(0)));
+            Kind::Pi(k1.clone(), hc(ref_selfify(&app, k2)))
+        }
+        Kind::Sigma(k1, k2) => {
+            let p1 = Con::Proj1(hc(c.clone()));
+            let l = ref_selfify(&p1, k1);
+            let r = ref_selfify(&Con::Proj2(hc(c.clone())), &ref_subst_kind(k2, &p1));
+            Kind::Sigma(hc(l), hc(ref_shift_kind(&r, 1, 0)))
+        }
+    }
+}
+
+/// Largest tree (node count, shared subtrees counted once per path) a
+/// class-11 pool keeps: substitution multiplies tree sizes, and the
+/// reference maps walk trees, not DAGs.
+const MEMO_POOL_NODES: usize = 64;
+
+/// Spends one unit of `budget` per tree node of `c`; `false` once it
+/// runs out.
+fn con_fits(c: &Con, budget: &mut usize) -> bool {
+    if *budget == 0 {
+        return false;
+    }
+    *budget -= 1;
+    match c {
+        Con::Var(_) | Con::Fst(_) | Con::Star | Con::Int | Con::Bool | Con::UnitTy => true,
+        Con::Lam(k, b) | Con::Mu(k, b) => kind_fits(k, budget) && con_fits(b, budget),
+        Con::App(a, b) | Con::Pair(a, b) | Con::Arrow(a, b) | Con::Prod(a, b) => {
+            con_fits(a, budget) && con_fits(b, budget)
+        }
+        Con::Proj1(a) | Con::Proj2(a) => con_fits(a, budget),
+        Con::Sum(cs) => cs.iter().all(|c| con_fits(c, budget)),
+    }
+}
+
+/// [`con_fits`] for kinds.
+fn kind_fits(k: &Kind, budget: &mut usize) -> bool {
+    if *budget == 0 {
+        return false;
+    }
+    *budget -= 1;
+    match k {
+        Kind::Type | Kind::Unit => true,
+        Kind::Singleton(c) => con_fits(c, budget),
+        Kind::Pi(a, b) | Kind::Sigma(a, b) => kind_fits(a, budget) && kind_fits(b, budget),
+    }
+}
+
+/// Does `c` fit a class-11 pool?
+fn small_con(c: &Con) -> bool {
+    con_fits(c, &mut MEMO_POOL_NODES.to_owned())
+}
+
+/// Does `k` fit a class-11 pool?
+fn small_kind(k: &Kind) -> bool {
+    kind_fits(k, &mut MEMO_POOL_NODES.to_owned())
+}
+
+/// A random open constructor over `binders` enclosing binders. Leaves
+/// reuse earlier pool entries (so rewrites meet shared subtrees) and
+/// closed μ-constructors from the bench generator.
+fn gen_open_con(rng: &mut Rng, size: usize, binders: usize, pool: &[HC<Con>]) -> Con {
+    use recmod::syntax::intern::hc;
+    if size <= 1 {
+        return match rng.below(7) {
+            0 | 1 => Con::Var(rng.range(0, binders + 3)),
+            2 => Con::Fst(MEMO_FST_BASE + rng.range(0, 3)),
+            3 if !pool.is_empty() => pool[rng.range(0, pool.len())].take(),
+            4 => recmod_bench::gen_regular_mu(rng.range(1, 6), rng.next_u64()),
+            5 => Con::Int,
+            _ => Con::Bool,
+        };
+    }
+    let sub = size - 1;
+    let half = sub / 2;
+    let con = |rng: &mut Rng, size: usize, binders: usize| {
+        hc(gen_open_con(rng, size.max(1), binders, pool))
+    };
+    match rng.below(9) {
+        0 => Con::Lam(
+            hc(gen_open_kind(rng, half, binders, pool)),
+            con(rng, sub - half, binders + 1),
+        ),
+        1 => Con::Mu(hc(Kind::Type), con(rng, sub, binders + 1)),
+        2 => Con::App(con(rng, half, binders), con(rng, sub - half, binders)),
+        3 => Con::Pair(con(rng, half, binders), con(rng, sub - half, binders)),
+        4 => Con::Proj1(con(rng, sub, binders)),
+        5 => Con::Proj2(con(rng, sub, binders)),
+        6 => Con::Arrow(con(rng, half, binders), con(rng, sub - half, binders)),
+        7 => Con::Prod(con(rng, half, binders), con(rng, sub - half, binders)),
+        _ => Con::Sum(vec![con(rng, half, binders), con(rng, sub - half, binders)]),
+    }
+}
+
+/// A random kind over `binders` enclosing binders, with singletons of
+/// open constructors and dependent Π/Σ.
+fn gen_open_kind(rng: &mut Rng, size: usize, binders: usize, pool: &[HC<Con>]) -> Kind {
+    use recmod::syntax::intern::hc;
+    if size <= 1 {
+        return match rng.below(4) {
+            0 => Kind::Unit,
+            1 => Kind::Singleton(hc(gen_open_con(rng, 1, binders, pool))),
+            _ => Kind::Type,
+        };
+    }
+    let sub = size - 1;
+    let half = sub / 2;
+    match rng.below(4) {
+        0 => Kind::Singleton(hc(gen_open_con(rng, sub, binders, pool))),
+        1 => Kind::Pi(
+            hc(gen_open_kind(rng, half, binders, pool)),
+            hc(gen_open_kind(rng, sub - half, binders + 1, pool)),
+        ),
+        _ => Kind::Sigma(
+            hc(gen_open_kind(rng, half, binders, pool)),
+            hc(gen_open_kind(rng, sub - half, binders + 1, pool)),
+        ),
+    }
+}
+
+/// Random sequences of memoized shifts, constructor substitutions and
+/// selfifications over a pool of shared constructors and kinds, with
+/// sweeps interleaved; every result must be the identical pointer the
+/// memo-free reference builds. Results join the pools, so later steps
+/// rewrite earlier results and repeat earlier rewrites (memo hits), and
+/// a case makes enough distinct rewrites to overwrite slots.
+fn case_subst_memo_differential(rng: &mut Rng) -> Result<(), String> {
+    use recmod::kernel::singleton::selfify;
+    use recmod::syntax::intern::{hc, sweep_now};
+    use recmod::syntax::subst::{
+        shift_con_hc, shift_kind_hc, subst_con_con_hc, subst_con_kind, subst_con_kind_hc,
+    };
+
+    let mut cons: Vec<HC<Con>> = Vec::new();
+    let mut kinds: Vec<HC<Kind>> = Vec::new();
+    while cons.len() < 8 || kinds.len() < 8 {
+        let size = rng.range(1, 24);
+        let c = gen_open_con(rng, size, 0, &cons);
+        if small_con(&c) {
+            cons.push(hc(c));
+        }
+        let size = rng.range(1, 12);
+        let k = gen_open_kind(rng, size, 0, &cons);
+        if small_kind(&k) {
+            kinds.push(hc(k));
+        }
+    }
+    let steps = rng.range(200, 600);
+    for step in 0..steps {
+        let c = cons[rng.range(0, cons.len())].clone();
+        let k = kinds[rng.range(0, kinds.len())].clone();
+        let by = rng.range(1, 4) as isize;
+        let cutoff = rng.range(0, 4);
+        let fail = |what: &str| Err(format!("step {step}: {what} differs from the reference"));
+        match rng.below(8) {
+            0 => {
+                let out = shift_con_hc(&c, by, cutoff);
+                if !HC::ptr_eq(&out, &hc(ref_shift_con(&c, by, cutoff))) {
+                    return fail("shift_con_hc");
+                }
+                // Shifting back down is the strengthening the kernel does
+                // after every binder; it must restore the input.
+                let back = shift_con_hc(&out, -by, cutoff);
+                if !HC::ptr_eq(&back, &hc(ref_shift_con(&out, -by, cutoff)))
+                    || !HC::ptr_eq(&back, &c)
+                {
+                    return fail("shift_con_hc by a negative amount");
+                }
+                if small_con(&out) {
+                    cons.push(out);
+                }
+            }
+            1 => {
+                let out = shift_kind_hc(&k, by, cutoff);
+                if !HC::ptr_eq(&out, &hc(ref_shift_kind(&k, by, cutoff))) {
+                    return fail("shift_kind_hc");
+                }
+                let back = shift_kind_hc(&out, -by, cutoff);
+                if !HC::ptr_eq(&back, &hc(ref_shift_kind(&out, -by, cutoff)))
+                    || !HC::ptr_eq(&back, &k)
+                {
+                    return fail("shift_kind_hc by a negative amount");
+                }
+                if small_kind(&out) {
+                    kinds.push(out);
+                }
+            }
+            2 | 3 => {
+                let rep = cons[rng.range(0, cons.len())].take();
+                let out = subst_con_con_hc(&c, &rep);
+                if !HC::ptr_eq(&out, &hc(ref_subst_con(&c, &rep))) {
+                    return fail("subst_con_con_hc");
+                }
+                if small_con(&out) {
+                    cons.push(out);
+                }
+            }
+            4 | 5 => {
+                let rep = cons[rng.range(0, cons.len())].take();
+                let out = subst_con_kind_hc(&k, &rep);
+                let reference = hc(ref_subst_kind(&k, &rep));
+                if !HC::ptr_eq(&out, &reference)
+                    || !HC::ptr_eq(&hc(subst_con_kind(&k, &rep)), &reference)
+                {
+                    return fail("subst_con_kind");
+                }
+                if small_kind(&out) {
+                    kinds.push(out);
+                }
+            }
+            6 => {
+                let out = hc(selfify(&c, &k));
+                if !HC::ptr_eq(&out, &hc(ref_selfify(&c, &k))) {
+                    return fail("selfify");
+                }
+                if small_kind(&out) {
+                    kinds.push(out);
+                }
+            }
+            _ => {
+                // Drop some pool entries and sweep, so the memo outlives
+                // its keys' nodes and re-interned structure gets fresh
+                // ids.
+                let keep = cons.len().min(16);
+                cons.drain(..cons.len() - keep);
+                let keep = kinds.len().min(16);
+                kinds.drain(..kinds.len() - keep);
+                sweep_now();
+            }
+        }
+    }
+    Ok(())
+}
+
+// ---------------------------------------------------------------------
 // Driver
 // ---------------------------------------------------------------------
 
+/// Number of case classes; a seed's class is `seed % CLASS_COUNT`, so
+/// any `CLASS_COUNT` consecutive seeds cover every class once.
+pub const CLASS_COUNT: u64 = 11;
+
 /// Human-readable class name for a seed (for failure reports).
 pub fn case_class(seed: u64) -> &'static str {
-    match seed % 10 {
+    match seed % CLASS_COUNT {
         0 => "expression-differential",
         1 => "module-differential",
         2 => "ill-formed-input",
@@ -1301,7 +1614,8 @@ pub fn case_class(seed: u64) -> &'static str {
         6 => "profiled-differential",
         7 => "diagnostics-total",
         8 => "chaos-serve",
-        _ => "nbe-differential",
+        9 => "nbe-differential",
+        _ => "subst-memo-differential",
     }
 }
 
@@ -1310,7 +1624,7 @@ pub fn case_class(seed: u64) -> &'static str {
 /// the caller to catch (they are always bugs).
 pub fn run_case(seed: u64) -> Result<(), String> {
     let mut rng = Rng::new(seed);
-    match seed % 10 {
+    match seed % CLASS_COUNT {
         0 => case_expression_differential(&mut rng),
         1 => case_module_differential(&mut rng),
         2 => case_ill_formed(&mut rng),
@@ -1320,7 +1634,8 @@ pub fn run_case(seed: u64) -> Result<(), String> {
         6 => case_profiled_differential(&mut rng),
         7 => case_diagnostics_total(&mut rng),
         8 => case_chaos_serve(&mut rng),
-        _ => case_nbe_differential(&mut rng),
+        9 => case_nbe_differential(&mut rng),
+        _ => case_subst_memo_differential(&mut rng),
     }
 }
 

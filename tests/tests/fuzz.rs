@@ -2,8 +2,8 @@
 //! printed seed: `run_case(seed)` in `recmod_tests::fuzz` regenerates
 //! it exactly.
 //!
-//! `FUZZ_ITERS` scales the run (CI uses 2000); the default keeps
-//! `cargo test` fast. `FUZZ_CLASS=<name>` restricts the run to one case
+//! `FUZZ_ITERS` scales the run (CI's mixed run uses 2200, 200 per
+//! class); the default, 30 per class, keeps `cargo test` fast. `FUZZ_CLASS=<name>` restricts the run to one case
 //! class (e.g. `chaos-serve` for a dedicated chaos campaign — see
 //! EXPERIMENTS.md R2); iterations then count only cases of that class.
 //! Cases execute on a big-stack thread because
@@ -13,7 +13,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use recmod_tests::fuzz::{case_class, run_case};
+use recmod_tests::fuzz::{case_class, run_case, CLASS_COUNT};
 
 /// Base offset so seeds don't start at tiny integers; arbitrary but
 /// fixed — changing it changes which cases CI explores.
@@ -23,7 +23,7 @@ fn iterations() -> u64 {
     std::env::var("FUZZ_ITERS")
         .ok()
         .and_then(|v| v.parse().ok())
-        .unwrap_or(300)
+        .unwrap_or(30 * CLASS_COUNT)
 }
 
 #[test]
@@ -72,11 +72,12 @@ fn seeded_fuzz_no_panics_no_differential_mismatches() {
 }
 
 /// The same seed must produce the same verdict — the reproduction
-/// recipe printed on failure has to actually reproduce.
+/// recipe printed on failure has to actually reproduce. One seed per
+/// class, so every class is checked.
 #[test]
 fn fuzz_cases_are_deterministic() {
     recmod::eval::run_big_stack(256, || {
-        for i in 0..10u64 {
+        for i in 0..CLASS_COUNT {
             let seed = SEED_BASE.wrapping_add(i);
             let a = run_case(seed);
             let b = run_case(seed);
