@@ -129,8 +129,9 @@ fn measure_in_thread(source: &str) -> Costs {
         kernel.singleton_shortcuts,
     );
     // S17 NbE engine counters. Under the default engine `whnf_steps`
-    // above reads 0 (it counts only the substitution loop, kept for
-    // RECMOD_EQUIV=subst) and these carry the normalization costs.
+    // above reads 0 (it counts only the substitution loop, kept as the
+    // differential-testing oracle) and these carry the normalization
+    // costs.
     put(
         &mut costs,
         "kernel.eval_steps".to_string(),

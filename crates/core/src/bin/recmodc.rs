@@ -49,7 +49,7 @@
 //!   (default `judgement`);
 //! * `--log-json FILE` — batch mode: write a structured JSONL event log,
 //!   one event per file (path, outcome, exit class, stage times, counter
-//!   deltas, worker id, steal flag, structured diagnostics) after a
+//!   deltas, worker id, structured diagnostics) after a
 //!   `meta` header line; serve mode: the `--metrics-interval` heartbeat
 //!   appends its metrics documents here;
 //! * `--metrics-interval SECS` — serve mode (with `--log-json`): append
@@ -1006,8 +1006,8 @@ fn render_batch_profile(result: &recmod::driver::BatchResult, by: ProfileBy) -> 
 }
 
 /// Writes the batch as a JSONL event log: a `meta` header line, then one
-/// event per file in input order with its outcome, timing, worker, steal
-/// flag, per-stage nanoseconds, and non-stage counter deltas.
+/// event per file in input order with its outcome, timing, worker,
+/// per-stage nanoseconds, and non-stage counter deltas.
 fn write_log_json(path: &str, result: &recmod::driver::BatchResult) {
     use recmod::telemetry::json::Json;
     let mut out = String::new();
@@ -1032,7 +1032,6 @@ fn write_log_json(path: &str, result: &recmod::driver::BatchResult) {
             ("status", Json::str(status_label(o.status))),
             ("exit", Json::UInt(o.status.exit_code() as u64)),
             ("worker", Json::UInt(o.worker as u64)),
-            ("stolen", Json::Bool(o.stolen)),
             ("start_nanos", Json::UInt(o.start_nanos)),
             ("nanos", Json::UInt(o.nanos)),
             (
@@ -1073,18 +1072,14 @@ fn write_log_json(path: &str, result: &recmod::driver::BatchResult) {
 
 /// Human-readable batch statistics: wall clock, per-stage time
 /// attribution (exclusive self-time summed across workers), per-worker
-/// file/steal counts, and merged pipeline counters.
+/// file counts, and merged pipeline counters.
 fn render_batch_stats(result: &recmod::driver::BatchResult) -> String {
     use std::fmt::Write as _;
     let mut s = String::new();
     let wall_ms = result.wall_nanos as f64 / 1e6;
     let _ = writeln!(s, "batch: {:.2} ms wall", wall_ms);
     for w in &result.workers {
-        let _ = writeln!(
-            s,
-            "worker {}: {} file(s), {} stolen",
-            w.worker, w.files, w.steals
-        );
+        let _ = writeln!(s, "worker {}: {} file(s)", w.worker, w.files);
     }
     if let Some(report) = &result.merged {
         let stages = report.stage_totals();
@@ -1140,7 +1135,6 @@ fn batch_stats_json(result: &recmod::driver::BatchResult) -> recmod::telemetry::
                         Json::obj([
                             ("worker", Json::UInt(w.worker as u64)),
                             ("files", Json::UInt(w.files as u64)),
-                            ("steals", Json::UInt(w.steals as u64)),
                         ])
                     })
                     .collect(),

@@ -104,9 +104,10 @@ pub struct Entry {
     pub summaries: Vec<(String, String)>,
     /// Structured diagnostics (error outcomes).
     pub diags: Vec<Diagnostic>,
-    /// Cost counters attributed to the file when it was compiled, if
-    /// per-file counter attribution was on. Informational: replayed
-    /// entries report the cost of the *original* compile.
+    /// A cost-counter map carried in the entry format. Nothing reads it
+    /// back (a replayed file reports the counters of its replay, not of
+    /// the original compile), and the batch and serve drivers store it
+    /// empty.
     pub counters: BTreeMap<String, u64>,
 }
 

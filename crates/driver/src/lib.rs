@@ -1,4 +1,4 @@
-//! Parallel batch compilation: a work-stealing driver with warm
+//! Parallel batch compilation: a shared-cursor driver with warm
 //! per-worker caches over a shared global interner.
 //!
 //! The pipeline's *mutable* hot state — the kernel's whnf memo and
@@ -11,13 +11,11 @@
 //! re-interning N copies. Per-worker memo tables stay sound because
 //! `NodeId`s are now canonical process-wide — a memo key means the
 //! same structure on every thread, it is merely *private* warmth.
-//! This crate supplies the scheduler, a zero-dependency work-stealer:
+//! This crate supplies the scheduler:
 //!
-//! * jobs are pre-seeded round-robin into one deque per worker;
-//! * a worker pops from the **front** of its own deque and, when that
-//!   runs dry, steals from the **back** of a victim's — owner and
-//!   thief touch opposite ends, so contention on the per-deque mutex
-//!   is brief and the stolen work is the coldest;
+//! * every worker claims the next unclaimed job from one shared atomic
+//!   cursor until the cursor passes the end, so a fast worker simply
+//!   claims more files and a worker that never started claims none;
 //! * each worker keeps its elaborator (and hence whnf memo and
 //!   equivalence cache) **warm across files** via
 //!   [`Elaborator::renew`], which resets per-program state but keeps
@@ -36,15 +34,17 @@
 //! A panic inside one file's compilation is caught at the file
 //! boundary: the file reports [`FileStatus::Internal`], the worker
 //! drops its (possibly poisoned) elaborator and rebuilds a fresh one,
-//! and every other file is unaffected.
+//! and every other file is unaffected. The compile attempt itself —
+//! warm elaborator, `catch_unwind`, classification, rendering, cache
+//! replay and store — is one crate-private path (`attempt`, `replay`,
+//! `store`) shared with the compile service ([`serve`]).
 
 pub mod cache;
 pub mod serve;
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use recmod_surface::diag::{self as sdiag, Diagnostic};
@@ -63,8 +63,8 @@ pub const EXIT_LIMIT: u8 = 3;
 /// Exit code when at least one file hit an internal error or panic.
 pub const EXIT_INTERNAL: u8 = 4;
 
-/// Default per-worker stack: elaboration is deeply recursive, so match
-/// the single-file CLI's 512 MB compile thread.
+/// Stack size of every batch and service worker: elaboration is deeply
+/// recursive, so match the single-file CLI's 512 MB compile thread.
 pub const DEFAULT_STACK_SIZE: usize = 512 * 1024 * 1024;
 
 /// One unit of work: a display name (usually a path) plus source text.
@@ -75,9 +75,9 @@ pub struct Job {
     /// The program source.
     pub source: String,
     /// Per-job wall-clock deadline override in milliseconds. `None`
-    /// falls back to [`DriverConfig::deadline_ms`]. The compile service
-    /// uses this for per-request deadlines; deadlines are re-armed as
-    /// absolute instants when the job *starts*, never earlier.
+    /// falls back to [`DriverConfig::deadline_ms`]. Deadlines are
+    /// re-armed as absolute instants when the job *starts*, never
+    /// earlier.
     pub deadline_ms: Option<u64>,
 }
 
@@ -145,8 +145,6 @@ pub struct FileOutcome {
     pub crash: Option<CrashData>,
     /// Index of the worker that compiled this file.
     pub worker: usize,
-    /// Whether this file was stolen from another worker's deque.
-    pub stolen: bool,
     /// Start offset in nanoseconds since the batch telemetry epoch
     /// (0 when telemetry was not requested).
     pub start_nanos: u64,
@@ -167,8 +165,6 @@ pub struct WorkerSummary {
     pub worker: usize,
     /// Files this worker compiled.
     pub files: usize,
-    /// How many of those were stolen from another worker's deque.
-    pub steals: usize,
     /// The worker's telemetry report, when telemetry was requested.
     pub report: Option<Report>,
 }
@@ -228,8 +224,6 @@ pub struct DriverConfig {
     pub deadline_ms: Option<u64>,
     /// Diagnostics rendered per file before eliding the rest.
     pub max_errors: usize,
-    /// Per-worker thread stack size.
-    pub stack_size: usize,
     /// Install a telemetry sink in each worker and merge the reports.
     /// [`compile_batch`] pins every worker's sink to one shared epoch
     /// (the batch start) so the workers' spans, samples, and file
@@ -241,8 +235,8 @@ pub struct DriverConfig {
     pub file_counters: bool,
     /// Test-only fault hook: treat the first N worker spawns as if
     /// [`std::thread::Builder::spawn_scoped`] had failed, exercising
-    /// the degraded path where surviving workers drain the missing
-    /// workers' deques. Leave at 0 outside regression tests.
+    /// the degraded path where the surviving workers claim every file.
+    /// Leave at 0 outside regression tests.
     pub fail_spawns: usize,
     /// Consult (and populate) an on-disk artifact cache before
     /// compiling each file. `None` disables caching. The cache is
@@ -259,7 +253,6 @@ impl Default for DriverConfig {
             limits: Limits::default(),
             deadline_ms: None,
             max_errors: 20,
-            stack_size: DEFAULT_STACK_SIZE,
             telemetry: None,
             file_counters: false,
             fail_spawns: 0,
@@ -319,8 +312,8 @@ fn read_job(path: &Path) -> Result<Job, String> {
 ///
 /// Spawns `config.jobs` workers (clamped to the job count), each with
 /// its own stack, kernel caches, and telemetry sink over the shared
-/// global interner; idle workers steal from the back of busy workers'
-/// deques. See the crate docs for the determinism and warm-cache
+/// global interner; each worker claims the next unclaimed job until
+/// none is left. See the crate docs for the determinism and warm-cache
 /// arguments. When [`DriverConfig::cache`] is set, each file consults
 /// the artifact cache before compiling and stores its verdict after.
 pub fn compile_batch(jobs: &[Job], config: &DriverConfig) -> BatchResult {
@@ -344,53 +337,34 @@ pub fn compile_batch(jobs: &[Job], config: &DriverConfig) -> BatchResult {
     };
     let n = jobs.len();
     let workers = config.jobs.clamp(1, n.max(1));
-
-    // Round-robin pre-seed: job i goes to deque i % workers, so every
-    // worker starts with an even share and file order within a worker
-    // follows input order (good for cache warmth on related inputs).
-    let queues: Vec<Mutex<VecDeque<usize>>> = (0..workers)
-        .map(|w| Mutex::new((w..n).step_by(workers.max(1)).collect()))
-        .collect();
-    let queues = &queues;
+    let next = &AtomicUsize::new(0);
 
     let mut slots: Vec<Option<FileOutcome>> = (0..n).map(|_| None).collect();
     let mut summaries = Vec::with_capacity(workers);
 
     std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for wid in 0..workers {
-            if wid < config.fail_spawns {
-                // Injected spawn failure (regression tests): behave
-                // exactly like the Err arm below.
-                continue;
-            }
-            let builder = std::thread::Builder::new()
-                .name(format!("recmod-worker-{wid}"))
-                .stack_size(config.stack_size);
-            match builder.spawn_scoped(scope, move || {
-                worker_loop(wid, jobs, queues, config, artifact_cache)
-            }) {
-                Ok(handle) => handles.push(handle),
-                Err(_) => {
-                    // Out of threads/memory: the workers that did spawn
-                    // will steal this worker's whole deque; if none
-                    // spawned, the un-run files are reported as internal
-                    // errors below.
-                }
-            }
-        }
+        // Injected spawn failures (regression tests) skip the spawn
+        // exactly like a failed one: a worker that never starts claims
+        // nothing, and the workers that did start claim its share.
+        let handles: Vec<_> = (config.fail_spawns..workers)
+            .filter_map(|wid| {
+                std::thread::Builder::new()
+                    .name(format!("recmod-worker-{wid}"))
+                    .stack_size(DEFAULT_STACK_SIZE)
+                    .spawn_scoped(scope, move || {
+                        worker_loop(wid, jobs, next, config, artifact_cache)
+                    })
+                    .ok()
+            })
+            .collect();
         for handle in handles {
-            match handle.join() {
-                Ok((outs, summary)) => {
-                    for (idx, out) in outs {
-                        slots[idx] = Some(out);
-                    }
-                    summaries.push(summary);
+            // The per-file catch_unwind makes a worker panic unreachable
+            // in practice; its missing slots are filled below.
+            if let Ok((outs, summary)) = handle.join() {
+                for (idx, out) in outs {
+                    slots[idx] = Some(out);
                 }
-                Err(_) => {
-                    // The per-file catch_unwind makes this unreachable
-                    // in practice; missing slots are filled below.
-                }
+                summaries.push(summary);
             }
         }
     });
@@ -399,24 +373,21 @@ pub fn compile_batch(jobs: &[Job], config: &DriverConfig) -> BatchResult {
         .into_iter()
         .enumerate()
         .map(|(i, slot)| {
-            slot.unwrap_or_else(|| FileOutcome {
-                name: jobs[i].name.clone(),
-                status: FileStatus::Internal,
-                summaries: Vec::new(),
-                diagnostics: vec![format!(
-                    "{}: internal error: worker thread died before compiling this file",
-                    jobs[i].name
-                )],
-                diags: vec![Diagnostic::internal(
-                    "I003",
-                    "worker thread died before compiling this file",
-                )],
-                crash: Some(CrashData::default()),
-                worker: 0,
-                stolen: false,
-                start_nanos: 0,
-                nanos: 0,
-                counters: None,
+            slot.unwrap_or_else(|| {
+                let why = "worker thread died before compiling this file";
+                let v = Verdict::internal(&jobs[i].name, "I003", why.to_string());
+                FileOutcome {
+                    name: jobs[i].name.clone(),
+                    status: v.status,
+                    summaries: v.summaries,
+                    diagnostics: v.rendered,
+                    diags: v.diags,
+                    crash: Some(CrashData::default()),
+                    worker: 0,
+                    start_nanos: 0,
+                    nanos: 0,
+                    counters: None,
+                }
             })
         })
         .collect();
@@ -448,7 +419,7 @@ type WorkerOut = (Vec<(usize, FileOutcome)>, WorkerSummary);
 fn worker_loop(
     wid: usize,
     jobs: &[Job],
-    queues: &[Mutex<VecDeque<usize>>],
+    next: &AtomicUsize,
     config: &DriverConfig,
     artifact_cache: Option<&cache::Cache>,
 ) -> WorkerOut {
@@ -457,16 +428,19 @@ fn worker_loop(
     }
     let mut elab: Option<Elaborator> = None;
     let mut outs = Vec::new();
-    let mut steals = 0usize;
-    while let Some((idx, stolen)) = next_job(wid, queues) {
-        if stolen {
-            steals += 1;
-        }
-        let out = compile_one(wid, stolen, &jobs[idx], &mut elab, config, artifact_cache);
-        outs.push((idx, out));
+    loop {
+        // `Relaxed` suffices: the cursor publishes no other data (the
+        // jobs are borrowed read-only and results travel back through
+        // the scope's join), and read-modify-writes of one atomic are
+        // totally ordered, so every index is claimed exactly once.
+        let idx = next.fetch_add(1, Ordering::Relaxed);
+        let Some(job) = jobs.get(idx) else { break };
+        outs.push((
+            idx,
+            compile_one(wid, job, &mut elab, config, artifact_cache),
+        ));
     }
     recmod_telemetry::count("driver.files", outs.len() as u64);
-    recmod_telemetry::count("driver.steals", steals as u64);
     let report = if config.telemetry.is_some() {
         recmod_telemetry::uninstall()
     } else {
@@ -475,34 +449,9 @@ fn worker_loop(
     let summary = WorkerSummary {
         worker: wid,
         files: outs.len(),
-        steals,
         report,
     };
     (outs, summary)
-}
-
-/// Locks a deque, recovering from poisoning: no user code runs under
-/// the lock and `VecDeque` push/pop cannot leave the queue half-mutated,
-/// so a poisoned deque is still structurally sound.
-fn lock_deque(m: &Mutex<VecDeque<usize>>) -> std::sync::MutexGuard<'_, VecDeque<usize>> {
-    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-/// Pops the next job index: front of our own deque, else the back of
-/// the first non-empty victim's (scanning from `wid + 1`, wrapping).
-/// Jobs never enqueue jobs, so "every deque empty" is terminal.
-fn next_job(wid: usize, queues: &[Mutex<VecDeque<usize>>]) -> Option<(usize, bool)> {
-    if let Some(idx) = lock_deque(&queues[wid]).pop_front() {
-        return Some((idx, false));
-    }
-    let w = queues.len();
-    for off in 1..w {
-        let victim = (wid + off) % w;
-        if let Some(idx) = lock_deque(&queues[victim]).pop_back() {
-            return Some((idx, true));
-        }
-    }
-    None
 }
 
 /// Counters sampled into the trace's counter tracks after every file.
@@ -515,9 +464,8 @@ const TRACK_COUNTERS: &[&str] = &[
 
 fn compile_one(
     wid: usize,
-    stolen: bool,
     job: &Job,
-    slot: &mut Option<Elaborator>,
+    elab: &mut Option<Elaborator>,
     config: &DriverConfig,
     artifact_cache: Option<&cache::Cache>,
 ) -> FileOutcome {
@@ -533,134 +481,53 @@ fn compile_one(
     };
     // Deadlines are absolute instants, so they must be re-armed here,
     // per file, not when the batch was configured.
-    let limits = match job.deadline_ms.or(config.deadline_ms) {
-        Some(ms) => config.limits.with_deadline_ms(ms),
-        None => config.limits,
-    };
-    // Content-address of this compile, computed once: consulted before
-    // the pipeline, reused to store the verdict after it. Rendered
-    // lines are rebuilt from the structured diagnostics on a hit, so
-    // hits are byte-identical to compiles even under a different
-    // display name or --max-errors.
-    let ckey = artifact_cache.map(|c| {
-        (
-            c,
-            cache::key(&job.source, &limits, recmod_kernel::resolve_engine().name()),
-        )
+    let limits = (job.deadline_ms.or(config.deadline_ms))
+        .map_or(config.limits, |ms| config.limits.with_deadline_ms(ms));
+    let key = artifact_cache.map(|c| (c, cache_key(&job.source, &limits)));
+    let replayed = key.and_then(|(c, k)| replay(c, k, &job.name, config.max_errors));
+    let compiled = replayed.is_none();
+    let verdict = replayed.unwrap_or_else(|| {
+        attempt(&job.name, &job.source, limits, config.max_errors, elab)
+            .unwrap_or_else(|panic| Verdict::panicked(&job.name, panic.as_ref()))
     });
-    if let Some((c, k)) = ckey {
-        if let cache::Outcome::Hit(entry) = c.load(k) {
-            let entry = *entry;
-            let diagnostics = render_diagnostics(&job.name, &entry.diags, config.max_errors);
-            return FileOutcome {
-                name: job.name.clone(),
-                status: entry.status,
-                summaries: entry.summaries,
-                diagnostics,
-                diags: entry.diags,
-                crash: None,
-                worker: wid,
-                stolen,
-                start_nanos,
-                nanos: t0.elapsed().as_nanos() as u64,
-                counters: counter_delta(before),
-            };
-        }
-    }
-    let elab = match slot.take() {
-        Some(mut e) => {
-            e.renew(limits);
-            e
-        }
-        None => Elaborator::with_limits(limits),
-    };
-
-    #[allow(clippy::result_large_err)] // one call per file; never propagated
-    let compile = || compile_with_limits_in(elab, &job.source);
-    let result = catch_unwind(AssertUnwindSafe(compile));
-
-    let (status, summaries, diagnostics, diags, returned) = match result {
-        Ok(Ok(compiled)) => {
-            let summaries = compiled.summaries();
-            (
-                FileStatus::Ok,
-                summaries,
-                Vec::new(),
-                Vec::new(),
-                Some(compiled.elab),
-            )
-        }
-        Ok(Err((errors, elab))) => {
-            let status = classify(&errors);
-            let diags = sdiag::from_errors(&job.source, &errors);
-            let diagnostics = render_diagnostics(&job.name, &diags, config.max_errors);
-            (status, Vec::new(), diagnostics, diags, Some(elab))
-        }
-        Err(panic) => {
-            // The elaborator was consumed by the panicking call and its
-            // caches may be mid-mutation; rebuild from scratch.
-            recmod_telemetry::count("internal.panics", 1);
-            let msg = format!("panic during compilation: {}", panic_message(&panic));
-            let diag = format!("{}: internal error: {msg}", job.name);
-            (
-                FileStatus::Internal,
-                Vec::new(),
-                vec![diag],
-                vec![Diagnostic::internal("I002", msg)],
-                None,
-            )
-        }
-    };
     // Capture the flight-recorder tail on this worker thread for the
-    // exit classes a crash bundle is written for.
-    let crash = match status {
-        FileStatus::Limit | FileStatus::Internal => Some(recmod_telemetry::diag::crash_data()),
-        FileStatus::Ok | FileStatus::Error => None,
-    };
-    *slot = returned;
-
+    // exit classes a crash bundle is written for (never replayed: the
+    // cache holds ok/error verdicts only).
+    let crash = matches!(verdict.status, FileStatus::Limit | FileStatus::Internal)
+        .then(recmod_telemetry::diag::crash_data);
     let counters = counter_delta(before);
-    if let (Some((c, k)), FileStatus::Ok | FileStatus::Error) = (ckey, status) {
-        c.store(
-            k,
-            &cache::Entry {
-                status,
-                summaries: summaries.clone(),
-                diags: diags.clone(),
-                counters: counters
-                    .as_ref()
-                    .map(|m| m.iter().map(|(&n, &v)| (n.to_string(), v)).collect())
-                    .unwrap_or_default(),
-            },
-        );
-    }
-    if recmod_telemetry::profiling_enabled() {
-        // One counter-track sample per file boundary: cumulative cache
-        // hit/miss counters plus gauges the sink cannot see (interner
-        // occupancy, cumulative kernel fuel for this worker).
-        let intern = recmod_syntax::intern::intern_stats();
-        let fuel = slot.as_ref().map(|e| e.tc.stats().fuel_used()).unwrap_or(0);
-        recmod_telemetry::sample(
-            TRACK_COUNTERS,
-            &[
-                (
-                    "syntax.intern_occupancy",
-                    intern.con_entries + intern.kind_entries,
-                ),
-                ("kernel.fuel_used", fuel),
-            ],
-        );
+    if compiled {
+        if let Some((c, k)) = key {
+            store(c, k, &verdict);
+        }
+        if recmod_telemetry::profiling_enabled() {
+            // One counter-track sample per file boundary: cumulative
+            // cache hit/miss counters plus gauges the sink cannot see
+            // (interner occupancy, cumulative kernel fuel for this
+            // worker).
+            let intern = recmod_syntax::intern::intern_stats();
+            let fuel = elab.as_ref().map(|e| e.tc.stats().fuel_used()).unwrap_or(0);
+            recmod_telemetry::sample(
+                TRACK_COUNTERS,
+                &[
+                    (
+                        "syntax.intern_occupancy",
+                        intern.con_entries + intern.kind_entries,
+                    ),
+                    ("kernel.fuel_used", fuel),
+                ],
+            );
+        }
     }
 
     FileOutcome {
         name: job.name.clone(),
-        status,
-        summaries,
-        diagnostics,
-        diags,
+        status: verdict.status,
+        summaries: verdict.summaries,
+        diagnostics: verdict.rendered,
+        diags: verdict.diags,
         crash,
         worker: wid,
-        stolen,
         start_nanos,
         nanos: t0.elapsed().as_nanos() as u64,
         counters,
@@ -685,6 +552,125 @@ fn counter_delta(
             .filter(|&(_, v)| v > 0)
             .collect()
     })
+}
+
+/// One compile's verdict, rendered under the display name it was
+/// produced for: what both drivers report for a file or request.
+pub(crate) struct Verdict {
+    pub(crate) status: FileStatus,
+    pub(crate) summaries: Vec<(String, String)>,
+    pub(crate) diags: Vec<Diagnostic>,
+    /// `diags` rendered under the display name, capped at `max_errors`.
+    pub(crate) rendered: Vec<String>,
+}
+
+impl Verdict {
+    /// An internal-error verdict carrying one `code` diagnostic.
+    pub(crate) fn internal(name: &str, code: &'static str, msg: String) -> Verdict {
+        Verdict {
+            status: FileStatus::Internal,
+            summaries: Vec::new(),
+            rendered: vec![format!("{name}: internal error: {msg}")],
+            diags: vec![Diagnostic::internal(code, msg)],
+        }
+    }
+
+    /// The `I002` verdict for a compile that unwound with `panic`.
+    pub(crate) fn panicked(name: &str, panic: &(dyn std::any::Any + Send)) -> Verdict {
+        recmod_telemetry::count("internal.panics", 1);
+        let msg = format!("panic during compilation: {}", panic_message(panic));
+        Verdict::internal(name, "I002", msg)
+    }
+}
+
+/// Compiles `source` once on the warm elaborator in `elab` (renewed
+/// under `limits`) or on a fresh one, under `catch_unwind`, then
+/// classifies and renders the result under `name`. The elaborator is
+/// put back for the next compile unless the compile unwound: it was
+/// consumed by the panicking call and its caches may be mid-mutation,
+/// so the next attempt rebuilds from scratch. An unwind hands back its
+/// payload so the caller can inspect it before classifying.
+pub(crate) fn attempt(
+    name: &str,
+    source: &str,
+    limits: Limits,
+    max_errors: usize,
+    elab: &mut Option<Elaborator>,
+) -> std::thread::Result<Verdict> {
+    let warm = match elab.take() {
+        Some(mut e) => {
+            e.renew(limits);
+            e
+        }
+        None => Elaborator::with_limits(limits),
+    };
+    #[allow(clippy::result_large_err)] // one call per compile; never propagated
+    let compile = || compile_with_limits_in(warm, source);
+    let (verdict, returned) = match catch_unwind(AssertUnwindSafe(compile))? {
+        Ok(compiled) => (
+            Verdict {
+                status: FileStatus::Ok,
+                summaries: compiled.summaries(),
+                diags: Vec::new(),
+                rendered: Vec::new(),
+            },
+            compiled.elab,
+        ),
+        Err((errors, returned)) => {
+            let diags = sdiag::from_errors(source, &errors);
+            (
+                Verdict {
+                    status: classify(&errors),
+                    summaries: Vec::new(),
+                    rendered: render_diagnostics(name, &diags, max_errors),
+                    diags,
+                },
+                returned,
+            )
+        }
+    };
+    *elab = Some(returned);
+    Ok(verdict)
+}
+
+/// The content address of compiling `source` under `limits` with the
+/// engine this thread would use.
+pub(crate) fn cache_key(source: &str, limits: &Limits) -> u64 {
+    cache::key(source, limits, recmod_kernel::resolve_engine().name())
+}
+
+/// Loads the verdict cached under `key`, re-rendered under `name`, so a
+/// hit is byte-identical to a compile even under a different display
+/// name or `max_errors`. Any miss, corrupt entry or I/O failure is
+/// `None`: the caller compiles.
+pub(crate) fn replay(c: &cache::Cache, key: u64, name: &str, max_errors: usize) -> Option<Verdict> {
+    let cache::Outcome::Hit(entry) = c.load(key) else {
+        return None;
+    };
+    let entry = *entry;
+    Some(Verdict {
+        status: entry.status,
+        summaries: entry.summaries,
+        rendered: render_diagnostics(name, &entry.diags, max_errors),
+        diags: entry.diags,
+    })
+}
+
+/// Stores `verdict` under `key` when it is cacheable: ok and error
+/// verdicts are pure functions of the key, while limit and internal
+/// outcomes depend on wall clocks and bugs.
+pub(crate) fn store(c: &cache::Cache, key: u64, verdict: &Verdict) {
+    if matches!(verdict.status, FileStatus::Ok | FileStatus::Error) {
+        c.store(
+            key,
+            &cache::Entry {
+                status: verdict.status,
+                summaries: verdict.summaries.clone(),
+                diags: verdict.diags.clone(),
+                counters: std::collections::BTreeMap::new(),
+            },
+        );
+    }
 }
 
 fn classify(errors: &[SurfaceError]) -> FileStatus {
@@ -816,6 +802,19 @@ mod tests {
             .filter_map(|r| r.counters.get("driver.files"))
             .sum();
         assert_eq!(per_worker, 9);
+    }
+
+    #[test]
+    fn panicked_verdict_carries_the_panic_message() {
+        // The payload a `panic!` with a formatted message unwinds with.
+        let payload: Box<dyn std::any::Any + Send> = Box::new(format!("boom {}", 7));
+        let v = Verdict::panicked("p.rm", payload.as_ref());
+        assert_eq!(v.status, FileStatus::Internal);
+        assert_eq!(
+            v.rendered,
+            vec!["p.rm: internal error: panic during compilation: boom 7"]
+        );
+        assert_eq!(v.diags[0].code, "I002");
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //!   derivation with a normal `L004` limit error.
 //! * **Retry with backoff** — attempts that failed *transiently* (an
 //!   injected fault, a caught panic, a dead worker) are requeued with
-//!   exponential backoff up to [`ServeConfig::max_attempts`]; user
+//!   exponential backoff up to [`MAX_ATTEMPTS`] attempts; user
 //!   errors and genuine resource verdicts are never retried, so
 //!   verdicts stay deterministic and unfaulted requests answer
 //!   byte-identically to batch mode.
@@ -51,7 +51,7 @@
 
 use std::collections::VecDeque;
 use std::io::{BufRead, Write};
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::resume_unwind;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::Sender;
@@ -59,9 +59,8 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use recmod_surface::diag::{self as sdiag, Diagnostic};
+use recmod_surface::diag::Diagnostic;
 use recmod_surface::elab::Elaborator;
-use recmod_surface::pipeline::compile_with_limits_in;
 use recmod_syntax::intern::{self, InternStats};
 use recmod_telemetry::chrome_trace::{self, FileEvent, Lane, Mark};
 use recmod_telemetry::diag as tdiag;
@@ -70,7 +69,7 @@ use recmod_telemetry::json::Json;
 use recmod_telemetry::metrics::{Histogram, PromText};
 use recmod_telemetry::{bundle, Config, Limits, Report, SCHEMA_VERSION};
 
-use crate::{FileStatus, DEFAULT_STACK_SIZE};
+use crate::{FileStatus, Verdict, DEFAULT_STACK_SIZE};
 
 /// Version of the `metrics` op document. Independent of the global
 /// [`SCHEMA_VERSION`] (which the document also carries): bump this
@@ -83,6 +82,14 @@ pub const EXIT_OVERLOADED: u8 = 5;
 pub const EXIT_DRAINING: u8 = 6;
 /// Exit class for a malformed request (same class as CLI usage errors).
 pub const EXIT_INVALID: u8 = 2;
+
+/// Total compile attempts per request: the first plus up to two
+/// retries of a transient failure.
+pub const MAX_ATTEMPTS: u32 = 3;
+
+/// Watchdog grace period in milliseconds: a request this far past its
+/// deadline is flagged as overdue in the supervisor log and stats.
+const GRACE_MS: u64 = 1_000;
 
 /// How a response classifies its request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -359,6 +366,27 @@ pub struct Response {
 }
 
 impl Response {
+    /// The response for a compile or cache verdict; `finish` fills in
+    /// the id, attempts, injections and trace id.
+    fn verdict(v: Verdict) -> Self {
+        Response {
+            summaries: v.summaries,
+            diags: v.diags,
+            rendered: v.rendered,
+            message: None,
+            ..Response::plain(Json::Null, v.status.into(), String::new())
+        }
+    }
+
+    /// The `I003` response for a request that lost its worker: the
+    /// internal verdict, with `why` as the message.
+    fn worker_lost(name: &str, why: &str) -> Self {
+        Response {
+            message: Some(why.to_string()),
+            ..Response::verdict(Verdict::internal(name, "I003", why.to_string()))
+        }
+    }
+
     fn plain(id: Json, status: ResponseStatus, message: impl Into<String>) -> Self {
         Response {
             id,
@@ -460,26 +488,20 @@ pub struct ServeConfig {
     pub default_deadline_ms: Option<u64>,
     /// Rendered diagnostics per response before eliding the rest.
     pub max_errors: usize,
-    /// Total compile attempts per request (1 = never retry).
-    pub max_attempts: u32,
     /// Base retry backoff in milliseconds (doubles per attempt).
     pub backoff_ms: u64,
     /// Deterministic fault plan; `None` disables injection entirely.
     pub faults: Option<FaultPlan>,
-    /// Per-worker thread stack size.
-    pub stack_size: usize,
     /// Directory for crash bundles on limit/internal outcomes and
     /// worker deaths; `None` disables bundle writing.
     pub crash_dir: Option<PathBuf>,
-    /// Watchdog grace period: a request this far past its deadline is
-    /// flagged as overdue in the supervisor log and stats.
-    pub grace_ms: u64,
     /// Emit supervisor events (worker death, respawn, overdue
     /// requests) as JSON lines on stderr.
     pub log_events: bool,
     /// Consult (and populate) the on-disk artifact cache before
-    /// compiling each request. Advisory: cache-layer failures degrade
-    /// to compiling and surface as `C00x` warnings, never in verdicts.
+    /// compiling each request; a request with a fault armed neither
+    /// reads nor writes it. Advisory: cache-layer failures degrade to
+    /// compiling and surface as `C00x` warnings, never in verdicts.
     pub cache: Option<crate::cache::CacheConfig>,
     /// Seed for per-request trace ids. The CLI uses the `--faults`
     /// plan seed when one is given (so a chaos replay reproduces the
@@ -499,12 +521,9 @@ impl Default for ServeConfig {
             limits: Limits::default(),
             default_deadline_ms: Some(30_000),
             max_errors: 20,
-            max_attempts: 3,
             backoff_ms: 5,
             faults: None,
-            stack_size: DEFAULT_STACK_SIZE,
             crash_dir: None,
-            grace_ms: 1_000,
             log_events: false,
             cache: None,
             trace_seed: 0,
@@ -798,6 +817,15 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 impl Core {
+    /// The limits `req` compiles under: its override or the service's
+    /// base limits, with a fresh absolute deadline from its own or the
+    /// default deadline. Crash bundles record these same limits.
+    fn limits_for(&self, req: &Request) -> Limits {
+        let base = req.limits.unwrap_or(self.cfg.limits);
+        (req.deadline_ms.or(self.cfg.default_deadline_ms))
+            .map_or(base, |ms| base.with_deadline_ms(ms))
+    }
+
     /// Nanoseconds since the service epoch.
     fn now_nanos(&self) -> u64 {
         self.epoch.elapsed().as_nanos() as u64
@@ -1043,7 +1071,7 @@ impl Core {
             ],
         );
         let crash = crash.unwrap_or_default();
-        let limits = p.req.limits.unwrap_or(self.cfg.limits);
+        let limits = self.limits_for(&p.req);
         if let Some(path) = self.write_bundle(
             &p.req.name,
             &p.req.source,
@@ -1059,24 +1087,13 @@ impl Core {
                 ],
             );
         }
-        if p.attempts < self.cfg.max_attempts {
+        if p.attempts < MAX_ATTEMPTS {
             self.retry(p);
         } else {
-            let resp = Response {
-                diags: vec![Diagnostic::internal(
-                    "I003",
-                    "worker thread died while compiling this request",
-                )],
-                rendered: vec![format!(
-                    "{}: internal error: worker thread died while compiling this request",
-                    p.req.name
-                )],
-                ..Response::plain(
-                    Json::Null,
-                    ResponseStatus::Internal,
-                    "worker thread died while compiling this request",
-                )
-            };
+            let resp = Response::worker_lost(
+                &p.req.name,
+                "worker thread died while compiling this request",
+            );
             self.finish(p, resp);
         }
     }
@@ -1085,7 +1102,7 @@ impl Core {
     /// Cancellation itself is the kernel's structural deadline unwind;
     /// the watchdog is the observer that proves liveness is monitored.
     fn watchdog_scan(&self) {
-        let grace = Duration::from_millis(self.cfg.grace_ms);
+        let grace = Duration::from_millis(GRACE_MS);
         for (wid, slot) in self.inflight.iter().enumerate() {
             let mut s = lock(slot);
             if s.pending.is_none() || s.flagged {
@@ -1123,11 +1140,7 @@ impl Core {
         };
         for mut p in orphans {
             p.attempts = p.attempts.max(1);
-            let resp = Response {
-                diags: vec![Diagnostic::internal("I003", why)],
-                rendered: vec![format!("{}: internal error: {why}", p.req.name)],
-                ..Response::plain(Json::Null, ResponseStatus::Internal, why)
-            };
+            let resp = Response::worker_lost(&p.req.name, why);
             self.finish(p, resp);
         }
     }
@@ -1137,7 +1150,7 @@ fn spawn_worker(core: &Arc<Core>, wid: usize) -> Option<JoinHandle<()>> {
     let c = Arc::clone(core);
     let res = std::thread::Builder::new()
         .name(format!("recmod-serve-{wid}"))
-        .stack_size(core.cfg.stack_size)
+        .stack_size(DEFAULT_STACK_SIZE)
         .spawn(move || worker_loop(&c, wid));
     match res {
         Ok(handle) => {
@@ -1189,15 +1202,11 @@ fn serve_one(
     // batch/serve verdict byte-equality the chaos fuzzer checks.
     drop(tdiag::enter("serve.dispatch"));
     let first_attempt = pending.attempts == 1;
-    let attempts = pending.attempts;
-    let max_attempts = core.cfg.max_attempts;
     let injection = pending.injection;
     let name = pending.req.name.clone();
     let source = pending.req.source.clone();
-    let mut limits = pending.req.limits.unwrap_or(core.cfg.limits);
-    if let Some(ms) = pending.req.deadline_ms.or(core.cfg.default_deadline_ms) {
-        limits = limits.with_deadline_ms(ms);
-    }
+    let limits = core.limits_for(&pending.req);
+    let max_errors = core.cfg.max_errors;
     let dispatched = Instant::now();
     let queue_wait = dispatched.saturating_duration_since(pending.last_enqueued);
     core.metrics.queue_wait.record(queue_wait.as_nanos() as u64);
@@ -1218,149 +1227,103 @@ fn serve_one(
             ..Config::profiled()
         });
     }
-    // Consult the artifact cache before paying for the pipeline — but
-    // never when a fault is armed for this request: injected faults
-    // must reach the compile they were aimed at.
-    if injection.is_none() {
-        if let Some(c) = core.artifact_cache.as_ref() {
-            let k = crate::cache::key(&source, &limits, recmod_kernel::resolve_engine().name());
-            let looked_up = Instant::now();
-            let outcome = {
-                // A recorder frame held across the lookup only: the
-                // cache layer constructs no diagnostics, so no
-                // provenance snapshot can observe this frame.
-                let _frame = tdiag::enter("serve.cache");
-                c.load(k)
-            };
-            let hit = matches!(outcome, crate::cache::Outcome::Hit(_));
-            pending.events.push(trace_event(
-                "serve.cache",
-                Some(if hit { "hit" } else { "miss" }.to_string()),
-                nanos_since(core.epoch, looked_up),
-                looked_up.elapsed().as_nanos() as u64,
-            ));
-            if let crate::cache::Outcome::Hit(entry) = outcome {
-                let report = if sink {
-                    recmod_telemetry::uninstall()
-                } else {
-                    None
-                };
-                let entry = *entry;
-                let rendered = crate::render_diagnostics(&name, &entry.diags, core.cfg.max_errors);
-                let resp = Response {
-                    id: Json::Null, // filled by finish()
-                    status: entry.status.into(),
-                    attempts,
-                    injected: Vec::new(), // filled by finish()
-                    summaries: entry.summaries,
-                    diags: entry.diags,
-                    rendered,
-                    message: None,
-                    stats: None,
-                    trace_id: None, // filled by finish()
-                    trace: None,
-                    metrics: None,
-                };
-                core.metrics.work.record(tdiag::recorder_seq());
-                let busy = dispatched.elapsed().as_nanos() as u64;
-                core.worker_busy[wid].fetch_add(busy, Ordering::Relaxed);
-                pending.events.push(trace_event(
-                    "serve.attempt",
-                    Some(format!("worker={wid} cache-hit")),
-                    nanos_since(core.epoch, dispatched),
-                    busy,
-                ));
-                core.session_attempt(
-                    wid,
-                    FileEvent {
-                        name: name.clone(),
-                        tid: wid as u64,
-                        start_nanos: nanos_since(core.epoch, dispatched),
-                        dur_nanos: busy,
-                        instant: None,
-                    },
-                    report,
-                );
-                core.finish(pending, resp);
-                return;
-            }
-        }
-    }
-    // Park the request where the supervisor can recover it if this
-    // thread dies mid-compile.
-    {
-        let mut slot = lock(&core.inflight[wid]);
-        slot.deadline = limits.deadline;
-        slot.flagged = false;
-        slot.crash = None;
-        slot.started = Some(dispatched);
-        slot.pending = Some(pending);
-    }
-    // Arm the injected fault on the first attempt only: retries run
-    // unperturbed, which is what makes injected faults *transient* —
-    // the retried verdict converges to the unfaulted one.
-    if first_attempt {
-        if let Some(inj) = injection {
-            fault::arm(inj);
-        }
-    }
-
-    let elab = match slot_elab.take() {
-        Some(mut e) => {
-            e.renew(limits);
-            e
-        }
-        None => Elaborator::with_limits(limits),
+    // A request with a fault armed bypasses the cache both ways: the
+    // fault must reach the compile it was aimed at, and the verdict of
+    // a perturbed request is never stored.
+    let key = match (&core.artifact_cache, injection) {
+        (Some(c), None) => Some((c, crate::cache_key(&source, &limits))),
+        _ => None,
     };
-    #[allow(clippy::result_large_err)] // one call per request; never propagated
-    let compile = || compile_with_limits_in(elab, &source);
-    let compile_started = Instant::now();
-    let result = catch_unwind(AssertUnwindSafe(compile));
-    core.metrics
-        .compile
-        .record(compile_started.elapsed().as_nanos() as u64);
-
-    // Always disarm, even after a caught unwind: no fault state (or
-    // deadline storm) may leak into the next request on this worker.
-    let fired = fault::disarm();
-    if let Some(kind) = fired {
-        core.stats.fired(kind);
-        core.mark(format!("fault-{}", kind.label()), wid as u64);
-    }
-    if tdiag::frame_depth() != 0 {
-        Counters::bump(&core.stats.frame_imbalance);
-    }
-
-    // An injected kill must genuinely take the worker down so the
-    // supervisor's reap-and-respawn path is exercised: capture the
-    // forensics, leave the request parked for the supervisor, re-raise.
-    if let Err(payload) = &result {
-        if fault::injected_kind(payload.as_ref()) == Some(FaultKind::Kill) {
+    let replayed = key.and_then(|(c, k)| {
+        let looked_up = Instant::now();
+        let replayed = {
+            // A recorder frame held across the lookup only: replay
+            // re-renders stored diagnostics but constructs none, so no
+            // provenance snapshot can observe this frame.
+            let _frame = tdiag::enter("serve.cache");
+            crate::replay(c, k, &name, max_errors)
+        };
+        pending.events.push(trace_event(
+            "serve.cache",
+            Some(if replayed.is_some() { "hit" } else { "miss" }.to_string()),
+            nanos_since(core.epoch, looked_up),
+            looked_up.elapsed().as_nanos() as u64,
+        ));
+        replayed
+    });
+    let compiled = replayed.is_none();
+    let (mut pending, verdict, fired, panicked) = match replayed {
+        Some(verdict) => (pending, verdict, None, false),
+        None => {
+            // Park the request where the supervisor can recover it if
+            // this thread dies mid-compile.
             {
                 let mut slot = lock(&core.inflight[wid]);
-                slot.crash = Some(tdiag::crash_data());
-                if let Some(parked) = slot.pending.as_mut() {
-                    parked.injected.push(FaultKind::Kill.label());
+                slot.deadline = limits.deadline;
+                slot.flagged = false;
+                slot.crash = None;
+                slot.started = Some(dispatched);
+                slot.pending = Some(pending);
+            }
+            // Arm the injected fault on the first attempt only: retries
+            // run unperturbed, which is what makes injected faults
+            // *transient* — the retried verdict converges to the
+            // unfaulted one.
+            if first_attempt {
+                if let Some(inj) = injection {
+                    fault::arm(inj);
                 }
             }
-            // The thread is about to die; retire its sink first so the
-            // attempt's partial report doesn't dangle in thread-local
-            // destruction order.
-            if sink {
-                let _ = recmod_telemetry::uninstall();
-            }
-            if let Err(payload) = result {
-                resume_unwind(payload);
-            }
-            return; // unreachable; keeps the checker happy
-        }
-    }
+            let compile_started = Instant::now();
+            let result = crate::attempt(&name, &source, limits, max_errors, slot_elab);
+            core.metrics
+                .compile
+                .record(compile_started.elapsed().as_nanos() as u64);
 
-    let Some(mut pending) = lock(&core.inflight[wid]).pending.take() else {
-        if sink {
-            let _ = recmod_telemetry::uninstall();
+            // Always disarm, even after a caught unwind: no fault state
+            // (or deadline storm) may leak into the next request on
+            // this worker.
+            let fired = fault::disarm();
+            if let Some(kind) = fired {
+                core.stats.fired(kind);
+                core.mark(format!("fault-{}", kind.label()), wid as u64);
+            }
+            if tdiag::frame_depth() != 0 {
+                Counters::bump(&core.stats.frame_imbalance);
+            }
+            // An injected kill must genuinely take the worker down so
+            // the supervisor's reap-and-respawn path is exercised:
+            // capture the forensics, leave the request parked for the
+            // supervisor, re-raise. The payload is checked before any
+            // panic is classified.
+            let panicked = result.is_err();
+            let verdict = result.unwrap_or_else(|payload| {
+                if fault::injected_kind(payload.as_ref()) == Some(FaultKind::Kill) {
+                    {
+                        let mut slot = lock(&core.inflight[wid]);
+                        slot.crash = Some(tdiag::crash_data());
+                        if let Some(parked) = slot.pending.as_mut() {
+                            parked.injected.push(FaultKind::Kill.label());
+                        }
+                    }
+                    // The thread is about to die; retire its sink first
+                    // so the attempt's partial report doesn't dangle in
+                    // thread-local destruction order.
+                    if sink {
+                        let _ = recmod_telemetry::uninstall();
+                    }
+                    resume_unwind(payload);
+                }
+                Verdict::panicked(&name, payload.as_ref())
+            });
+            let Some(pending) = lock(&core.inflight[wid]).pending.take() else {
+                if sink {
+                    let _ = recmod_telemetry::uninstall();
+                }
+                return;
+            };
+            (pending, verdict, fired, panicked)
         }
-        return;
     };
     let report = if sink {
         recmod_telemetry::uninstall()
@@ -1385,44 +1348,19 @@ fn serve_one(
         }
     }
 
-    let (status, summaries, diags, rendered, returned, panicked) = match result {
-        Ok(Ok(compiled)) => (
-            FileStatus::Ok,
-            compiled.summaries(),
-            Vec::new(),
-            Vec::new(),
-            Some(compiled.elab),
-            false,
-        ),
-        Ok(Err((errors, elab))) => {
-            let status = crate::classify(&errors);
-            let diags = sdiag::from_errors(&source, &errors);
-            let rendered = crate::render_diagnostics(&name, &diags, core.cfg.max_errors);
-            (status, Vec::new(), diags, rendered, Some(elab), false)
-        }
-        Err(panic) => {
-            let msg = format!("panic during compilation: {}", crate::panic_message(&panic));
-            let rendered = vec![format!("{name}: internal error: {msg}")];
-            (
-                FileStatus::Internal,
-                Vec::new(),
-                vec![Diagnostic::internal("I002", msg)],
-                rendered,
-                None,
-                true,
-            )
-        }
-    };
-    *slot_elab = returned;
-
+    let status = verdict.status;
     let busy = dispatched.elapsed().as_nanos() as u64;
     core.worker_busy[wid].fetch_add(busy, Ordering::Relaxed);
     pending.events.push(trace_event(
         "serve.attempt",
-        Some(format!(
-            "worker={wid} status={}",
-            ResponseStatus::from(status).label()
-        )),
+        Some(if compiled {
+            format!(
+                "worker={wid} status={}",
+                ResponseStatus::from(status).label()
+            )
+        } else {
+            format!("worker={wid} cache-hit")
+        }),
         nanos_since(core.epoch, dispatched),
         busy,
     ));
@@ -1449,31 +1387,18 @@ fn serve_one(
         FileStatus::Limit => fired.is_some(),
         FileStatus::Internal => panicked,
     };
-    if transient && attempts < max_attempts {
+    if transient && pending.attempts < MAX_ATTEMPTS {
         core.retry(pending);
         return;
     }
-
-    // Store deterministic verdicts that no fault touched: a fired
-    // injection may have perturbed the run even when the verdict class
-    // looks cacheable.
-    if matches!(status, FileStatus::Ok | FileStatus::Error) && fired.is_none() {
-        if let Some(c) = core.artifact_cache.as_ref() {
-            c.store(
-                crate::cache::key(&source, &limits, recmod_kernel::resolve_engine().name()),
-                &crate::cache::Entry {
-                    status,
-                    summaries: summaries.clone(),
-                    diags: diags.clone(),
-                    counters: std::collections::BTreeMap::new(),
-                },
-            );
+    if compiled {
+        if let Some((c, k)) = key {
+            crate::store(c, k, &verdict);
         }
     }
-
     if matches!(status, FileStatus::Limit | FileStatus::Internal) {
         let crash = tdiag::crash_data();
-        if let Some(path) = self_bundle(core, &name, &source, status, &limits, &crash) {
+        if let Some(path) = core.write_bundle(&name, &source, status.into(), &limits, &crash) {
             core.log_event(
                 "crash-bundle",
                 &[
@@ -1483,33 +1408,7 @@ fn serve_one(
             );
         }
     }
-
-    let resp = Response {
-        id: Json::Null, // filled by finish()
-        status: status.into(),
-        attempts,
-        injected: Vec::new(), // filled by finish()
-        summaries,
-        diags,
-        rendered,
-        message: None,
-        stats: None,
-        trace_id: None, // filled by finish()
-        trace: None,
-        metrics: None,
-    };
-    core.finish(pending, resp);
-}
-
-fn self_bundle(
-    core: &Core,
-    name: &str,
-    source: &str,
-    status: FileStatus,
-    limits: &Limits,
-    crash: &tdiag::CrashData,
-) -> Option<PathBuf> {
-    core.write_bundle(name, source, status.into(), limits, crash)
+    core.finish(pending, Response::verdict(verdict));
 }
 
 fn supervisor_loop(core: &Arc<Core>) {
@@ -2247,6 +2146,43 @@ mod tests {
         assert!(stats.respawns >= 1, "worker death must respawn");
         assert_eq!(stats.injected_kill, 1);
         assert_eq!(stats.workers_spawned, stats.workers_joined);
+    }
+
+    #[test]
+    fn worker_death_bundle_records_the_request_limits() {
+        let dir = std::env::temp_dir().join(format!("recmod-serve-bundle-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut server = Server::start(ServeConfig {
+            faults: Some(FaultPlan::always(11, Some(FaultKind::Kill))),
+            backoff_ms: 1,
+            crash_dir: Some(dir.clone()),
+            ..quiet_cfg()
+        })
+        .unwrap();
+        let (tx, rx) = channel();
+        let mut req = Request::new(1, "k.rm", busy_source());
+        req.deadline_ms = Some(7777);
+        server.submit(req, tx);
+        let r = rx.recv_timeout(Duration::from_secs(60)).unwrap();
+        assert_eq!(r.status, ResponseStatus::Ok);
+        assert_eq!(r.injected, vec!["kill"]);
+        server.shutdown();
+        // The kill is the only failed attempt, so the supervisor's
+        // worker-death bundle is the only bundle.
+        let bundles: Vec<PathBuf> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .collect();
+        assert_eq!(bundles.len(), 1, "{bundles:?}");
+        let doc =
+            recmod_telemetry::json::parse(&std::fs::read_to_string(&bundles[0]).unwrap()).unwrap();
+        let deadline = doc
+            .get("limits")
+            .and_then(|l| l.get("deadline_ms"))
+            .and_then(Json::as_u64);
+        assert_eq!(deadline, Some(7777));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

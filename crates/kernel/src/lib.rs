@@ -58,7 +58,6 @@ pub mod whnf;
 
 use recmod_syntax::fxhash::{FxHashMap, FxHashSet};
 use std::cell::{Cell, RefCell};
-use std::sync::OnceLock;
 
 use recmod_syntax::ast::{Con, Kind};
 use recmod_syntax::intern::NodeId;
@@ -99,8 +98,9 @@ pub enum EquivEngine {
     /// Also enables the kind-synthesis memo. The default.
     #[default]
     Nbe,
-    /// The substitution-driven reference engine (pre-S17), kept alive
-    /// behind `RECMOD_EQUIV=subst` for differential testing.
+    /// The substitution-driven reference engine (pre-S17), kept as the
+    /// differential-testing oracle: only [`set_thread_engine`] and
+    /// [`Tc::with_engine`] select it.
     Subst,
 }
 
@@ -119,28 +119,16 @@ thread_local! {
 }
 
 /// Forces every subsequently constructed [`Tc`] **on this thread** to
-/// use `engine`; pass `None` to restore the `RECMOD_EQUIV` / default
-/// resolution. Used by the differential fuzzer, which must run both
-/// engines in one process.
+/// use `engine`; pass `None` to restore the default. Used by the
+/// differential fuzzer, which must run both engines in one process.
 pub fn set_thread_engine(engine: Option<EquivEngine>) {
     ENGINE_OVERRIDE.with(|c| c.set(engine));
 }
 
-fn env_default_engine() -> EquivEngine {
-    static FROM_ENV: OnceLock<EquivEngine> = OnceLock::new();
-    *FROM_ENV.get_or_init(|| match std::env::var("RECMOD_EQUIV") {
-        Ok(v) if v.eq_ignore_ascii_case("subst") => EquivEngine::Subst,
-        _ => EquivEngine::Nbe,
-    })
-}
-
 /// The engine a fresh [`Tc`] would use right now: the thread override
-/// if set, else `RECMOD_EQUIV` (read once per process), else
-/// [`EquivEngine::Nbe`].
+/// if set, else [`EquivEngine::Nbe`].
 pub fn resolve_engine() -> EquivEngine {
-    ENGINE_OVERRIDE
-        .with(Cell::get)
-        .unwrap_or_else(env_default_engine)
+    ENGINE_OVERRIDE.with(Cell::get).unwrap_or_default()
 }
 
 /// The default fuel budget for normalization and equivalence checking.
@@ -245,8 +233,8 @@ impl Tc {
     }
 
     /// A checker with every knob explicit, forcing a particular
-    /// [`EquivEngine`] regardless of `RECMOD_EQUIV` or the thread
-    /// override (used by the differential rigs).
+    /// [`EquivEngine`] regardless of the thread override (used by the
+    /// differential rigs).
     pub fn with_engine(engine: EquivEngine, mode: RecMode, limits: Limits) -> Self {
         Tc {
             mode,

@@ -20,11 +20,11 @@
 //! Two engines implement this relation (see [`crate::EquivEngine`]):
 //! the NbE-style environment machine in [`crate::nbe`] (the default,
 //! S17) and the substitution loop in this module ([`Tc::whnf_uncached`]
-//! internally), kept alive behind `RECMOD_EQUIV=subst` as the reference
-//! for differential testing. Both are held to identical outputs and
-//! errors; they differ only in fuel/counter accounting (`whnf_steps`
-//! counts the substitution loop, `eval_steps`/`quote_nodes`/`env_allocs`
-//! the machine).
+//! internally), kept as the reference for differential testing (selected
+//! only through [`crate::set_thread_engine`] or [`Tc::with_engine`]).
+//! Both are held to identical outputs and errors; they differ only in
+//! fuel/counter accounting (`whnf_steps` counts the substitution loop,
+//! `eval_steps`/`quote_nodes`/`env_allocs` the machine).
 
 use recmod_syntax::ast::{Con, Kind};
 use recmod_syntax::intern::hc;

@@ -67,7 +67,8 @@ mod tests {
             // S17 NbE engine counters. `kernel.whnf_steps` (the
             // substitution loop's step count) is deliberately retired
             // under the default engine: it stays a valid name but reads
-            // 0 unless RECMOD_EQUIV=subst; these replace it.
+            // 0 unless a test selects the substitution engine; these
+            // replace it.
             "kernel.synth_cache_hit",
             "kernel.synth_cache_miss",
             "kernel.eval_steps",

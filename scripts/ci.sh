@@ -99,6 +99,21 @@ else
     exit 1
   fi
 fi
+# Scheduling must not show through: the JSON diagnostics document of the
+# built-in plus on-disk corpus is byte-identical at one and four workers.
+for j in 1 4; do
+  set +e
+  ./target/release/recmodc check --jobs "$j" --corpus tests/corpus \
+    --diagnostics=json >"/tmp/ci_batch_jobs$j.json" 2>/dev/null
+  code=$?
+  set -e
+  if [[ $code -ne 1 ]]; then
+    echo "batch smoke: FAILED (--jobs $j mixed corpus exited $code, want 1)"
+    exit 1
+  fi
+done
+cmp -s /tmp/ci_batch_jobs1.json /tmp/ci_batch_jobs4.json || {
+  echo "batch smoke: FAILED (--jobs 1 vs --jobs 4 diagnostics JSON differs)"; exit 1; }
 echo "batch smoke: ok"
 
 echo "== cache smoke (artifact cache: hits, byte-identity, opt-out) =="

@@ -54,8 +54,8 @@
 //! * **NbE differential** — random well- and ill-kinded constructors
 //!   are run through weak-head normalization, kind synthesis, and
 //!   equivalence under both the NbE engine and the legacy substitution
-//!   engine (`RECMOD_EQUIV=subst`), and a whole program is compiled
-//!   under each engine on fresh threads; normal forms, verdicts, stable
+//!   engine (selected with `set_thread_engine`), and a whole program is
+//!   compiled under each engine on fresh threads; normal forms, verdicts, stable
 //!   error codes, and rendered diagnostics must all agree (resource
 //!   verdicts are inconclusive — the engines deliberately meter fuel
 //!   differently).
