@@ -1,7 +1,10 @@
 //! Telemetry-layer integration tests: per-declaration counter
 //! attribution, span-tree well-formedness, the `--stats=json` schema,
-//! the disabled-sink overhead bound, and the E1 asymptotic gap captured
-//! in recorded counters (referenced from EXPERIMENTS.md).
+//! the disabled-sink overhead bound, the E1 asymptotic gap captured in
+//! recorded counters (referenced from EXPERIMENTS.md), and the views of
+//! the one probe stack: the trace text, recorder tail and span-tree
+//! shape pinned to the byte (`tests/views/`), and the recorder, span
+//! tree and stage counters agreeing with each other.
 
 use recmod::stats::StatsReport;
 use recmod::telemetry;
@@ -276,5 +279,230 @@ fn e1_eval_counters_are_pinned() {
             max_env_depth,
         };
         assert_eq!(stats, want, "opaque={opaque} n={n}");
+    }
+}
+
+// ---------------------------------------------------------------------
+// Views pinned to the byte: trace text, recorder tail, span-tree shape
+// ---------------------------------------------------------------------
+
+/// Renders a span tree's shape: one line per node, indented one space
+/// per level, times left out. A run of identical sibling subtrees is
+/// written once with an `xN` suffix.
+fn span_shape(spans: &[telemetry::Span], depth: usize, out: &mut String) {
+    fn same(a: &telemetry::Span, b: &telemetry::Span) -> bool {
+        a.name == b.name
+            && a.children.len() == b.children.len()
+            && a.children.iter().zip(&b.children).all(|(x, y)| same(x, y))
+    }
+    let mut i = 0;
+    while i < spans.len() {
+        let run = 1 + spans[i + 1..]
+            .iter()
+            .take_while(|s| same(&spans[i], s))
+            .count();
+        out.push_str(&" ".repeat(depth));
+        out.push_str(spans[i].name);
+        if run > 1 {
+            out.push_str(&format!(" x{run}"));
+        }
+        out.push('\n');
+        span_shape(&spans[i].children, depth + 1, out);
+        i += run;
+    }
+}
+
+/// The three views of one compile, in [`VIEWS`] order: the `--trace=3`
+/// text, the recorder tail as `kind name depth` lines, and the
+/// profiled span-tree shape. Each compile runs on a fresh thread, so no
+/// earlier compile on the test thread can warm a cache or leave a frame
+/// behind, and pins the nodes it interns: otherwise whether a
+/// re-interned node keeps its id, and so which kernel cache lookups hit
+/// and how far a fuel budget reaches, would depend on what other
+/// threads still hold.
+fn views(src: &'static str, limits: recmod::Limits) -> [String; 3] {
+    let fresh = |f: Box<dyn FnOnce() -> String + Send>| {
+        std::thread::Builder::new()
+            .stack_size(recmod::driver::DEFAULT_STACK_SIZE)
+            .spawn(f)
+            .expect("spawn")
+            .join()
+            .expect("compile thread")
+    };
+    let traced = fresh(Box::new(move || {
+        let _pin = recmod::syntax::intern::pin_thread();
+        telemetry::install(telemetry::Config::with_trace(3));
+        telemetry::diag::reset_recorder();
+        let _ = recmod::compile_with_limits(src, &limits);
+        let crash = telemetry::diag::crash_data();
+        let report = telemetry::uninstall().expect("sink was installed");
+        let mut recorder = String::new();
+        for e in &crash.events {
+            recorder.push_str(&format!("{} {} {}\n", e.kind.label(), e.name, e.depth));
+        }
+        format!("{}\0{recorder}", report.render_trace())
+    }));
+    let (trace, recorder) = traced.split_once('\0').expect("two views");
+    let spans = fresh(Box::new(move || {
+        let _pin = recmod::syntax::intern::pin_thread();
+        telemetry::install(telemetry::Config::profiled());
+        let _ = recmod::compile_with_limits(src, &limits);
+        let report = telemetry::uninstall().expect("sink was installed");
+        let mut shape = String::new();
+        span_shape(&report.spans, 0, &mut shape);
+        shape
+    }));
+    [trace.to_string(), recorder.to_string(), spans]
+}
+
+/// The names of the three views, which are also the extensions of
+/// their checked-in files under `tests/views/`.
+const VIEWS: [&str; 3] = ["trace", "recorder", "spans"];
+
+/// Compares each view with its checked-in text, naming the first line
+/// that differs (a whole-file diff of a span tree is unreadable).
+fn assert_views(actual: [String; 3], expected: [&str; 3]) {
+    for ((what, actual), expected) in VIEWS.iter().zip(&actual).zip(expected) {
+        let (mut a, mut e) = (actual.lines(), expected.lines());
+        for line in 1.. {
+            match (a.next(), e.next()) {
+                (None, None) => break,
+                (Some(x), Some(y)) if x == y => {}
+                (x, y) => panic!("{what}: line {line} differs: got {x:?}, want {y:?}"),
+            }
+        }
+        assert_eq!(actual, expected, "{what}: trailing text differs");
+    }
+}
+
+/// The §4 transparent list typechecks; every view of its compile is
+/// pinned to the byte, so a change to how the probes nest shows here
+/// before it reaches a user.
+#[test]
+fn views_of_a_well_typed_compile_are_pinned() {
+    let actual = views(recmod::corpus::TRANSPARENT_LIST, recmod::Limits::default());
+    assert_views(
+        actual,
+        [
+            include_str!("../views/transparent_list.trace"),
+            include_str!("../views/transparent_list.recorder"),
+            include_str!("../views/transparent_list.spans"),
+        ],
+    );
+}
+
+/// The §3.1 opaque list under 40 units of kernel fuel stops with
+/// `L003`: the views of a compile cut short by a limit, including the
+/// recorder tail a crash bundle carries, are pinned the same way.
+#[test]
+fn views_of_a_fuel_limited_compile_are_pinned() {
+    let limits = recmod::Limits::default().with_fuel(40);
+    let codes: Vec<_> = recmod::compile_with_limits(recmod::corpus::OPAQUE_LIST, &limits)
+        .err()
+        .map(|errs| errs.iter().map(|e| e.code()).collect())
+        .unwrap_or_default();
+    assert_eq!(codes, ["L003"]);
+    assert_views(
+        views(recmod::corpus::OPAQUE_LIST, limits),
+        [
+            include_str!("../views/opaque_list_fuel40.trace"),
+            include_str!("../views/opaque_list_fuel40.recorder"),
+            include_str!("../views/opaque_list_fuel40.spans"),
+        ],
+    );
+}
+
+// ---------------------------------------------------------------------
+// The views cannot disagree
+// ---------------------------------------------------------------------
+
+/// What one compile left in the views, read on the compiling thread.
+struct Observed {
+    report: telemetry::Report,
+    recorder: Vec<telemetry::diag::RecorderEvent>,
+    recorded: u64,
+    depth: usize,
+}
+
+/// Compiles `src` under `limits` and `config` on a fresh, pinned
+/// thread (see [`views`]).
+fn observe(src: &'static str, limits: recmod::Limits, config: telemetry::Config) -> Observed {
+    std::thread::Builder::new()
+        .stack_size(recmod::driver::DEFAULT_STACK_SIZE)
+        .spawn(move || {
+            let _pin = recmod::syntax::intern::pin_thread();
+            telemetry::install(config);
+            telemetry::diag::reset_recorder();
+            let _ = recmod::compile_with_limits(src, &limits);
+            Observed {
+                recorder: telemetry::diag::recorder_events(),
+                recorded: telemetry::diag::recorder_seq(),
+                depth: telemetry::diag::frame_depth(),
+                report: telemetry::uninstall().expect("sink was installed"),
+            }
+        })
+        .expect("spawn")
+        .join()
+        .expect("compile thread")
+}
+
+/// Counts the spans in a tree that satisfy `keep`.
+fn count_spans(spans: &[telemetry::Span], keep: &dyn Fn(&telemetry::Span) -> bool) -> u64 {
+    spans
+        .iter()
+        .map(|s| u64::from(keep(s)) + count_spans(&s.children, keep))
+        .sum()
+}
+
+/// One judgement probe feeds the recorder, the span tree and the stage
+/// counters; on every corpus example they must tell the same story:
+/// - every judgement span has exactly one `Enter` event;
+/// - every `stage.X` span has exactly one `stage.X.calls` tick;
+/// - no frame is left open once the compile returns.
+///
+/// The recorder is a 256-slot ring, so `Enter` events are counted only
+/// on runs that did not wrap it. Kernel fuel budgets cut each example
+/// short at a few points, and at least one of these runs per example
+/// is small enough. A sink without profiling records only the plain
+/// `span` calls; profiling adds one span per stage and per judgement,
+/// so the judgement spans are what the profiled run has beyond the
+/// plain run and the stage spans.
+#[test]
+fn judgement_stage_and_frame_views_agree_on_the_corpus() {
+    for entry in recmod::corpus::all() {
+        let mut unwrapped = 0;
+        for fuel in [1, 4, 16, 64, recmod::Limits::default().fuel] {
+            let limits = recmod::Limits::default().with_fuel(fuel);
+            let at = format!("{} at fuel {fuel}", entry.name);
+            let profiled = observe(entry.source, limits, telemetry::Config::profiled());
+            let plain = observe(entry.source, limits, telemetry::Config::default());
+            assert_eq!(profiled.depth, 0, "{at}: frames left open");
+            assert_eq!(plain.depth, 0, "{at}: frames left open");
+
+            let spans = &profiled.report.spans;
+            let stage_spans = count_spans(spans, &|s| s.name.starts_with("stage."));
+            for (stage, total) in profiled.report.stage_totals() {
+                let name = format!("stage.{stage}");
+                let named = count_spans(spans, &|s| s.name == name);
+                assert_eq!(named, total.calls, "{at}: {name} spans vs calls");
+            }
+            let judgements = count_spans(spans, &|_| true)
+                - stage_spans
+                - count_spans(&plain.report.spans, &|_| true);
+            if profiled.recorded <= telemetry::diag::RECORDER_CAP as u64 {
+                unwrapped += 1;
+                let enters = profiled
+                    .recorder
+                    .iter()
+                    .filter(|e| e.kind == telemetry::diag::EventKind::Enter)
+                    .count() as u64;
+                assert_eq!(judgements, enters, "{at}: judgement spans vs Enter events");
+            }
+        }
+        assert!(
+            unwrapped > 0,
+            "{}: every run wrapped the recorder",
+            entry.name
+        );
     }
 }
