@@ -1,37 +1,40 @@
-//! Always-on diagnostic forensics: the judgement frame stack, failure
-//! provenance capture, and the flight-recorder ring buffer.
+//! The per-thread frame stack every probe pushes on, and its
+//! always-on readers: failure provenance and the flight recorder.
 //!
-//! Unlike the profiling sink (which is opt-in and timestamps
-//! everything), this module is live on every thread all the time. It
-//! must therefore be cheap enough to sit on the kernel's judgement
-//! entry points: every operation here is a thread-local push/pop or a
-//! fixed-slot ring write — no clocks, no allocation on the happy path
-//! beyond the amortized frame-stack push, and no counters (so the S14
-//! cost model is untouched).
+//! [`judgement_span`](crate::judgement_span) and [`enter`] push
+//! judgement frames, [`stage`](crate::stage) stage frames,
+//! [`span`](crate::span) span frames and [`trace_span`](crate::trace_span)
+//! trace frames. A frame records its name, its kind, and a start
+//! instant when something times it. Dropping the one guard type,
+//! [`Guard`], pops the frame and does what its kind asks: a judgement
+//! frame logs its exit in the recorder; a span-carrying frame (span
+//! frames, and stage and judgement frames in profile mode) becomes a
+//! [`Span`] under the nearest span-carrying frame below it; a stage
+//! frame charges its exclusive time to its counters and its whole time
+//! to the nearest enclosing stage. The views read the same stack:
 //!
-//! Three cooperating pieces:
+//! * **Provenance** — [`record_failure`] snapshots the open judgement
+//!   frames (the outermost [`FRAME_CAP`]) when a structured error is
+//!   *constructed*, before `?` unwinds the guards; [`note_step`] adds
+//!   equation-path steps as it bubbles out; [`take_failure`] hands the
+//!   snapshot over.
+//! * **Flight recorder** — a ring of recent judgement enter/exit,
+//!   limit and failure events, with sequence numbers and the judgement
+//!   depth, dumped into a crash bundle on a limit/internal exit.
+//! * **Trace indentation** is the number of open trace frames.
 //!
-//! * **Frame stack** — [`enter`] pushes the name of the judgement being
-//!   attempted; the returned guard pops it. `judgement_span` in the
-//!   crate root calls this unconditionally, so the stack mirrors the
-//!   active derivation at any instant. Bounded by [`FRAME_CAP`]: deeper
-//!   frames are counted but not stored.
-//! * **Pending failure** — [`record_failure`] snapshots the live frame
-//!   stack at the instant a structured error is *constructed* (before
-//!   `?` propagation unwinds the guards). [`note_step`] appends
-//!   equation-path steps as a constructor-equivalence failure bubbles
-//!   out. [`take_failure`] hands the snapshot to whoever converts the
-//!   error into a user-facing diagnostic.
-//! * **Flight recorder** — a fixed-size ring of recent judgement
-//!   enter/exit, limit, and failure events with monotonic sequence
-//!   numbers. On a limit/internal exit the tail is dumped into a crash
-//!   bundle for post-mortem analysis.
+//! Outside profile mode a judgement costs a thread-local push/pop and
+//! two ring writes: no clock, no allocation beyond the stack's growth,
+//! and no counters (so the S14 cost model is untouched).
 
 use std::cell::RefCell;
+use std::time::Instant;
 
-/// Frames beyond this depth are counted but not recorded; the snapshot
-/// a diagnostic carries is the *outermost* `FRAME_CAP` frames, which is
-/// where the human-meaningful context lives.
+use crate::Span;
+
+/// Provenance snapshots keep the *outermost* `FRAME_CAP` judgement
+/// frames, which is where the human-meaningful context lives; deeper
+/// frames are counted by [`frame_depth`] but not snapshotted.
 pub const FRAME_CAP: usize = 64;
 
 /// Equation-path steps beyond this are dropped (deep spines would
@@ -41,7 +44,7 @@ pub const EQUATION_CAP: usize = 32;
 /// Capacity of the flight-recorder ring, per thread.
 pub const RECORDER_CAP: usize = 256;
 
-/// What a flight-recorder event describes.
+/// What an event in the flight recorder describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
     /// A judgement frame was entered.
@@ -51,7 +54,7 @@ pub enum EventKind {
     /// A resource limit fired (`name` is the stage, detail the kind).
     Limit,
     /// A structured error was constructed (`name` is the innermost
-    /// frame at that instant, or `"<top>"` outside any frame).
+    /// snapshotted frame at that instant, or `"<top>"` outside any).
     Failure,
 }
 
@@ -78,7 +81,8 @@ pub struct RecorderEvent {
     pub kind: EventKind,
     /// Judgement or stage name.
     pub name: &'static str,
-    /// Frame depth when the event fired (after a push / before a pop).
+    /// Judgement depth when the event fired (after a push / before a
+    /// pop).
     pub depth: u32,
 }
 
@@ -93,6 +97,28 @@ pub struct Failure {
     pub equation: Vec<&'static str>,
 }
 
+/// What a frame was pushed for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum FrameKind {
+    Judgement,
+    Stage,
+    Span,
+    Trace,
+}
+
+/// One open frame.
+struct Frame {
+    name: &'static str,
+    kind: FrameKind,
+    /// When the frame opened, if anything times it.
+    start: Option<Instant>,
+    /// Completed child spans; `Some` exactly when the frame closes into
+    /// a [`Span`] of its own.
+    children: Option<Vec<Span>>,
+    /// Stage frames: wall-clock nanoseconds claimed by nested stages.
+    child_nanos: u64,
+}
+
 /// The slot value before any event lands in it (never exposed: the
 /// readers only hand out the `min(seq, RECORDER_CAP)` written slots).
 const EMPTY_EVENT: RecorderEvent = RecorderEvent {
@@ -102,10 +128,10 @@ const EMPTY_EVENT: RecorderEvent = RecorderEvent {
     depth: 0,
 };
 
-struct DiagState {
-    frames: Vec<&'static str>,
-    /// True depth including frames beyond [`FRAME_CAP`].
-    depth: usize,
+struct State {
+    frames: Vec<Frame>,
+    /// Open frames per kind, indexed by `FrameKind as usize`.
+    depth: [usize; 4],
     pending: Option<Failure>,
     /// Fixed-slot ring (a plain array store per event — this sits on
     /// every judgement entry/exit, so no `Vec` length bookkeeping).
@@ -114,11 +140,11 @@ struct DiagState {
     seq: u64,
 }
 
-impl DiagState {
+impl State {
     const fn new() -> Self {
-        DiagState {
+        State {
             frames: Vec::new(),
-            depth: 0,
+            depth: [0; 4],
             pending: None,
             ring: [EMPTY_EVENT; RECORDER_CAP],
             seq: 0,
@@ -127,7 +153,7 @@ impl DiagState {
 
     #[inline]
     fn record(&mut self, kind: EventKind, name: &'static str) {
-        let depth = self.depth.min(u32::MAX as usize) as u32;
+        let depth = self.depth[FrameKind::Judgement as usize].min(u32::MAX as usize) as u32;
         // RECORDER_CAP is a power of two, so the modulo is a mask.
         let slot = (self.seq % RECORDER_CAP as u64) as usize;
         self.ring[slot] = RecorderEvent {
@@ -138,63 +164,141 @@ impl DiagState {
         };
         self.seq += 1;
     }
-}
 
-thread_local! {
-    static DIAG: RefCell<DiagState> = const { RefCell::new(DiagState::new()) };
-}
+    /// The open judgement frames that provenance snapshots, outermost
+    /// first.
+    fn judgements(&self) -> impl Iterator<Item = &'static str> + '_ {
+        self.frames
+            .iter()
+            .filter(|f| f.kind == FrameKind::Judgement)
+            .map(|f| f.name)
+            .take(FRAME_CAP)
+    }
 
-#[inline]
-fn with_state<R>(f: impl FnOnce(&mut DiagState) -> R) -> Option<R> {
-    DIAG.with(|d| d.try_borrow_mut().ok().map(|mut s| f(&mut s)))
-}
-
-/// Guard for one judgement frame; pops it (and records the exit) when
-/// dropped. Obtained from [`enter`].
-#[derive(Debug)]
-#[must_use = "the frame stays on the provenance stack until the guard drops"]
-pub struct FrameGuard {
-    name: &'static str,
-}
-
-/// Pushes a judgement frame and logs an `Enter` event. Always on —
-/// this is what makes failure provenance available without `--profile`.
-#[inline]
-pub fn enter(name: &'static str) -> FrameGuard {
-    with_state(|s| {
-        s.depth += 1;
-        if s.depth <= FRAME_CAP {
-            s.frames.push(name);
+    /// Pops the top frame and closes it as its kind asks.
+    fn close(&mut self) {
+        let Some(frame) = self.frames.pop() else {
+            return;
+        };
+        if frame.kind == FrameKind::Judgement {
+            self.record(EventKind::Exit, frame.name);
         }
-        s.record(EventKind::Enter, name);
-    });
-    FrameGuard { name }
-}
-
-impl Drop for FrameGuard {
-    #[inline]
-    fn drop(&mut self) {
-        with_state(|s| {
-            s.record(EventKind::Exit, self.name);
-            if s.depth <= FRAME_CAP {
-                s.frames.pop();
+        self.depth[frame.kind as usize] -= 1;
+        let Some(start) = frame.start else {
+            return;
+        };
+        if frame.kind == FrameKind::Stage {
+            let elapsed = start.elapsed().as_nanos() as u64;
+            let outer = self
+                .frames
+                .iter_mut()
+                .rev()
+                .find(|f| f.kind == FrameKind::Stage);
+            if let Some(outer) = outer {
+                outer.child_nanos += elapsed;
             }
-            s.depth = s.depth.saturating_sub(1);
-        });
+            crate::charge_stage(frame.name, elapsed.saturating_sub(frame.child_nanos));
+        }
+        if let Some(children) = frame.children {
+            let parent = self
+                .frames
+                .iter_mut()
+                .rev()
+                .find_map(|f| f.children.as_mut());
+            crate::close_span(frame.name, start, children, parent);
+        }
     }
 }
 
-/// The true frame depth right now (including unstored deep frames).
+thread_local! {
+    static STATE: RefCell<State> = const { RefCell::new(State::new()) };
+}
+
+#[inline]
+fn with_state<R>(f: impl FnOnce(&mut State) -> R) -> Option<R> {
+    STATE.with(|d| d.try_borrow_mut().ok().map(|mut s| f(&mut s)))
+}
+
+/// Guard for one frame of the probe stack; pops the frame and closes
+/// it (see the [module docs](self)) when dropped. Every probe returns
+/// one; a probe whose view is switched off returns an inert guard that
+/// pushed nothing.
+#[derive(Debug)]
+#[must_use = "the frame stays open until the guard drops"]
+pub struct Guard {
+    pub(crate) open: bool,
+}
+
+impl Drop for Guard {
+    #[inline]
+    fn drop(&mut self) {
+        if self.open {
+            with_state(State::close);
+        }
+    }
+}
+
+/// Pushes a frame of `kind`; with `span` it closes into a [`Span`].
+/// Stage frames and span-carrying frames read the clock now.
+#[inline]
+pub(crate) fn open(name: &'static str, kind: FrameKind, span: bool) -> Guard {
+    let pushed = with_state(|s| {
+        s.depth[kind as usize] += 1;
+        if kind == FrameKind::Judgement {
+            s.record(EventKind::Enter, name);
+        }
+        s.frames.push(Frame {
+            name,
+            kind,
+            start: (span || kind == FrameKind::Stage).then(Instant::now),
+            children: span.then(Vec::new),
+            child_nanos: 0,
+        });
+    });
+    Guard {
+        open: pushed.is_some(),
+    }
+}
+
+/// The number of open frames of `kind`.
+pub(crate) fn depth(kind: FrameKind) -> usize {
+    with_state(|s| s.depth[kind as usize]).unwrap_or(0)
+}
+
+/// Takes the span out of every open span-carrying frame, innermost
+/// first, handing over its name, start and children; the frames stay
+/// open but no longer close into spans. Used when a sink is uninstalled
+/// inside guards.
+pub(crate) fn take_open_spans(mut f: impl FnMut(&'static str, Instant, Vec<Span>)) {
+    with_state(|s| {
+        for frame in s.frames.iter_mut().rev() {
+            if let (Some(start), Some(children)) = (frame.start, frame.children.take()) {
+                f(frame.name, start, children);
+            }
+        }
+    });
+}
+
+/// Pushes a judgement frame outside any timed probe and logs an `Enter`
+/// event. Always on — this is what makes failure provenance available
+/// without `--profile`.
+#[inline]
+pub fn enter(name: &'static str) -> Guard {
+    open(name, FrameKind::Judgement, false)
+}
+
+/// The number of open judgement frames (including those deeper than
+/// [`FRAME_CAP`]).
 pub fn frame_depth() -> usize {
-    with_state(|s| s.depth).unwrap_or(0)
+    depth(FrameKind::Judgement)
 }
 
-/// A snapshot of the active frames, outermost first.
+/// A snapshot of the open judgement frames, outermost first.
 pub fn current_frames() -> Vec<&'static str> {
-    with_state(|s| s.frames.clone()).unwrap_or_default()
+    with_state(|s| s.judgements().collect()).unwrap_or_default()
 }
 
-/// Snapshots the live frame stack as the pending failure. Call at the
+/// Snapshots the open judgement frames as the pending failure. Call at the
 /// instant a structured error is constructed — by the time the error
 /// has propagated out, the guards have already popped. A later call
 /// overwrites an earlier one (errors wrapped on the way out are
@@ -202,10 +306,13 @@ pub fn current_frames() -> Vec<&'static str> {
 /// recorder event.
 pub fn record_failure() {
     with_state(|s| {
-        let innermost = s.frames.last().copied().unwrap_or("<top>");
-        s.record(EventKind::Failure, innermost);
+        let frames: Vec<&'static str> = s.judgements().collect();
+        s.record(
+            EventKind::Failure,
+            frames.last().copied().unwrap_or("<top>"),
+        );
         s.pending = Some(Failure {
-            frames: s.frames.clone(),
+            frames,
             equation: Vec::new(),
         });
     });
@@ -247,17 +354,10 @@ pub fn note_limit(stage: &'static str, kind: &'static str) {
 
 /// The flight-recorder tail for this thread, oldest event first.
 pub fn recorder_events() -> Vec<RecorderEvent> {
+    let cap = RECORDER_CAP as u64;
     with_state(|s| {
-        let written = s.seq.min(RECORDER_CAP as u64) as usize;
-        let mut out = Vec::with_capacity(written);
-        if s.seq <= RECORDER_CAP as u64 {
-            out.extend_from_slice(&s.ring[..written]);
-        } else {
-            let start = (s.seq % RECORDER_CAP as u64) as usize;
-            out.extend_from_slice(&s.ring[start..]);
-            out.extend_from_slice(&s.ring[..start]);
-        }
-        out
+        let live = s.seq.saturating_sub(cap)..s.seq;
+        live.map(|seq| s.ring[(seq % cap) as usize]).collect()
     })
     .unwrap_or_default()
 }
@@ -348,7 +448,7 @@ mod tests {
 
     #[test]
     fn deep_stacks_are_bounded() {
-        let guards: Vec<FrameGuard> = (0..FRAME_CAP + 10).map(|_| enter("deep")).collect();
+        let guards: Vec<Guard> = (0..FRAME_CAP + 10).map(|_| enter("deep")).collect();
         assert_eq!(frame_depth(), FRAME_CAP + 10);
         assert_eq!(current_frames().len(), FRAME_CAP);
         drop(guards);

@@ -18,6 +18,12 @@
 //! the clock. A test in the workspace asserts this stays within noise
 //! of the pre-instrumentation baseline.
 //!
+//! Every probe — [`judgement_span`], [`stage`], [`span`] and
+//! [`trace_span`] — pushes a frame on one per-thread stack and returns
+//! the one guard type, [`Guard`]. Provenance, the flight recorder, the
+//! span tree, stage self-time and trace indentation are all read off
+//! that stack ([`diag`] describes it).
+//!
 //! Because the sink is thread-local, an evaluation running on a
 //! dedicated big-stack thread must install its own sink and ship the
 //! resulting [`Report`] back (reports are `Send`); [`Report::absorb`]
@@ -49,13 +55,12 @@
 //!
 //! # Profiling
 //!
-//! When [`Config::profile`] is set, two extra things happen: every
-//! [`judgement_span`] records a real span (they are inert otherwise, so
-//! `--stats` runs are not flooded with per-judgement nodes), and every
-//! [`stage`] frame additionally records a span, so the span tree holds
-//! complete-duration events for the whole pipeline. Spans carry a start
-//! offset relative to the sink's *epoch* — [`Config::epoch`] lets a
-//! batch driver hand every worker the same epoch so their span lanes
+//! When [`Config::profile`] is set, judgement and stage frames also
+//! close into spans (judgement frames carry none otherwise, so `--stats`
+//! runs are not flooded with per-judgement nodes), so the span tree
+//! holds complete-duration events for the whole pipeline. Spans carry a
+//! start offset relative to the sink's *epoch* — [`Config::epoch`] lets
+//! a batch driver hand every worker the same epoch so their span lanes
 //! share one clock. [`sample`] appends counter-track samples
 //! (timestamped counter snapshots) for trace exporters.
 //!
@@ -87,11 +92,14 @@ pub mod metrics;
 pub mod names;
 pub mod profile;
 
+pub use diag::Guard;
 pub use limits::{parse_limits_spec, LimitExceeded, LimitKind, Limits};
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::time::Instant;
+
+use diag::FrameKind;
 
 /// Version stamped into every JSON document this workspace emits
 /// (`--stats=json`, `bench_json`, trace/log/cost files). Bump on any
@@ -125,10 +133,6 @@ thread_local! {
     /// Fast-path flag: are judgement-level profile spans requested?
     static PROFILING: Cell<bool> = const { Cell::new(false) };
     static SINK: RefCell<Option<Sink>> = const { RefCell::new(None) };
-    /// Open stage frames (see [`stage`]): start instant plus nanoseconds
-    /// already attributed to nested stages, so each stage records its
-    /// *exclusive* self time.
-    static STAGES: RefCell<Vec<StageFrame>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Sink configuration.
@@ -209,14 +213,6 @@ pub struct CounterSample {
     pub values: Vec<(&'static str, u64)>,
 }
 
-/// An open span: children accumulate until the guard closes it.
-#[derive(Debug)]
-struct OpenSpan {
-    name: &'static str,
-    start: Instant,
-    children: Vec<Span>,
-}
-
 /// One recorded trace line: nesting depth plus rendered judgement.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceLine {
@@ -226,20 +222,16 @@ pub struct TraceLine {
     pub text: String,
 }
 
+/// An installed sink: the report it accumulates, plus what it needs to
+/// fill it in.
 #[derive(Debug)]
 struct Sink {
     config: Config,
     /// The instant span/sample offsets are measured from.
     epoch: Instant,
-    counters: BTreeMap<&'static str, u64>,
-    span_roots: Vec<Span>,
-    span_stack: Vec<OpenSpan>,
+    /// Spans recorded so far, against [`Config::span_max_nodes`].
     span_nodes: usize,
-    span_dropped: u64,
-    samples: Vec<CounterSample>,
-    trace_lines: Vec<TraceLine>,
-    trace_depth: usize,
-    trace_dropped: u64,
+    report: Report,
 }
 
 impl Sink {
@@ -248,15 +240,8 @@ impl Sink {
         Sink {
             config,
             epoch,
-            counters: BTreeMap::new(),
-            span_roots: Vec::new(),
-            span_stack: Vec::new(),
             span_nodes: 0,
-            span_dropped: 0,
-            samples: Vec::new(),
-            trace_lines: Vec::new(),
-            trace_depth: 0,
-            trace_dropped: 0,
+            report: Report::default(),
         }
     }
 
@@ -268,26 +253,18 @@ impl Sink {
     fn into_report(mut self) -> Report {
         // Close any spans left open (e.g. uninstall inside a guard):
         // attribute the time measured so far so the tree stays a tree.
-        while let Some(open) = self.span_stack.pop() {
-            let span = Span {
-                name: open.name,
-                start_nanos: self.since_epoch(open.start),
-                nanos: open.start.elapsed().as_nanos() as u64,
-                children: open.children,
-            };
-            match self.span_stack.last_mut() {
-                Some(parent) => parent.children.push(span),
-                None => self.span_roots.push(span),
-            }
-        }
-        Report {
-            counters: self.counters,
-            spans: self.span_roots,
-            spans_dropped: self.span_dropped,
-            samples: self.samples,
-            trace: self.trace_lines,
-            trace_dropped: self.trace_dropped,
-        }
+        let mut inner: Option<Span> = None;
+        diag::take_open_spans(|name, start, mut children| {
+            children.extend(inner.take());
+            inner = Some(Span {
+                name,
+                start_nanos: self.since_epoch(start),
+                nanos: start.elapsed().as_nanos() as u64,
+                children,
+            });
+        });
+        self.report.spans.extend(inner);
+        self.report
     }
 }
 
@@ -415,7 +392,7 @@ fn with_sink<R>(f: impl FnOnce(&mut Sink) -> R) -> Option<R> {
 #[inline]
 pub fn count(name: &'static str, n: u64) {
     if enabled() {
-        with_sink(|s| *s.counters.entry(name).or_insert(0) += n);
+        with_sink(|s| *s.report.counters.entry(name).or_insert(0) += n);
     }
 }
 
@@ -426,7 +403,7 @@ pub fn count(name: &'static str, n: u64) {
 pub fn count_max(name: &'static str, v: u64) {
     if enabled() {
         with_sink(|s| {
-            let slot = s.counters.entry(name).or_insert(0);
+            let slot = s.report.counters.entry(name).or_insert(0);
             *slot = (*slot).max(v);
         });
     }
@@ -450,7 +427,7 @@ pub fn snapshot_counters() -> Option<BTreeMap<&'static str, u64>> {
     if !enabled() {
         return None;
     }
-    with_sink(|s| s.counters.clone())
+    with_sink(|s| s.report.counters.clone())
 }
 
 /// Records a counter-track sample: the current values of `names` (as
@@ -463,12 +440,10 @@ pub fn sample(names: &[&'static str], extra: &[(&'static str, u64)]) {
     }
     with_sink(|s| {
         let nanos = s.since_epoch(Instant::now());
-        let mut values: Vec<(&'static str, u64)> = names
-            .iter()
-            .map(|&n| (n, s.counters.get(n).copied().unwrap_or(0)))
-            .collect();
+        let mut values: Vec<(&'static str, u64)> =
+            names.iter().map(|&n| (n, s.report.counter(n))).collect();
         values.extend_from_slice(extra);
-        s.samples.push(CounterSample { nanos, values });
+        s.report.samples.push(CounterSample { nanos, values });
     });
 }
 
@@ -479,108 +454,61 @@ pub fn sample(names: &[&'static str], extra: &[(&'static str, u64)]) {
 /// Opens a hierarchical timed span; the returned guard closes it on
 /// drop. Without a sink the guard is inert and the clock is never read.
 #[must_use = "a span measures until the guard is dropped"]
-pub fn span(name: &'static str) -> SpanGuard {
+pub fn span(name: &'static str) -> Guard {
     if !enabled() {
-        return SpanGuard { active: false };
+        return Guard { open: false };
     }
-    with_sink(|s| {
-        s.span_stack.push(OpenSpan {
-            name,
-            start: Instant::now(),
-            children: Vec::new(),
-        })
-    });
-    SpanGuard { active: true }
+    diag::open(name, FrameKind::Span, true)
 }
 
-/// Opens a judgement-level probe. Two things happen, independently:
-///
-/// * a frame named `name` is pushed on the always-on [`diag`] stack
-///   (and logged in the flight recorder), so a failure constructed
-///   while the guard lives can snapshot its derivation provenance;
-/// * if [`Config::profile`] was set, a real timed [`span`] opens too.
-///   Judgement spans fire once per judgement *instance* (like
-///   derivation tracing), far too many nodes for a plain `--stats` run
-///   to carry, so the timing half stays opt-in.
+/// Opens a judgement-level probe: a judgement frame named `name` on the
+/// always-on [`diag`] stack, logged in the flight recorder, so a failure
+/// constructed while the guard lives can snapshot its derivation
+/// provenance. If [`Config::profile`] was set the frame is also timed
+/// and closes into a span. Judgement spans fire once per judgement
+/// *instance* (like derivation tracing), far too many nodes for a plain
+/// `--stats` run to carry, so the timing stays opt-in.
 #[must_use = "a span measures until the guard is dropped"]
 #[inline]
-pub fn judgement_span(name: &'static str) -> JudgementGuard {
+pub fn judgement_span(name: &'static str) -> Guard {
     fault::tick();
-    let frame = diag::enter(name);
-    let span = if profiling_enabled() {
-        span(name)
-    } else {
-        SpanGuard { active: false }
-    };
-    JudgementGuard {
-        _frame: frame,
-        _span: span,
-    }
+    diag::open(name, FrameKind::Judgement, profiling_enabled())
 }
 
-/// Guard for a [`judgement_span`]: pops the provenance frame (always)
-/// and closes the profile span (when profiling) on drop.
-#[derive(Debug)]
-#[must_use = "a span measures until the guard is dropped"]
-pub struct JudgementGuard {
-    _frame: diag::FrameGuard,
-    _span: SpanGuard,
-}
-
-/// Guard for an open [`span`]; closes the span when dropped.
-#[derive(Debug)]
-pub struct SpanGuard {
-    active: bool,
-}
-
-impl Drop for SpanGuard {
-    fn drop(&mut self) {
-        if !self.active {
+/// Closes a span frame opened at `start`: the span joins `parent` (the
+/// children of the nearest span-carrying frame) or the sink's roots.
+/// Beyond the node budget the span is counted as dropped and its
+/// children move up, so completed subtrees are not silently lost.
+pub(crate) fn close_span(
+    name: &'static str,
+    start: Instant,
+    children: Vec<Span>,
+    parent: Option<&mut Vec<Span>>,
+) {
+    with_sink(|s| {
+        let start_nanos = s.since_epoch(start);
+        let siblings = match parent {
+            Some(p) => p,
+            None => &mut s.report.spans,
+        };
+        if s.span_nodes >= s.config.span_max_nodes {
+            s.report.spans_dropped += 1;
+            siblings.extend(children);
             return;
         }
-        with_sink(|s| {
-            // Tolerate a sink swapped out mid-span: nothing to close.
-            let Some(open) = s.span_stack.pop() else {
-                return;
-            };
-            let node = Span {
-                name: open.name,
-                start_nanos: s.since_epoch(open.start),
-                nanos: open.start.elapsed().as_nanos() as u64,
-                children: open.children,
-            };
-            if s.span_nodes >= s.config.span_max_nodes {
-                s.span_dropped += 1;
-                // Still merge the children upward so completed subtrees
-                // are not silently lost.
-                let kids = node.children;
-                match s.span_stack.last_mut() {
-                    Some(parent) => parent.children.extend(kids),
-                    None => s.span_roots.extend(kids),
-                }
-                return;
-            }
-            s.span_nodes += 1;
-            match s.span_stack.last_mut() {
-                Some(parent) => parent.children.push(node),
-                None => s.span_roots.push(node),
-            }
+        s.span_nodes += 1;
+        siblings.push(Span {
+            name,
+            start_nanos,
+            nanos: start.elapsed().as_nanos() as u64,
+            children,
         });
-    }
+    });
 }
 
 // ---------------------------------------------------------------------
 // Stage timers
 // ---------------------------------------------------------------------
-
-/// One open [`stage`] frame.
-#[derive(Debug)]
-struct StageFrame {
-    name: &'static str,
-    start: Instant,
-    /// Wall-clock nanoseconds already claimed by nested stages.
-    child_nanos: u64,
-}
 
 /// Times `f` as pipeline stage `name`, attributing the elapsed
 /// wall-clock to the counters `<name>.nanos` and `<name>.calls`.
@@ -588,76 +516,27 @@ struct StageFrame {
 /// Unlike [`span`], stage time is *exclusive*: nanoseconds spent inside
 /// a nested `stage` call (same name or not) are attributed to the inner
 /// stage only, so the per-stage totals partition the instrumented wall
-/// clock and recursive entry points never double-count. Without a sink
-/// this is a single branch and `f` runs untouched.
+/// clock and recursive entry points never double-count. The stage frame
+/// closes on unwind too, so a panicking batch item cannot corrupt the
+/// stack of a long-lived worker sink. In profile mode the stage is also
+/// a span, so the exported span tree carries complete-duration events
+/// for every pipeline stage. Without a sink this is a single branch and
+/// `f` runs untouched.
 #[inline]
 pub fn stage<R>(name: &'static str, f: impl FnOnce() -> R) -> R {
     if !enabled() {
         return f();
     }
-    let _g = StageGuard::open(name);
+    let _g = diag::open(name, FrameKind::Stage, profiling_enabled());
     f()
 }
 
-/// Guard for an open [`stage`]; attributes the self time when dropped
-/// (including on unwind, so a panicking batch item cannot corrupt the
-/// frame stack of a long-lived worker sink). In profile mode the stage
-/// is mirrored as a span, so the exported span tree carries
-/// complete-duration events for every pipeline stage.
-#[derive(Debug)]
-struct StageGuard {
-    active: bool,
-    /// Mirror span, live only when [`Config::profile`] is set. Declared
-    /// after `active` so it closes after the stage frame is attributed —
-    /// either order is correct (span and stage stacks are independent).
-    _span: SpanGuard,
-}
-
-impl StageGuard {
-    fn open(name: &'static str) -> StageGuard {
-        let _span = if profiling_enabled() {
-            span(name)
-        } else {
-            SpanGuard { active: false }
-        };
-        STAGES.with(|s| {
-            s.borrow_mut().push(StageFrame {
-                name,
-                start: Instant::now(),
-                child_nanos: 0,
-            })
-        });
-        StageGuard {
-            active: true,
-            _span,
-        }
-    }
-}
-
-impl Drop for StageGuard {
-    fn drop(&mut self) {
-        if !self.active {
-            return;
-        }
-        STAGES.with(|s| {
-            let mut stack = s.borrow_mut();
-            let Some(frame) = stack.pop() else {
-                return;
-            };
-            let elapsed = frame.start.elapsed().as_nanos() as u64;
-            let own = elapsed.saturating_sub(frame.child_nanos);
-            if let Some(parent) = stack.last_mut() {
-                parent.child_nanos += elapsed;
-            }
-            drop(stack);
-            let (nanos_key, calls_key) = stage_keys(frame.name);
-            with_sink(|sink| {
-                *sink.counters.entry(nanos_key).or_insert(0) += own;
-                if let Some(c) = calls_key {
-                    *sink.counters.entry(c).or_insert(0) += 1;
-                }
-            });
-        });
+/// Attributes `own` exclusive nanoseconds and one call to stage `name`.
+pub(crate) fn charge_stage(name: &'static str, own: u64) {
+    let (nanos_key, calls_key) = stage_keys(name);
+    count(nanos_key, own);
+    if let Some(c) = calls_key {
+        count(c, 1);
     }
 }
 
@@ -725,46 +604,29 @@ impl Report {
 // Derivation trace
 // ---------------------------------------------------------------------
 
-/// Records one derivation step at the current nesting depth and deepens
-/// the nesting until the guard drops. `render` is only invoked when the
+/// Records one derivation step at the current nesting depth (the
+/// number of open trace frames) and opens a trace frame, deepening the
+/// nesting until the guard drops. `render` is only invoked when the
 /// line will actually be stored (within the depth and width limits), so
 /// the disabled path never formats anything.
 #[must_use = "the trace guard tracks judgement nesting until dropped"]
-pub fn trace_span(render: impl FnOnce() -> String) -> TraceGuard {
+pub fn trace_span(render: impl FnOnce() -> String) -> Guard {
     if !trace_enabled() {
-        return TraceGuard { active: false };
+        return Guard { open: false };
     }
-    let mut render = Some(render);
+    let depth = diag::depth(FrameKind::Trace);
     with_sink(|s| {
-        let within_depth = s.config.trace_depth.is_some_and(|d| s.trace_depth <= d);
-        let within_width = s.trace_lines.len() < s.config.trace_max_lines;
-        if within_depth && within_width {
-            if let Some(render) = render.take() {
-                s.trace_lines.push(TraceLine {
-                    depth: s.trace_depth,
-                    text: render(),
-                });
-            }
+        let within_depth = s.config.trace_depth.is_some_and(|d| depth <= d);
+        if within_depth && s.report.trace.len() < s.config.trace_max_lines {
+            s.report.trace.push(TraceLine {
+                depth,
+                text: render(),
+            });
         } else {
-            s.trace_dropped += 1;
+            s.report.trace_dropped += 1;
         }
-        s.trace_depth += 1;
     });
-    TraceGuard { active: true }
-}
-
-/// Guard for a [`trace_span`]; shallows the nesting when dropped.
-#[derive(Debug)]
-pub struct TraceGuard {
-    active: bool,
-}
-
-impl Drop for TraceGuard {
-    fn drop(&mut self) {
-        if self.active {
-            with_sink(|s| s.trace_depth = s.trace_depth.saturating_sub(1));
-        }
-    }
+    diag::open("trace", FrameKind::Trace, false)
 }
 
 #[cfg(test)]
@@ -1073,6 +935,33 @@ mod tests {
         // The span started well after the shared epoch, so its offset
         // reflects the wait, not the install time.
         assert!(r.spans[0].start_nanos >= 1_000_000);
+    }
+
+    #[test]
+    fn frames_of_other_kinds_are_transparent_to_each_view() {
+        install(Config::with_trace(5));
+        stage("stage.elab", || {
+            let _j = judgement_span("surface.elab_topdec");
+            let _outer = trace_span(|| "outer".into());
+            let _s = span("surface.elab_topdec");
+            let _d = diag::enter("serve.cache");
+            stage("stage.kernel", || {
+                let _t = trace_span(|| "inner".into());
+                let _k = span("kernel.child");
+            });
+        });
+        let r = uninstall().unwrap();
+        // Trace depth counts trace frames only, not the judgement,
+        // span and stage frames between them.
+        assert_eq!(r.render_trace(), "outer\n  inner\n");
+        // Without profiling, judgement and stage frames carry no span:
+        // the inner span joins the nearest span-carrying frame.
+        assert_eq!(r.spans.len(), 1);
+        assert_eq!(r.spans[0].children[0].name, "kernel.child");
+        // Each stage closes, and is charged, exactly once.
+        let totals = r.stage_totals();
+        assert_eq!((totals["elab"].calls, totals["kernel"].calls), (1, 1));
+        assert_eq!(diag::frame_depth(), 0);
     }
 
     #[test]

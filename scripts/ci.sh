@@ -63,6 +63,21 @@ echo "== module differential (2000 dedicated iterations) =="
 FUZZ_CLASS=module-differential FUZZ_ITERS=2000 \
   cargo test -q -p recmod-tests --release --test fuzz seeded
 
+echo "== profiled differential (2000 dedicated iterations) =="
+# Observation must not perturb: each (often mutated) program compiles
+# twice on fresh threads, once with a profiling sink installed, and the
+# verdicts, stable codes and rendered diagnostics must be identical. A
+# profiled compile pushes the same frames, timed and closing into spans.
+FUZZ_CLASS=profiled-differential FUZZ_ITERS=2000 \
+  cargo test -q -p recmod-tests --release --test fuzz seeded
+
+echo "== diagnostics totality (2000 dedicated iterations) =="
+# Every diagnostic of a (often mutated) program under strict limits has
+# a well-formed code, non-empty provenance and a JSON form that parses
+# back, and the frame stack is fully unwound when the compile returns.
+FUZZ_CLASS=diagnostics-total FUZZ_ITERS=2000 \
+  cargo test -q -p recmod-tests --release --test fuzz seeded
+
 echo "== cost-model gate (counters vs tests/golden_costs.json) =="
 # Deterministic per-example counters (fuel, unrolls, cache traffic —
 # never wall clocks) compared against the checked-in baseline. Gating:

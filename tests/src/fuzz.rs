@@ -912,7 +912,7 @@ fn case_profiled_differential(rng: &mut Rng) -> Result<(), String> {
 }
 
 // ---------------------------------------------------------------------
-// Class 8: diagnostics serialization totality
+// Class 7: diagnostics serialization totality
 // ---------------------------------------------------------------------
 
 /// Is `code` a well-formed stable error code (`K`/`S`/`L`/`I` + three
@@ -974,7 +974,7 @@ fn case_diagnostics_total(rng: &mut Rng) -> Result<(), String> {
 }
 
 // ---------------------------------------------------------------------
-// Class 9: chaos serve (the compile service under fault injection)
+// Class 8: chaos serve (the compile service under fault injection)
 // ---------------------------------------------------------------------
 
 /// Drives a batch of (possibly mutated) programs through a live compile
@@ -1170,7 +1170,7 @@ fn case_chaos_serve(rng: &mut Rng) -> Result<(), String> {
 }
 
 // ---------------------------------------------------------------------
-// Class 10: NbE differential (the two equivalence engines must agree)
+// Class 9: NbE differential (the two equivalence engines must agree)
 // ---------------------------------------------------------------------
 
 /// A kernel outcome as comparable plain data: the result's structural
@@ -1293,7 +1293,7 @@ fn case_nbe_differential(rng: &mut Rng) -> Result<(), String> {
 }
 
 // ---------------------------------------------------------------------
-// Class 11: rewrite-memo differential (memoized shift/subst/selfify)
+// Class 10: rewrite-memo differential (memoized shift/subst/selfify)
 // ---------------------------------------------------------------------
 
 /// `Fst` indices the class-11 generator draws start here: far above any

@@ -5,7 +5,7 @@ use recmod::driver::{compile_batch, DriverConfig, FileStatus, Job};
 use recmod::telemetry::Config;
 
 /// The full corpus as a batch, replicated so eight workers have
-/// meaningful contention and stealing actually happens.
+/// meaningful contention on the shared job cursor.
 fn corpus_jobs(replicas: usize) -> Vec<Job> {
     let entries = recmod::corpus::all();
     (0..replicas)
@@ -105,9 +105,9 @@ fn merged_counters_are_the_sum_of_per_worker_counters() {
 }
 
 #[test]
-fn surviving_workers_drain_failed_spawns_deques() {
+fn surviving_worker_claims_every_file_when_spawns_fail() {
     // Three workers requested, first two spawns fail: the one survivor
-    // must steal both dead deques and drain every file with the same
+    // must claim every file from the shared cursor, with the same
     // verdicts and aggregate exit code as a clean run.
     let jobs = corpus_jobs(2);
     let clean = compile_batch(

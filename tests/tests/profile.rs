@@ -169,8 +169,8 @@ fn jobs_4_batch_produces_four_distinct_worker_lanes() {
     assert_eq!(lane_tids, vec![0, 1, 2, 3], "expected lanes 0..4");
 
     // Every job shows up as a file event on exactly one lane. (A lane
-    // may be empty: on a loaded machine a fast worker can steal a slow
-    // worker's whole deque before it runs.)
+    // may be empty: on a loaded machine the other workers can claim
+    // every job from the shared cursor before a slow worker starts.)
     let mut files_seen = 0usize;
 
     // Within one lane, per-file events never overlap: a worker compiles
