@@ -106,12 +106,19 @@ pub(crate) enum FrameKind {
     Trace,
 }
 
-/// One open frame.
+/// One open frame. The timing sits behind a box so that untimed frames,
+/// which every judgement outside profile mode pushes, stay small: their
+/// push and pop are most of the stack's traffic.
 struct Frame {
     name: &'static str,
     kind: FrameKind,
-    /// When the frame opened, if anything times it.
-    start: Option<Instant>,
+    timing: Option<Box<Timing>>,
+}
+
+/// What a timed frame keeps.
+struct Timing {
+    /// When the frame opened.
+    start: Instant,
     /// Completed child spans; `Some` exactly when the frame closes into
     /// a [`Span`] of its own.
     children: Option<Vec<Span>>,
@@ -176,6 +183,7 @@ impl State {
     }
 
     /// Pops the top frame and closes it as its kind asks.
+    #[inline]
     fn close(&mut self) {
         let Some(frame) = self.frames.pop() else {
             return;
@@ -184,28 +192,32 @@ impl State {
             self.record(EventKind::Exit, frame.name);
         }
         self.depth[frame.kind as usize] -= 1;
-        let Some(start) = frame.start else {
-            return;
-        };
-        if frame.kind == FrameKind::Stage {
-            let elapsed = start.elapsed().as_nanos() as u64;
+        if let Some(timing) = frame.timing {
+            self.close_timed(frame.name, frame.kind, *timing);
+        }
+    }
+
+    /// The part of [`State::close`] only timed frames reach.
+    fn close_timed(&mut self, name: &'static str, kind: FrameKind, timing: Timing) {
+        if kind == FrameKind::Stage {
+            let elapsed = timing.start.elapsed().as_nanos() as u64;
             let outer = self
                 .frames
                 .iter_mut()
                 .rev()
                 .find(|f| f.kind == FrameKind::Stage);
-            if let Some(outer) = outer {
+            if let Some(outer) = outer.and_then(|f| f.timing.as_mut()) {
                 outer.child_nanos += elapsed;
             }
-            crate::charge_stage(frame.name, elapsed.saturating_sub(frame.child_nanos));
+            crate::charge_stage(name, elapsed.saturating_sub(timing.child_nanos));
         }
-        if let Some(children) = frame.children {
+        if let Some(children) = timing.children {
             let parent = self
                 .frames
                 .iter_mut()
                 .rev()
-                .find_map(|f| f.children.as_mut());
-            crate::close_span(frame.name, start, children, parent);
+                .find_map(|f| f.timing.as_mut()?.children.as_mut());
+            crate::close_span(name, timing.start, children, parent);
         }
     }
 }
@@ -250,9 +262,13 @@ pub(crate) fn open(name: &'static str, kind: FrameKind, span: bool) -> Guard {
         s.frames.push(Frame {
             name,
             kind,
-            start: (span || kind == FrameKind::Stage).then(Instant::now),
-            children: span.then(Vec::new),
-            child_nanos: 0,
+            timing: (span || kind == FrameKind::Stage).then(|| {
+                Box::new(Timing {
+                    start: Instant::now(),
+                    children: span.then(Vec::new),
+                    child_nanos: 0,
+                })
+            }),
         });
     });
     Guard {
@@ -272,8 +288,10 @@ pub(crate) fn depth(kind: FrameKind) -> usize {
 pub(crate) fn take_open_spans(mut f: impl FnMut(&'static str, Instant, Vec<Span>)) {
     with_state(|s| {
         for frame in s.frames.iter_mut().rev() {
-            if let (Some(start), Some(children)) = (frame.start, frame.children.take()) {
-                f(frame.name, start, children);
+            if let Some(t) = frame.timing.as_mut() {
+                if let Some(children) = t.children.take() {
+                    f(frame.name, t.start, children);
+                }
             }
         }
     });
