@@ -312,47 +312,53 @@ fn span_shape(spans: &[telemetry::Span], depth: usize, out: &mut String) {
     }
 }
 
+/// What one compile left in the views, read on the compiling thread.
+struct Observed {
+    report: telemetry::Report,
+    recorder: Vec<telemetry::diag::RecorderEvent>,
+    recorded: u64,
+    depth: usize,
+}
+
+/// Compiles `src` under `limits` with a `config` sink on a fresh
+/// thread, so no earlier compile on the test thread can warm a cache or
+/// leave a frame behind. The thread pins the nodes it interns:
+/// otherwise whether a re-interned node keeps its id, and so which
+/// kernel cache lookups hit and how far a fuel budget reaches, would
+/// depend on what other threads still hold.
+fn observe(src: &'static str, limits: recmod::Limits, config: telemetry::Config) -> Observed {
+    std::thread::Builder::new()
+        .stack_size(recmod::driver::DEFAULT_STACK_SIZE)
+        .spawn(move || {
+            let _pin = recmod::syntax::intern::pin_thread();
+            telemetry::install(config);
+            telemetry::diag::reset_recorder();
+            let _ = recmod::compile_with_limits(src, &limits);
+            Observed {
+                recorder: telemetry::diag::crash_data().events,
+                recorded: telemetry::diag::recorder_seq(),
+                depth: telemetry::diag::frame_depth(),
+                report: telemetry::uninstall().expect("sink was installed"),
+            }
+        })
+        .expect("spawn")
+        .join()
+        .expect("compile thread")
+}
+
 /// The three views of one compile, in [`VIEWS`] order: the `--trace=3`
-/// text, the recorder tail as `kind name depth` lines, and the
-/// profiled span-tree shape. Each compile runs on a fresh thread, so no
-/// earlier compile on the test thread can warm a cache or leave a frame
-/// behind, and pins the nodes it interns: otherwise whether a
-/// re-interned node keeps its id, and so which kernel cache lookups hit
-/// and how far a fuel budget reaches, would depend on what other
-/// threads still hold.
+/// text, the recorder tail a crash bundle would carry as
+/// `kind name depth` lines, and the profiled span-tree shape.
 fn views(src: &'static str, limits: recmod::Limits) -> [String; 3] {
-    let fresh = |f: Box<dyn FnOnce() -> String + Send>| {
-        std::thread::Builder::new()
-            .stack_size(recmod::driver::DEFAULT_STACK_SIZE)
-            .spawn(f)
-            .expect("spawn")
-            .join()
-            .expect("compile thread")
-    };
-    let traced = fresh(Box::new(move || {
-        let _pin = recmod::syntax::intern::pin_thread();
-        telemetry::install(telemetry::Config::with_trace(3));
-        telemetry::diag::reset_recorder();
-        let _ = recmod::compile_with_limits(src, &limits);
-        let crash = telemetry::diag::crash_data();
-        let report = telemetry::uninstall().expect("sink was installed");
-        let mut recorder = String::new();
-        for e in &crash.events {
-            recorder.push_str(&format!("{} {} {}\n", e.kind.label(), e.name, e.depth));
-        }
-        format!("{}\0{recorder}", report.render_trace())
-    }));
-    let (trace, recorder) = traced.split_once('\0').expect("two views");
-    let spans = fresh(Box::new(move || {
-        let _pin = recmod::syntax::intern::pin_thread();
-        telemetry::install(telemetry::Config::profiled());
-        let _ = recmod::compile_with_limits(src, &limits);
-        let report = telemetry::uninstall().expect("sink was installed");
-        let mut shape = String::new();
-        span_shape(&report.spans, 0, &mut shape);
-        shape
-    }));
-    [trace.to_string(), recorder.to_string(), spans]
+    let traced = observe(src, limits, telemetry::Config::with_trace(3));
+    let mut recorder = String::new();
+    for e in &traced.recorder {
+        recorder.push_str(&format!("{} {} {}\n", e.kind.label(), e.name, e.depth));
+    }
+    let profiled = observe(src, limits, telemetry::Config::profiled());
+    let mut spans = String::new();
+    span_shape(&profiled.report.spans, 0, &mut spans);
+    [traced.report.render_trace(), recorder, spans]
 }
 
 /// The names of the three views, which are also the extensions of
@@ -415,36 +421,6 @@ fn views_of_a_fuel_limited_compile_are_pinned() {
 // ---------------------------------------------------------------------
 // The views cannot disagree
 // ---------------------------------------------------------------------
-
-/// What one compile left in the views, read on the compiling thread.
-struct Observed {
-    report: telemetry::Report,
-    recorder: Vec<telemetry::diag::RecorderEvent>,
-    recorded: u64,
-    depth: usize,
-}
-
-/// Compiles `src` under `limits` and `config` on a fresh, pinned
-/// thread (see [`views`]).
-fn observe(src: &'static str, limits: recmod::Limits, config: telemetry::Config) -> Observed {
-    std::thread::Builder::new()
-        .stack_size(recmod::driver::DEFAULT_STACK_SIZE)
-        .spawn(move || {
-            let _pin = recmod::syntax::intern::pin_thread();
-            telemetry::install(config);
-            telemetry::diag::reset_recorder();
-            let _ = recmod::compile_with_limits(src, &limits);
-            Observed {
-                recorder: telemetry::diag::recorder_events(),
-                recorded: telemetry::diag::recorder_seq(),
-                depth: telemetry::diag::frame_depth(),
-                report: telemetry::uninstall().expect("sink was installed"),
-            }
-        })
-        .expect("spawn")
-        .join()
-        .expect("compile thread")
-}
 
 /// Counts the spans in a tree that satisfy `keep`.
 fn count_spans(spans: &[telemetry::Span], keep: &dyn Fn(&telemetry::Span) -> bool) -> u64 {
