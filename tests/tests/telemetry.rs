@@ -325,12 +325,22 @@ struct Observed {
 /// leave a frame behind. The thread pins the nodes it interns:
 /// otherwise whether a re-interned node keeps its id, and so which
 /// kernel cache lookups hit and how far a fuel budget reaches, would
-/// depend on what other threads still hold.
+/// depend on what the compile itself still holds.
 fn observe(src: &'static str, limits: recmod::Limits, config: telemetry::Config) -> Observed {
+    observe_on_fresh_thread(src, limits, config, true)
+}
+
+/// [`observe`], with the pins optional.
+fn observe_on_fresh_thread(
+    src: &'static str,
+    limits: recmod::Limits,
+    config: telemetry::Config,
+    pin: bool,
+) -> Observed {
     std::thread::Builder::new()
         .stack_size(recmod::driver::DEFAULT_STACK_SIZE)
         .spawn(move || {
-            let _pin = recmod::syntax::intern::pin_thread();
+            let _pin = pin.then(recmod::syntax::intern::pin_thread);
             telemetry::install(config);
             telemetry::diag::reset_recorder();
             let _ = recmod::compile_with_limits(src, &limits);
@@ -416,6 +426,39 @@ fn views_of_a_fuel_limited_compile_are_pinned() {
             include_str!("../views/opaque_list_fuel40.spans"),
         ],
     );
+}
+
+/// A compile on a fresh thread depends only on its source and limits,
+/// not on what other threads of the process hold. Near a fuel boundary
+/// a cache lookup that misses because its node was re-interned under a
+/// new id spends fuel again, so the recorder count and the trace text
+/// are where another thread's live nodes would show. The fresh threads
+/// pin nothing, and the test thread holds two compiled programs for the
+/// second round.
+#[test]
+fn a_compile_does_not_depend_on_what_other_threads_hold() {
+    let round = || {
+        [40, 100, 400].map(|fuel| {
+            let limits = recmod::Limits::default().with_fuel(fuel);
+            let seen = observe_on_fresh_thread(
+                recmod::corpus::OPAQUE_LIST,
+                limits,
+                telemetry::Config::with_trace(3),
+                false,
+            );
+            (fuel, seen.recorded, seen.report.render_trace())
+        })
+    };
+    let alone = round();
+    let held = [recmod::corpus::TRANSPARENT_LIST, recmod::corpus::OPAQUE_LIST]
+        .map(|src| recmod::compile_with_limits(src, &recmod::Limits::default()));
+    assert!(held.iter().all(Result::is_ok), "both lists typecheck");
+    let beside = round();
+    for ((fuel, n0, trace0), (_, n1, trace1)) in alone.iter().zip(&beside) {
+        assert_eq!(n0, n1, "fuel {fuel}: recorder events");
+        assert!(trace0 == trace1, "fuel {fuel}: the trace text differs");
+    }
+    drop(held);
 }
 
 // ---------------------------------------------------------------------
