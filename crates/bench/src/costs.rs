@@ -8,9 +8,9 @@
 //! numbers — each example is compiled on a fresh thread (fresh
 //! telemetry sink, fresh kernel caches), so the counts depend only on
 //! the compiler and the source text. Interner hit/miss counts are
-//! deliberately **excluded**: the interner is process-global (sharded,
-//! see `recmod_syntax::intern`), so whether a node is a hit depends on
-//! what else the process interned first — warmth, not work.
+//! deliberately **excluded**: whether a probe hits depends on which
+//! nodes the thread still holds (see `recmod_syntax::intern`) —
+//! warmth, not work.
 //!
 //! The checked-in baseline lives at `tests/golden_costs.json`:
 //!
@@ -64,8 +64,8 @@ pub fn measure_corpus() -> CostModel {
 /// Compiles `source` in isolation and returns its counters. The fresh
 /// thread gives the run a fresh thread-local telemetry sink; the fresh
 /// elaborator gives it fresh kernel caches — together they make every
-/// counter a pure function of the source text (interner warmth, the one
-/// process-global input, is filtered out below).
+/// counter a pure function of the source text (interner warmth is
+/// filtered out below).
 pub fn measure_example(source: &str) -> Costs {
     let source = source.to_string();
     std::thread::Builder::new()
@@ -77,10 +77,10 @@ pub fn measure_example(source: &str) -> Costs {
 }
 
 fn measure_in_thread(source: &str) -> Costs {
-    // Pin every node this thread interns: the interner is process-global,
-    // so without pins a re-interned node keeps its NodeId only while some
-    // thread happens to hold it alive — which would make the id-keyed
-    // kernel memo hit counts depend on concurrent threads' liveness.
+    // Pin every node this thread interns: without pins a re-interned
+    // node keeps its NodeId only while the thread happens to hold it
+    // alive, so the id-keyed kernel memo hit counts would depend on
+    // when the compile drops its intermediate results.
     let _pin = recmod::syntax::intern::pin_thread();
     telemetry::install(telemetry::Config::default());
     let elab = Elaborator::with_limits(recmod::telemetry::Limits::default());
@@ -149,13 +149,12 @@ fn measure_in_thread(source: &str) -> Costs {
     );
     for (&name, &v) in &report.counters {
         // Wall-clock derived counters (`*.nanos`) are exactly what this
-        // model exists to avoid; interner counters depend on global
-        // table warmth (what the process interned before this example),
-        // so they are not a function of the source text; counters
-        // already covered by the kernel snapshot above are duplicates.
+        // model exists to avoid; interner probes measure table warmth
+        // (a hit is a probe that found its node still alive), not
+        // judgement work; counters already covered by the kernel
+        // snapshot above are duplicates.
         if names::is_time_based(name)
             || name.starts_with("syntax.intern_")
-            || name.starts_with("intern.")
             || costs.contains_key(name)
         {
             continue;

@@ -36,8 +36,8 @@ pub fn list_run_stats(
         // Pin interned nodes for the duration: id-keyed kernel memo hit
         // counts are a pure function of the source only when re-interned
         // nodes keep their ids (see `costs::measure_in_thread`) —
-        // without this, the first-ever compile in a process reports
-        // slightly different whnf hit/miss/fuel splits than later ones.
+        // without this, the whnf hit/miss/fuel splits would move with
+        // when the compile drops its intermediate results.
         let _pin = recmod::syntax::intern::pin_thread();
         let program = corpus::list_program(opaque, n);
         let compiled = recmod::compile(&program).expect("list program compiles");

@@ -15,8 +15,8 @@
 //! `<file.rml>` may be `-` to read the program from stdin. Batch mode
 //! engages for `check` whenever `--jobs`/`--corpus` is given, more than
 //! one path is named, or a path is a directory (searched recursively
-//! for `*.rm`); it compiles files in parallel on worker threads sharing
-//! the global interner, with warm per-worker caches, and prints
+//! for `*.rm`); it compiles files in parallel on worker threads that
+//! share nothing, with warm per-worker caches, and prints
 //! per-file diagnostics prefixed by the file name, in input order.
 //!
 //! Options:

@@ -8,8 +8,8 @@
 //! cache entry is addressed by `fnv1a` over precisely that tuple
 //! ([`key`]) and stores the verdict plus everything needed to replay
 //! the file's output without touching the pipeline. `NodeId`s are
-//! deliberately **never** persisted: they are process-stable (the
-//! global interner mints them in first-intern order), not run-stable.
+//! deliberately **never** persisted: each thread's interner mints them
+//! in its own first-intern order, so they are not run-stable.
 //!
 //! Robustness is the design center, not an afterthought:
 //!

@@ -1,16 +1,14 @@
-//! Parallel batch compilation: a shared-cursor driver with warm
-//! per-worker caches over a shared global interner.
+//! Parallel batch compilation: a shared-cursor driver whose workers
+//! share nothing.
 //!
-//! The pipeline's *mutable* hot state — the kernel's whnf memo and
-//! equivalence cache, the telemetry sink — is thread-local by design,
-//! so workers never contend on it and reports merge after the fact.
-//! The *immutable* hot state, the hash-consed syntax spine, is the
-//! opposite: since S18 the interner is process-global and sharded
-//! (`recmod_syntax::intern`), so `HC<T>` is `Send + Sync` and N
-//! workers share one canonical node per distinct subtree instead of
-//! re-interning N copies. Per-worker memo tables stay sound because
-//! `NodeId`s are now canonical process-wide — a memo key means the
-//! same structure on every thread, it is merely *private* warmth.
+//! Every piece of the pipeline's hot state is thread-local: the
+//! hash-consed syntax spine (`recmod_syntax::intern`), the rewrite
+//! memo, the kernel's whnf, equivalence, synthesis and μ tables, and
+//! the telemetry sink. `HC<T>` is an `Rc`, so no syntax node can cross
+//! from one worker to another; workers never contend on a lock in the
+//! pipeline, and reports merge after the fact. A worker's `NodeId`s
+//! and memo keys mean something only on that worker, and what one
+//! worker keeps alive cannot change which lookups hit on another.
 //! This crate supplies the scheduler:
 //!
 //! * every worker claims the next unclaimed job from one shared atomic
@@ -311,8 +309,8 @@ fn read_job(path: &Path) -> Result<Job, String> {
 /// Compiles every job and returns the outcomes in input order.
 ///
 /// Spawns `config.jobs` workers (clamped to the job count), each with
-/// its own stack, kernel caches, and telemetry sink over the shared
-/// global interner; each worker claims the next unclaimed job until
+/// its own stack, interner, kernel caches, and telemetry sink; each
+/// worker claims the next unclaimed job until
 /// none is left. See the crate docs for the determinism and warm-cache
 /// arguments. When [`DriverConfig::cache`] is set, each file consults
 /// the artifact cache before compiling and stores its verdict after.

@@ -74,7 +74,7 @@ use crate::{FileStatus, Verdict, DEFAULT_STACK_SIZE};
 /// Version of the `metrics` op document. Independent of the global
 /// [`SCHEMA_VERSION`] (which the document also carries): bump this
 /// when the metrics key set or semantics change.
-pub const METRICS_SCHEMA_VERSION: u64 = 1;
+pub const METRICS_SCHEMA_VERSION: u64 = 2;
 
 /// Exit class for a request shed by admission control.
 pub const EXIT_OVERLOADED: u8 = 5;
@@ -656,8 +656,9 @@ impl Counters {
 ///
 /// The interning tables are thread-local, so only the worker itself can
 /// observe them; it publishes a plain-data snapshot here right after
-/// the between-requests [`intern::sweep_now`], and the `stats` op reads
-/// the slots from the connection thread. `swept_entries` accumulates
+/// the between-requests [`intern::sweep_now`], and the `stats` and
+/// `metrics` ops read the slots from the connection thread.
+/// `swept_entries` accumulates
 /// the entries those sweeps reclaimed — occupancy (`con_entries` +
 /// `kind_entries`) measures the *live* working set, this measures the
 /// per-request garbage the sweeps are catching.
@@ -829,6 +830,18 @@ impl Core {
     /// Nanoseconds since the service epoch.
     fn now_nanos(&self) -> u64 {
         self.epoch.elapsed().as_nanos() as u64
+    }
+
+    /// Interner entries across the workers, as each last published
+    /// them after its between-requests sweep.
+    fn intern_entries(&self) -> u64 {
+        self.worker_intern
+            .iter()
+            .map(|m| {
+                let stats = lock(m).stats;
+                stats.con_entries + stats.kind_entries
+            })
+            .sum()
     }
 
     /// The supervisor's lane id (one past the worker lanes).
@@ -1667,22 +1680,9 @@ impl Server {
         ));
         pairs.push(("compile_nanos", core.metrics.compile.snapshot().to_json()));
         pairs.push(("cache", self.cache_json()));
-        let contended: u64 = core
-            .worker_intern
-            .iter()
-            .map(|m| lock(m).stats.contended)
-            .sum();
-        let shards = intern::shard_occupancy();
         pairs.push((
             "intern",
-            Json::obj([
-                ("contended", Json::UInt(contended)),
-                ("entries", Json::UInt(shards.iter().sum())),
-                (
-                    "shards",
-                    Json::Arr(shards.iter().map(|&n| Json::UInt(n)).collect()),
-                ),
-            ]),
+            Json::obj([("entries", Json::UInt(core.intern_entries()))]),
         ));
         let workers: Vec<Json> = core
             .worker_busy
@@ -1786,22 +1786,7 @@ impl Server {
             }
             out.gauge("recmod_cache_hit_ratio", &[], c.hit_ratio());
         }
-        let contended: u64 = core
-            .worker_intern
-            .iter()
-            .map(|m| lock(m).stats.contended)
-            .sum();
-        out.counter("recmod_intern_shard_contended_total", &[], contended);
-        let mut shard_label = String::new();
-        for (i, &n) in intern::shard_occupancy().iter().enumerate() {
-            shard_label.clear();
-            shard_label.push_str(&i.to_string());
-            out.gauge(
-                "recmod_intern_shard_entries",
-                &[("shard", &shard_label)],
-                n as f64,
-            );
-        }
+        out.gauge("recmod_intern_entries", &[], core.intern_entries() as f64);
         for (wid, busy) in core.worker_busy.iter().enumerate() {
             out.gauge(
                 "recmod_worker_busy_seconds",

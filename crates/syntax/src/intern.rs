@@ -2,8 +2,8 @@
 //!
 //! The recursive spine of [`Con`](crate::ast::Con) and
 //! [`Kind`](crate::ast::Kind) is built from [`HC<T>`] pointers instead of
-//! `Box<T>`: every structurally-distinct node is interned once in a
-//! process-global table and assigned a stable [`NodeId`]. Consequences:
+//! `Box<T>`: every structurally-distinct node is interned once in its
+//! thread's table and assigned a stable [`NodeId`]. Consequences:
 //!
 //! * **O(1) equality** — two `HC` pointers are equal iff their ids are
 //!   equal, which (by the interning invariant) holds iff the subtrees
@@ -17,47 +17,44 @@
 //!   use it to return the *same pointer* for subtrees they cannot touch
 //!   (see [`crate::map`]).
 //!
-//! # Sharded global table
+//! # One table per thread
 //!
-//! The table is process-global and hash-partitioned into
-//! [`SHARD_COUNT`] shards, each behind its own `Mutex`. A node's shard
-//! is chosen from the high bits of its FxHash, so two threads interning
-//! unrelated structure almost always take different locks; two threads
-//! interning the *same* structure serialize briefly and walk away with
-//! the same `Arc`. `HC` is therefore `Send + Sync`: `--jobs N` workers
-//! share one canonical spine per distinct subtree instead of rebuilding
-//! N copies, and a `NodeId` means the same thing on every thread.
+//! Each thread interns into its own tables, one per syntax class, and
+//! draws ids from its own counter. `HC` wraps an `Rc`, so it is neither
+//! `Send` nor `Sync`: a node never leaves the thread that interned it,
+//! and a `NodeId` names a node only on that thread. Every table keyed
+//! by ids is per-thread as well: the rewrite memo ([`crate::memo`]) and
+//! the kernel's whnf, equivalence, synthesis and μ tables. `--jobs N`
+//! workers therefore share nothing; each builds its own spine.
 //!
-//! Lock discipline: each `intern` call takes exactly one shard lock
-//! (try-lock first so contention is observable, then block), does an
-//! O(1) probe/insert under it, and releases before returning. No code
-//! path takes two shard locks at once, so there is no lock-order hazard.
-//! Statistics stay in per-thread `Cell`s — the shards carry no hot
-//! shared counters.
+//! What this buys is history independence across threads. Whether a
+//! re-interned node keeps its id — and so which id-keyed lookups hit
+//! and how much kernel fuel a compile spends — depends only on what the
+//! interning thread itself still holds, never on another thread.
 //!
-//! `NodeId`s are process-stable but **never persisted**: the driver's
-//! on-disk artifact cache stores rendered verdicts keyed by source
-//! hashes, never ids, because a fresh process reassigns ids in
-//! first-intern order.
+//! `NodeId`s are **never persisted**: the driver's on-disk artifact
+//! cache stores rendered verdicts keyed by source hashes, never ids,
+//! because every thread assigns ids in its own first-intern order.
 //!
 //! The table holds weak references: dropping the last strong `HC` to a
-//! node makes its entry collectable, and dead entries are swept when a
-//! shard doubles past a high-water mark, so long sessions do not leak.
+//! node makes its entry collectable, and dead entries are swept when
+//! the table doubles past a high-water mark, so long sessions do not
+//! leak.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::fmt;
-use std::hash::{BuildHasher, Hash};
+use std::hash::Hash;
 use std::ops::Deref;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, LazyLock, Mutex, TryLockError, Weak};
+use std::rc::{Rc, Weak};
+use std::thread::LocalKey;
 
 use crate::ast::{Con, Kind};
 
 /// A stable identifier for one structurally-distinct syntax node.
 ///
-/// Ids are unique process-wide for the lifetime of the process (they
-/// are never reused, even after a node is collected and re-interned —
-/// the counter only moves forward; a re-interned node gets a fresh id,
+/// Ids are unique on their thread for the thread's lifetime (they are
+/// never reused, even after a node is collected and re-interned — the
+/// counter only moves forward; a re-interned node gets a fresh id,
 /// which is sound because stale ids no longer have live holders).
 pub type NodeId = u64;
 
@@ -71,11 +68,11 @@ struct Node<T> {
 ///
 /// Build one with [`hc`] (or [`Internable::intern`]); pattern-match
 /// through it with `&*` / autoderef, exactly like the `Box` it replaces.
-pub struct HC<T: Internable>(Arc<Node<T>>);
+pub struct HC<T: Internable>(Rc<Node<T>>);
 
 impl<T: Internable> HC<T> {
     /// The node's interning id. Equal ids ⟺ structurally equal subtrees
-    /// (process-wide).
+    /// (on the thread that interned both).
     pub fn id(&self) -> NodeId {
         self.0.id
     }
@@ -89,7 +86,7 @@ impl<T: Internable> HC<T> {
     /// Pointer identity (implies — and with interning, is implied by —
     /// structural equality).
     pub fn ptr_eq(a: &Self, b: &Self) -> bool {
-        Arc::ptr_eq(&a.0, &b.0)
+        Rc::ptr_eq(&a.0, &b.0)
     }
 
     /// The underlying node by reference.
@@ -106,7 +103,7 @@ impl<T: Internable> HC<T> {
 
 impl<T: Internable> Clone for HC<T> {
     fn clone(&self) -> Self {
-        HC(Arc::clone(&self.0))
+        HC(Rc::clone(&self.0))
     }
 }
 
@@ -137,12 +134,12 @@ impl<T: Internable + fmt::Debug> fmt::Debug for HC<T> {
 }
 
 /// Syntax classes that participate in hash-consing.
-pub trait Internable: Clone + Eq + Hash + Send + Sync + Sized + 'static {
+pub trait Internable: Clone + Eq + Hash + Sized + 'static {
     /// Computes this node's free-variable upper bound from its children's
     /// *cached* bounds — must not recurse into subtrees.
     fn fv_bound_shallow(&self) -> usize;
 
-    /// Interns the node in the global table, returning the canonical
+    /// Interns the node in this thread's table, returning the canonical
     /// pointer for its structure.
     fn intern(self) -> HC<Self>;
 }
@@ -153,135 +150,86 @@ pub fn hc<T: Internable>(t: T) -> HC<T> {
 }
 
 // ---------------------------------------------------------------------------
-// The sharded global tables
+// The per-thread tables
 // ---------------------------------------------------------------------------
 
-/// Number of hash-partitioned shards per table. 16 keeps the per-shard
-/// `Mutex` uncontended at the `--jobs` levels the driver supports (≤ 8
-/// workers) while the `LazyLock` arrays stay small.
-pub const SHARD_COUNT: usize = 16;
+/// A table sweeps its dead entries once it holds this many, and after a
+/// sweep once it holds twice the survivors (but never fewer than this).
+const SWEEP_FLOOR: usize = 1 << 14;
 
-/// Ids start at 1 so 0 can serve as an "absent" sentinel in debug dumps.
-static NEXT_ID: AtomicU64 = AtomicU64::new(1);
-
-struct Shard<T> {
+/// One thread's table for one syntax class, with its activity counters.
+struct Table<T: Internable> {
     map: crate::fxhash::FxHashMap<T, Weak<Node<T>>>,
     sweep_at: usize,
+    hits: u64,
+    misses: u64,
+    sweeps: u64,
+    /// Every node interned while a [`pin_thread`] guard lives.
+    pins: Option<Vec<HC<T>>>,
 }
 
-impl<T: Internable> Shard<T> {
+impl<T: Internable> Table<T> {
     fn new() -> Self {
-        Shard {
+        Table {
             map: crate::fxhash::FxHashMap::default(),
-            sweep_at: 1 << 10,
-        }
-    }
-}
-
-struct ShardedTable<T> {
-    shards: [Mutex<Shard<T>>; SHARD_COUNT],
-}
-
-impl<T: Internable> ShardedTable<T> {
-    fn new() -> Self {
-        ShardedTable {
-            shards: std::array::from_fn(|_| Mutex::new(Shard::new())),
+            sweep_at: SWEEP_FLOOR,
+            hits: 0,
+            misses: 0,
+            sweeps: 0,
+            pins: None,
         }
     }
 
-    /// Locks one shard, recovering from poisoning: the maps hold only
-    /// weak entries, so the worst a panicking thread can leave behind is
-    /// a half-inserted tombstone, which the next sweep reclaims.
-    fn lock_shard(&self, idx: usize, cells: &InternCells) -> std::sync::MutexGuard<'_, Shard<T>> {
-        match self.shards[idx].try_lock() {
-            Ok(guard) => guard,
-            Err(TryLockError::WouldBlock) => {
-                cells.contended.set(cells.contended.get() + 1);
-                recmod_telemetry::count("intern.shard.contended", 1);
-                self.shards[idx]
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
+    fn intern(&mut self, t: T) -> HC<T> {
+        let node = match self.map.get(&t).and_then(Weak::upgrade) {
+            Some(rc) => {
+                self.hits += 1;
+                recmod_telemetry::count("syntax.intern_hit", 1);
+                HC(rc)
             }
-            Err(TryLockError::Poisoned(p)) => p.into_inner(),
+            None => {
+                self.misses += 1;
+                recmod_telemetry::count("syntax.intern_miss", 1);
+                let id = NEXT_ID.with(|n| n.replace(n.get() + 1));
+                let rc = Rc::new(Node {
+                    id,
+                    fv_bound: t.fv_bound_shallow(),
+                    value: t.clone(),
+                });
+                self.map.insert(t, Rc::downgrade(&rc));
+                if self.map.len() >= self.sweep_at {
+                    self.sweep();
+                }
+                HC(rc)
+            }
+        };
+        if let Some(pins) = &mut self.pins {
+            pins.push(node.clone());
         }
+        node
     }
 
-    fn intern(&self, t: T, cells: &InternCells) -> HC<T> {
-        // One hash computation picks the shard *and* probes its map
-        // (FxHashMap uses the same builder). The top bits select the
-        // shard so the map's in-bucket distribution (low bits) stays
-        // independent of the partition.
-        let hash = crate::fxhash::FxBuildHasher::default().hash_one(&t);
-        let idx = (hash >> (64 - SHARD_COUNT.trailing_zeros())) as usize & (SHARD_COUNT - 1);
-        let mut shard = self.lock_shard(idx, cells);
-        if let Some(rc) = shard.map.get(&t).and_then(Weak::upgrade) {
-            cells.hits.set(cells.hits.get() + 1);
-            recmod_telemetry::count("syntax.intern_hit", 1);
-            return HC(rc);
-        }
-        cells.misses.set(cells.misses.get() + 1);
-        recmod_telemetry::count("syntax.intern_miss", 1);
-        let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
-        let fv_bound = t.fv_bound_shallow();
-        let rc = Arc::new(Node {
-            id,
-            fv_bound,
-            value: t.clone(),
-        });
-        shard.map.insert(t, Arc::downgrade(&rc));
-        if shard.map.len() >= shard.sweep_at {
-            shard.map.retain(|_, w| w.strong_count() > 0);
-            cells.sweeps.set(cells.sweeps.get() + 1);
-            shard.sweep_at = (shard.map.len() * 2).max(1 << 10);
-        }
-        HC(rc)
+    /// Drops the dead entries and resets the high-water mark to fit the
+    /// survivors; returns how many entries went.
+    fn sweep(&mut self) -> u64 {
+        let before = self.map.len();
+        self.map.retain(|_, w| w.strong_count() > 0);
+        self.sweeps += 1;
+        self.sweep_at = (self.map.len() * 2).max(SWEEP_FLOOR);
+        (before - self.map.len()) as u64
     }
-
-    fn entries(&self) -> u64 {
-        self.per_shard().iter().sum()
-    }
-
-    fn per_shard(&self) -> [u64; SHARD_COUNT] {
-        std::array::from_fn(|i| {
-            self.shards[i]
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .map
-                .len() as u64
-        })
-    }
-
-    fn sweep(&self, cells: &InternCells) -> u64 {
-        let mut reclaimed = 0u64;
-        for shard in &self.shards {
-            let mut s = shard
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            let before = s.map.len();
-            s.map.retain(|_, w| w.strong_count() > 0);
-            reclaimed += (before - s.map.len()) as u64;
-            s.sweep_at = (s.map.len() * 2).max(1 << 10);
-        }
-        cells.sweeps.set(cells.sweeps.get() + 1);
-        reclaimed
-    }
-}
-
-static CON_TABLE: LazyLock<ShardedTable<Con>> = LazyLock::new(ShardedTable::new);
-static KIND_TABLE: LazyLock<ShardedTable<Kind>> = LazyLock::new(ShardedTable::new);
-
-#[derive(Default)]
-struct InternCells {
-    hits: Cell<u64>,
-    misses: Cell<u64>,
-    sweeps: Cell<u64>,
-    contended: Cell<u64>,
 }
 
 thread_local! {
-    static CELLS: InternCells = InternCells::default();
-    static PIN_CON: std::cell::RefCell<Option<Vec<HC<Con>>>> = const { std::cell::RefCell::new(None) };
-    static PIN_KIND: std::cell::RefCell<Option<Vec<HC<Kind>>>> = const { std::cell::RefCell::new(None) };
+    static CONS: RefCell<Table<Con>> = RefCell::new(Table::new());
+    static KINDS: RefCell<Table<Kind>> = RefCell::new(Table::new());
+    /// Ids start at 1 so 0 can serve as an "absent" sentinel in debug
+    /// dumps.
+    static NEXT_ID: Cell<NodeId> = const { Cell::new(1) };
+}
+
+fn intern_in<T: Internable>(table: &'static LocalKey<RefCell<Table<T>>>, t: T) -> HC<T> {
+    table.with(|tab| tab.borrow_mut().intern(t))
 }
 
 /// RAII guard from [`pin_thread`]; dropping it releases the pins.
@@ -291,26 +239,26 @@ pub struct PinGuard {
 
 impl Drop for PinGuard {
     fn drop(&mut self) {
-        PIN_CON.with(|p| *p.borrow_mut() = None);
-        PIN_KIND.with(|p| *p.borrow_mut() = None);
+        CONS.with(|t| t.borrow_mut().pins = None);
+        KINDS.with(|t| t.borrow_mut().pins = None);
     }
 }
 
 /// Keeps every node this thread interns alive until the returned guard
 /// drops.
 ///
-/// With the global table, whether a *re*-interned node keeps its
-/// [`NodeId`] depends on whether any thread still holds it — so
-/// id-keyed memo hit counts (the kernel's whnf/synth caches) would
-/// depend on unrelated threads' liveness. The deterministic cost model
-/// (`bench_json --costs`) pins the measuring thread's nodes so every
-/// re-intern finds a live entry and the memo-hit pattern is a pure
-/// function of the source text again. Not for production paths: pinned
-/// nodes are exempt from sweeping by construction, so memory grows with
-/// every distinct node interned while the guard lives.
+/// Whether a *re*-interned node keeps its [`NodeId`] depends on whether
+/// the thread still holds it, so id-keyed memo hit counts (the kernel's
+/// whnf/synth caches) move whenever the compiler drops an intermediate
+/// result earlier or later. The deterministic cost model
+/// (`bench_json --costs`) and the pinned views tests pin the measuring
+/// thread's nodes so every re-intern finds a live entry and those
+/// counts measure judgement work alone. Not for production paths:
+/// pinned nodes are exempt from sweeping by construction, so memory
+/// grows with every distinct node interned while the guard lives.
 pub fn pin_thread() -> PinGuard {
-    PIN_CON.with(|p| *p.borrow_mut() = Some(Vec::new()));
-    PIN_KIND.with(|p| *p.borrow_mut() = Some(Vec::new()));
+    CONS.with(|t| t.borrow_mut().pins = Some(Vec::new()));
+    KINDS.with(|t| t.borrow_mut().pins = Some(Vec::new()));
     PinGuard { _priv: () }
 }
 
@@ -332,13 +280,7 @@ impl Internable for Con {
     }
 
     fn intern(self) -> HC<Con> {
-        let node = CELLS.with(|s| CON_TABLE.intern(self, s));
-        PIN_CON.with(|p| {
-            if let Some(pins) = p.borrow_mut().as_mut() {
-                pins.push(node.clone());
-            }
-        });
-        node
+        intern_in(&CONS, self)
     }
 }
 
@@ -354,13 +296,7 @@ impl Internable for Kind {
     }
 
     fn intern(self) -> HC<Kind> {
-        let node = CELLS.with(|s| KIND_TABLE.intern(self, s));
-        PIN_KIND.with(|p| {
-            if let Some(pins) = p.borrow_mut().as_mut() {
-                pins.push(node.clone());
-            }
-        });
-        node
+        intern_in(&KINDS, self)
     }
 }
 
@@ -368,24 +304,19 @@ impl Internable for Kind {
 // Statistics
 // ---------------------------------------------------------------------------
 
-/// A snapshot of this thread's interning activity against the global
-/// table (plain data, `Send`). Hit/miss/sweep/contention counters are
-/// per-thread; entry counts are global (the table is shared).
+/// A snapshot of this thread's interning activity and table sizes
+/// (plain data, `Send`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct InternStats {
     /// Interning requests answered by an existing node.
     pub hits: u64,
     /// Interning requests that allocated a fresh node.
     pub misses: u64,
-    /// Dead-entry sweeps performed.
+    /// Dead-entry sweeps performed (each table's sweep counts once).
     pub sweeps: u64,
-    /// Shard locks that were busy on first try (contention events).
-    pub contended: u64,
-    /// Entries currently in the constructor table (live + uncollected),
-    /// summed across shards.
+    /// Entries currently in the constructor table (live + uncollected).
     pub con_entries: u64,
-    /// Entries currently in the kind table (live + uncollected), summed
-    /// across shards.
+    /// Entries currently in the kind table (live + uncollected).
     pub kind_entries: u64,
 }
 
@@ -401,42 +332,39 @@ impl InternStats {
     }
 }
 
-/// Snapshots this thread's interning counters and the global table
-/// sizes.
+/// Snapshots this thread's interning counters and table sizes.
 pub fn intern_stats() -> InternStats {
-    let (hits, misses, sweeps, contended) = CELLS.with(|s| {
-        (
-            s.hits.get(),
-            s.misses.get(),
-            s.sweeps.get(),
-            s.contended.get(),
-        )
+    let (con_hits, con_misses, con_sweeps, con_entries) = CONS.with(|t| {
+        let t = t.borrow();
+        (t.hits, t.misses, t.sweeps, t.map.len() as u64)
+    });
+    let (kind_hits, kind_misses, kind_sweeps, kind_entries) = KINDS.with(|t| {
+        let t = t.borrow();
+        (t.hits, t.misses, t.sweeps, t.map.len() as u64)
     });
     InternStats {
-        hits,
-        misses,
-        sweeps,
-        contended,
-        con_entries: CON_TABLE.entries(),
-        kind_entries: KIND_TABLE.entries(),
+        hits: con_hits + kind_hits,
+        misses: con_misses + kind_misses,
+        sweeps: con_sweeps + kind_sweeps,
+        con_entries,
+        kind_entries,
     }
 }
 
-/// Per-shard occupancy of the global tables: slot `i` is the entry
-/// count (live + uncollected tombstones) of shard `i` of the
-/// constructor table plus shard `i` of the kind table. The serve
-/// metrics surface exposes these as gauges so a skewed shard
-/// distribution (a bad hash partition) is visible in production, not
-/// just in the jobs-8 saturation bench.
-pub fn shard_occupancy() -> [u64; SHARD_COUNT] {
-    let con = CON_TABLE.per_shard();
-    let kind = KIND_TABLE.per_shard();
-    std::array::from_fn(|i| con[i] + kind[i])
+/// This thread's entry count (live + uncollected), constructor and
+/// kind tables together, as a one-element array.
+///
+/// It outlives the sharded table whose per-shard counts it used to
+/// return only because the frozen benchmark tracer
+/// (`perfbench/traced`) sums it; new code reads [`intern_stats`].
+pub fn shard_occupancy() -> [u64; 1] {
+    let s = intern_stats();
+    [s.con_entries + s.kind_entries]
 }
 
-/// Sweeps dead entries from every shard of both global tables
-/// immediately, without waiting for the doubling high-water mark, and
-/// resets each shard's mark to fit its surviving population.
+/// Sweeps dead entries from both of this thread's tables immediately,
+/// without waiting for the doubling high-water mark, and resets each
+/// table's mark to fit its surviving population.
 ///
 /// Long-lived worker threads (`recmodc serve`) call this between
 /// requests: each compile drops its strong `HC` pointers when the
@@ -444,20 +372,20 @@ pub fn shard_occupancy() -> [u64; SHARD_COUNT] {
 /// request boundaries. Sweeping there bounds steady-state occupancy by
 /// the *live* working set instead of the doubling schedule's high-water
 /// mark. Returns the number of entries reclaimed across both tables.
-/// Safe (if wasteful) to call concurrently from several threads: each
-/// shard is swept under its own lock.
 pub fn sweep_now() -> u64 {
-    CELLS.with(|s| CON_TABLE.sweep(s) + KIND_TABLE.sweep(s))
+    CONS.with(|t| t.borrow_mut().sweep()) + KINDS.with(|t| t.borrow_mut().sweep())
 }
 
-/// Zeroes this thread's interning hit/miss/sweep/contention counters
-/// (table contents are left alone — canonical nodes stay canonical).
+/// Zeroes this thread's interning hit/miss/sweep counters (table
+/// contents are left alone — canonical nodes stay canonical).
 pub fn reset_intern_stats() {
-    CELLS.with(|s| {
-        s.hits.set(0);
-        s.misses.set(0);
-        s.sweeps.set(0);
-        s.contended.set(0);
+    CONS.with(|t| {
+        let mut t = t.borrow_mut();
+        (t.hits, t.misses, t.sweeps) = (0, 0, 0);
+    });
+    KINDS.with(|t| {
+        let mut t = t.borrow_mut();
+        (t.hits, t.misses, t.sweeps) = (0, 0, 0);
     });
 }
 
@@ -508,9 +436,8 @@ mod tests {
         // The live node survives: re-interning finds the same id.
         let again = hc(cprod(cvar(271_828), cvar(271_828)));
         assert_eq!(live.id(), again.id());
-        // A second sweep with nothing newly dead reclaims nothing new
-        // from these nodes (other tests in the process may add noise, so
-        // only check it does not panic and the live id is stable).
+        // A second sweep may still reclaim the children that the dead
+        // entry's key kept alive; the live id stays stable.
         sweep_now();
         assert_eq!(live.id(), hc(cprod(cvar(271_828), cvar(271_828))).id());
     }
@@ -522,38 +449,5 @@ mod tests {
         let _x = hc(cprod(cvar(41), cvar(41)));
         let after = intern_stats();
         assert!(after.misses > before.misses || after.hits > before.hits);
-    }
-
-    #[test]
-    fn concurrent_interning_yields_one_canonical_id() {
-        // N threads race to intern the same family of structurally-equal
-        // nodes; every thread must come back with the same NodeId per
-        // structure, and hc() on this thread must agree.
-        let mk = |i: usize| carrow(cvar(900_000 + i), cprod(Con::Int, cvar(900_000 + i)));
-        let n_threads = 8;
-        // Each thread keeps its HCs alive (ids are only canonical across
-        // *live* holders: once every strong pointer drops, re-interning
-        // mints a fresh id by design).
-        let per_thread: Vec<Vec<HC<Con>>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..n_threads)
-                .map(|_| scope.spawn(move || (0..64).map(|i| hc(mk(i))).collect::<Vec<_>>()))
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        let ids0: Vec<NodeId> = per_thread[0].iter().map(HC::id).collect();
-        for nodes in &per_thread {
-            let ids: Vec<NodeId> = nodes.iter().map(HC::id).collect();
-            assert_eq!(ids, ids0, "all threads see one canonical id");
-        }
-        for (i, id) in ids0.iter().enumerate() {
-            assert_eq!(hc(mk(i)).id(), *id, "main thread agrees with workers");
-        }
-    }
-
-    #[test]
-    fn hc_is_send_and_sync() {
-        fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<HC<Con>>();
-        assert_send_sync::<HC<Kind>>();
     }
 }

@@ -12,7 +12,8 @@
 //! fix its behaviour (for a shift, the effective cutoff and the amount;
 //! see [`crate::map::VarMap::identity`]), and the input node's id.
 //! `NodeId`s are never reused (see [`crate::intern`]): an id names
-//! exactly one structure for the life of the process, so a key can only
+//! exactly one structure for the life of its thread, and the memo is
+//! per-thread like the interner, so a key can only
 //! match the node it was computed for, even after that node dies and an
 //! equal one is re-interned under a fresh id. A hit returns the very
 //! pointer a rebuild would have interned — the memo holds it alive, so

@@ -16,12 +16,9 @@
 
 /// The namespaces production counters may use. Test-only counters (in
 /// `#[cfg(test)]` code and fuzz harnesses) are exempt. `cache` is the
-/// driver's on-disk artifact cache; `intern` is the sharded global
-/// interner's shard-level traffic (per-node hit/miss stays under
-/// `syntax.intern_*` for continuity).
+/// driver's on-disk artifact cache.
 pub const NAMESPACES: &[&str] = &[
     "kernel", "syntax", "surface", "phase", "eval", "driver", "stage", "internal", "cache",
-    "intern",
 ];
 
 /// Is `name` a well-formed production counter name: a known namespace,
@@ -74,8 +71,7 @@ mod tests {
             "kernel.eval_steps",
             "kernel.quote_nodes",
             "kernel.env_allocs",
-            // S18 sharded interner + artifact cache counters.
-            "intern.shard.contended",
+            // S18 artifact cache counters.
             "cache.hit",
             "cache.miss",
             "cache.store",

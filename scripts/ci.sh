@@ -78,6 +78,20 @@ echo "== diagnostics totality (2000 dedicated iterations) =="
 FUZZ_CLASS=diagnostics-total FUZZ_ITERS=2000 \
   cargo test -q -p recmod-tests --release --test fuzz seeded
 
+echo "== interning differential (2000 dedicated iterations) =="
+# The per-thread interner against a deep reference walk: id equality
+# must be structural equality, and rebuilding a constructor through
+# fresh intern calls must return the identical canonical pointers.
+FUZZ_CLASS=intern-differential FUZZ_ITERS=2000 \
+  cargo test -q -p recmod-tests --release --test fuzz seeded
+
+echo "== thread isolation (2000 dedicated iterations) =="
+# Batch workers share nothing: a random batch compiled on two workers
+# and on one gives byte-identical outcomes, and nothing the workers do
+# shows in the calling thread's interner counters or telemetry sink.
+FUZZ_CLASS=thread-isolation FUZZ_ITERS=2000 \
+  cargo test -q -p recmod-tests --release --test fuzz seeded
+
 echo "== cost-model gate (counters vs tests/golden_costs.json) =="
 # Deterministic per-example counters (fuel, unrolls, cache traffic —
 # never wall clocks) compared against the checked-in baseline. Gating:

@@ -28,13 +28,11 @@
 //!   bottom-up rebuild through fresh intern calls must converge on the
 //!   identical canonical pointers.
 //! * **Thread isolation** — a batch of (possibly mutated) programs is
-//!   compiled through the parallel driver on two workers (sharing only
-//!   the global interner) and again on one; the outcomes must be
-//!   byte-identical, no compile may panic, neither the calling thread's
-//!   per-thread interner counters nor its telemetry sink may see any
-//!   bleed from the workers, and concurrent interning of
-//!   structurally-equal nodes from several threads must converge on one
-//!   canonical `NodeId` each.
+//!   compiled through the parallel driver on two workers (which share
+//!   nothing) and again on one; the outcomes must be byte-identical, no
+//!   compile may panic, and neither the calling thread's interner
+//!   counters nor its telemetry sink may see any bleed from the
+//!   workers.
 //! * **Profiled differential** — the same (possibly mutated) program is
 //!   compiled with no telemetry sink and under a full profiling sink
 //!   (`Config::profiled`); the verdicts and rendered diagnostics must
@@ -685,13 +683,10 @@ fn case_intern_differential(rng: &mut Rng) -> Result<(), String> {
 /// the parallel driver on two workers and on one, then checks:
 /// identical outcomes (order, status, diagnostics), no internal-error
 /// statuses from worker panics, merged worker counters summing to the
-/// batch size, and zero bleed into the calling thread's *per-thread*
-/// interner counters or telemetry sink. Workers share the global
-/// interner by design (that is the point of the sharded table), so the
-/// isolation invariant is about observation — counters, memo caches,
-/// sinks — not about structure; a final check spawns N threads
-/// interning the same random constructor concurrently and asserts they
-/// all converge on one canonical `NodeId` per structurally-equal node.
+/// batch size, and zero bleed into the calling thread's interner
+/// counters or telemetry sink. Workers share nothing: each has its own
+/// interner, memo caches and sink, so no worker can see another's
+/// structure or observations.
 fn case_thread_isolation(rng: &mut Rng) -> Result<(), String> {
     use recmod::driver::{compile_batch, DriverConfig, FileStatus, Job};
 
@@ -787,41 +782,6 @@ fn case_thread_isolation(rng: &mut Rng) -> Result<(), String> {
         ));
     }
 
-    // Shared-interner canonicity: N threads interning the same random
-    // constructor concurrently must agree on one canonical id per node.
-    // Each thread keeps its handles alive across the comparison —
-    // canonicity is only promised among live holders (entries are weak).
-    let seed = rng.next_u64();
-    let size = rng.range(1, 10);
-    let threads = rng.range(2, 5);
-    let per_thread: Vec<Vec<recmod::syntax::intern::HC<Con>>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                s.spawn(move || {
-                    use recmod::syntax::intern::hc;
-                    let (a, b) = recmod_bench::gen_nested_pair(size, seed);
-                    vec![hc(a), hc(b)]
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("interning thread panicked"))
-            .collect()
-    });
-    let first = &per_thread[0];
-    for (t, held) in per_thread.iter().enumerate().skip(1) {
-        for (i, (x, y)) in first.iter().zip(held).enumerate() {
-            if x.id() != y.id() {
-                return Err(format!(
-                    "concurrent interning disagreed on canonical id: thread 0 node {i} \
-                     has id {:?}, thread {t} has {:?} (seed {seed}, size {size})",
-                    x.id(),
-                    y.id()
-                ));
-            }
-        }
-    }
     Ok(())
 }
 
@@ -833,9 +793,8 @@ fn case_thread_isolation(rng: &mut Rng) -> Result<(), String> {
 /// full profiling sink. Returns the verdict (ok?), the rendered
 /// diagnostics, the stable error codes, and whether any spans were
 /// recorded. A fresh thread per compile keeps the verdict a pure
-/// function of the source: neither run can warm the other's
-/// thread-local memo caches (the global interner is shared, but
-/// interning only dedups structure — it never changes a verdict).
+/// function of the source: neither run can warm the other's interner
+/// or memo caches, which are all per-thread.
 #[allow(clippy::type_complexity)]
 fn compile_fresh(
     src: &str,

@@ -190,6 +190,7 @@ fn metrics_document_schema_is_golden() {
         as_u64(&doc, "metrics_schema_version"),
         METRICS_SCHEMA_VERSION
     );
+    assert_eq!(METRICS_SCHEMA_VERSION, 2, "the per-thread intern object");
     assert_eq!(get(&doc, "kind"), &Json::str("metrics"));
     assert_eq!(get(&doc, "deterministic"), &Json::Bool(false));
     for h in [
@@ -234,15 +235,7 @@ fn metrics_document_schema_is_golden() {
     // pinned by the sources above.
     let answered: u64 = ["ok", "error"].iter().map(|k| as_u64(status, k)).sum();
     assert_eq!(answered, SOURCES.len() as u64);
-    let intern = get(&doc, "intern");
-    assert_eq!(obj_keys(intern), ["contended", "entries", "shards"]);
-    assert_eq!(
-        get(intern, "shards")
-            .as_arr()
-            .expect("shards must be an array")
-            .len(),
-        recmod::syntax::intern::SHARD_COUNT
-    );
+    assert_eq!(obj_keys(get(&doc, "intern")), ["entries"]);
     let workers = get(&doc, "workers")
         .as_arr()
         .expect("workers must be an array");
@@ -251,6 +244,34 @@ fn metrics_document_schema_is_golden() {
         assert_eq!(obj_keys(w), ["busy_nanos", "utilization", "worker"]);
         assert!(matches!(get(w, "utilization"), Json::Float(f) if (0.0..=1.0).contains(f)));
     }
+}
+
+/// The metrics document's interner entries are the workers' own tables,
+/// as the `stats` op lists them, once every worker has published its
+/// snapshot after its last request.
+#[test]
+fn metrics_intern_entries_sum_the_workers_tables() {
+    let server = quiet_server(None);
+    drive(&server, false);
+    let workers = loop {
+        let stats = server.stats_json();
+        let workers = get(&stats, "workers")
+            .as_arr()
+            .expect("workers must be an array")
+            .to_vec();
+        let published: u64 = workers.iter().map(|w| as_u64(w, "requests")).sum();
+        if published == SOURCES.len() as u64 {
+            break workers;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    };
+    let tables: u64 = workers
+        .iter()
+        .map(|w| as_u64(w, "con_entries") + as_u64(w, "kind_entries"))
+        .sum();
+    assert!(tables > 0, "the workers interned something");
+    let doc = server.metrics_json(false);
+    assert_eq!(as_u64(get(&doc, "intern"), "entries"), tables);
 }
 
 #[test]

@@ -450,8 +450,11 @@ fn a_compile_does_not_depend_on_what_other_threads_hold() {
         })
     };
     let alone = round();
-    let held = [recmod::corpus::TRANSPARENT_LIST, recmod::corpus::OPAQUE_LIST]
-        .map(|src| recmod::compile_with_limits(src, &recmod::Limits::default()));
+    let held = [
+        recmod::corpus::TRANSPARENT_LIST,
+        recmod::corpus::OPAQUE_LIST,
+    ]
+    .map(|src| recmod::compile_with_limits(src, &recmod::Limits::default()));
     assert!(held.iter().all(Result::is_ok), "both lists typecheck");
     let beside = round();
     for ((fuel, n0, trace0), (_, n1, trace1)) in alone.iter().zip(&beside) {
