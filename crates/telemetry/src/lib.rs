@@ -107,12 +107,9 @@ use diag::FrameKind;
 ///
 /// History: 3 = sharded global interner + on-disk artifact cache (the
 /// golden cost model dropped the warmth-dependent `syntax.intern_*`
-/// counters, `--stats` gained interner contention, and cache entries
-/// embed this version in their key). The interner has since gone back
-/// to one table per thread and the contention counter is gone; that
-/// needed no bump, because `--stats` lists a counter only when it is
-/// nonzero and contention could only be nonzero at `--jobs` > 1,
-/// whose counters were never reproducible; 2 = S17 NbE
+/// counters, `--stats` gained interner contention — gone with the
+/// per-thread interner, no bump: `--stats` lists nonzero counters only
+/// — and cache entries embed this version in their key); 2 = S17 NbE
 /// engine (the `--stats` kernel section gained `equiv_engine` and the
 /// eval/quote/synth-cache counters, the kernel caches text line was
 /// renamed, and the golden cost model's fuel accounting changed

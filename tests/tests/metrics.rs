@@ -253,6 +253,7 @@ fn metrics_document_schema_is_golden() {
 fn metrics_intern_entries_sum_the_workers_tables() {
     let server = quiet_server(None);
     drive(&server, false);
+    let deadline = std::time::Instant::now() + Duration::from_secs(120);
     let workers = loop {
         let stats = server.stats_json();
         let workers = get(&stats, "workers")
@@ -263,6 +264,11 @@ fn metrics_intern_entries_sum_the_workers_tables() {
         if published == SOURCES.len() as u64 {
             break workers;
         }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the workers published {published} of {} snapshots",
+            SOURCES.len()
+        );
         std::thread::sleep(Duration::from_millis(1));
     };
     let tables: u64 = workers
