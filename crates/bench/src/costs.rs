@@ -77,11 +77,6 @@ pub fn measure_example(source: &str) -> Costs {
 }
 
 fn measure_in_thread(source: &str) -> Costs {
-    // Pin every node this thread interns: without pins a re-interned
-    // node keeps its NodeId only while the thread happens to hold it
-    // alive, so the id-keyed kernel memo hit counts would depend on
-    // when the compile drops its intermediate results.
-    let _pin = recmod::syntax::intern::pin_thread();
     telemetry::install(telemetry::Config::default());
     let elab = Elaborator::with_limits(recmod::telemetry::Limits::default());
     let (elab, ok) = match compile_with_limits_in(elab, source) {

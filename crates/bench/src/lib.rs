@@ -33,12 +33,6 @@ pub fn list_run_stats(
     n: usize,
 ) -> (recmod::eval::EvalStats, recmod::kernel::KernelStats) {
     recmod::eval::run_big_stack(512, move || {
-        // Pin interned nodes for the duration: id-keyed kernel memo hit
-        // counts are a pure function of the source only when re-interned
-        // nodes keep their ids (see `costs::measure_in_thread`) —
-        // without this, the whnf hit/miss/fuel splits would move with
-        // when the compile drops its intermediate results.
-        let _pin = recmod::syntax::intern::pin_thread();
         let program = corpus::list_program(opaque, n);
         let compiled = recmod::compile(&program).expect("list program compiles");
         let kernel = compiled.elab.tc.stats();
@@ -142,16 +136,13 @@ pub struct CompileCost {
     pub intern_probes: u64,
 }
 
-/// Compiles `src` (which must be well-typed) on a fresh thread with its
-/// interned nodes pinned, and returns the P2 counters. Pinning makes the
-/// id-keyed kernel memo hits — and so fuel — a pure function of the
-/// source (see `costs::measure_in_thread`); the fresh thread gives the
-/// compile fresh per-thread interner counters and rewrite memo.
+/// Compiles `src` (which must be well-typed) on a fresh thread and
+/// returns the P2 counters. The fresh thread gives the compile fresh
+/// per-thread interner counters and rewrite memo.
 pub fn compile_cost(src: &str) -> CompileCost {
     let src = src.to_string();
     recmod::eval::run_big_stack(512, move || {
-        use recmod::syntax::intern::{intern_stats, pin_thread};
-        let _pin = pin_thread();
+        use recmod::syntax::intern::intern_stats;
         let probes = || {
             let s = intern_stats();
             s.hits + s.misses

@@ -16,7 +16,7 @@
 //! engages for `check` whenever `--jobs`/`--corpus` is given, more than
 //! one path is named, or a path is a directory (searched recursively
 //! for `*.rm`); it compiles files in parallel on worker threads that
-//! share nothing, with warm per-worker caches, and prints
+//! share nothing, each reusing one renewed elaborator, and prints
 //! per-file diagnostics prefixed by the file name, in input order.
 //!
 //! Options:

@@ -14,11 +14,11 @@
 //! * every worker claims the next unclaimed job from one shared atomic
 //!   cursor until the cursor passes the end, so a fast worker simply
 //!   claims more files and a worker that never started claims none;
-//! * each worker keeps its elaborator (and hence whnf memo and
-//!   equivalence cache) **warm across files** via
-//!   [`Elaborator::renew`], which resets per-program state but keeps
-//!   the memo tables — sound because context stamps are never reused
-//!   within a thread and the empty context is stamp 0 everywhere;
+//! * each worker reuses one elaborator across files via
+//!   [`Elaborator::renew`], which returns it to the state of a fresh
+//!   one (empty memo tables, zeroed counters) while keeping the tables'
+//!   capacity, so a file's fuel, verdict and diagnostics depend only
+//!   on its own source and limits, never on the files before it;
 //! * results carry their input index and are re-sequenced before
 //!   return, so output order is deterministic regardless of
 //!   scheduling; per-worker telemetry reports are merged with
@@ -33,7 +33,7 @@
 //! boundary: the file reports [`FileStatus::Internal`], the worker
 //! drops its (possibly poisoned) elaborator and rebuilds a fresh one,
 //! and every other file is unaffected. The compile attempt itself —
-//! warm elaborator, `catch_unwind`, classification, rendering, cache
+//! renewed elaborator, `catch_unwind`, classification, rendering, cache
 //! replay and store — is one crate-private path (`attempt`, `replay`,
 //! `store`) shared with the compile service ([`serve`]).
 
@@ -311,8 +311,7 @@ fn read_job(path: &Path) -> Result<Job, String> {
 /// Spawns `config.jobs` workers (clamped to the job count), each with
 /// its own stack, interner, kernel caches, and telemetry sink; each
 /// worker claims the next unclaimed job until
-/// none is left. See the crate docs for the determinism and warm-cache
-/// arguments. When [`DriverConfig::cache`] is set, each file consults
+/// none is left. See the crate docs for the determinism argument. When [`DriverConfig::cache`] is set, each file consults
 /// the artifact cache before compiling and stores its verdict after.
 pub fn compile_batch(jobs: &[Job], config: &DriverConfig) -> BatchResult {
     let t0 = Instant::now();
@@ -425,6 +424,7 @@ fn worker_loop(
         recmod_telemetry::install(cfg.clone());
     }
     let mut elab: Option<Elaborator> = None;
+    let mut fuel_used = 0;
     let mut outs = Vec::new();
     loop {
         // `Relaxed` suffices: the cursor publishes no other data (the
@@ -435,7 +435,7 @@ fn worker_loop(
         let Some(job) = jobs.get(idx) else { break };
         outs.push((
             idx,
-            compile_one(wid, job, &mut elab, config, artifact_cache),
+            compile_one(wid, job, &mut elab, &mut fuel_used, config, artifact_cache),
         ));
     }
     recmod_telemetry::count("driver.files", outs.len() as u64);
@@ -460,10 +460,13 @@ const TRACK_COUNTERS: &[&str] = &[
     "syntax.intern_miss",
 ];
 
+/// Compiles (or replays) one job on worker `wid`; `fuel_used` is the
+/// worker's running kernel-fuel total, sampled into the counter track.
 fn compile_one(
     wid: usize,
     job: &Job,
     elab: &mut Option<Elaborator>,
+    fuel_used: &mut u64,
     config: &DriverConfig,
     artifact_cache: Option<&cache::Cache>,
 ) -> FileOutcome {
@@ -498,13 +501,15 @@ fn compile_one(
         if let Some((c, k)) = key {
             store(c, k, &verdict);
         }
+        // `renew` zeroes the kernel's counters, so the worker keeps the
+        // running total itself.
+        *fuel_used += elab.as_ref().map_or(0, |e| e.tc.stats().fuel_used());
         if recmod_telemetry::profiling_enabled() {
             // One counter-track sample per file boundary: cumulative
             // cache hit/miss counters plus gauges the sink cannot see
             // (interner occupancy, cumulative kernel fuel for this
             // worker).
             let intern = recmod_syntax::intern::intern_stats();
-            let fuel = elab.as_ref().map(|e| e.tc.stats().fuel_used()).unwrap_or(0);
             recmod_telemetry::sample(
                 TRACK_COUNTERS,
                 &[
@@ -512,7 +517,7 @@ fn compile_one(
                         "syntax.intern_occupancy",
                         intern.con_entries + intern.kind_entries,
                     ),
-                    ("kernel.fuel_used", fuel),
+                    ("kernel.fuel_used", *fuel_used),
                 ],
             );
         }
@@ -581,8 +586,8 @@ impl Verdict {
     }
 }
 
-/// Compiles `source` once on the warm elaborator in `elab` (renewed
-/// under `limits`) or on a fresh one, under `catch_unwind`, then
+/// Compiles `source` once on the elaborator in `elab` (renewed under
+/// `limits`) or on a fresh one, under `catch_unwind`, then
 /// classifies and renders the result under `name`. The elaborator is
 /// put back for the next compile unless the compile unwound: it was
 /// consumed by the panicking call and its caches may be mid-mutation,
@@ -595,7 +600,7 @@ pub(crate) fn attempt(
     max_errors: usize,
     elab: &mut Option<Elaborator>,
 ) -> std::thread::Result<Verdict> {
-    let warm = match elab.take() {
+    let renewed = match elab.take() {
         Some(mut e) => {
             e.renew(limits);
             e
@@ -603,7 +608,7 @@ pub(crate) fn attempt(
         None => Elaborator::with_limits(limits),
     };
     #[allow(clippy::result_large_err)] // one call per compile; never propagated
-    let compile = || compile_with_limits_in(warm, source);
+    let compile = || compile_with_limits_in(renewed, source);
     let (verdict, returned) = match catch_unwind(AssertUnwindSafe(compile))? {
         Ok(compiled) => (
             Verdict {

@@ -471,8 +471,8 @@ impl Response {
 /// Compile-service settings.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Worker threads (each with its own stack, interner, and warm
-    /// kernel caches).
+    /// Worker threads (each with its own stack, interner, and kernel
+    /// caches).
     pub workers: usize,
     /// Admission-queue bound; requests beyond it are shed with
     /// [`ResponseStatus::Overloaded`]. `0` sheds everything (useful to
@@ -1188,8 +1188,9 @@ fn worker_loop(core: &Arc<Core>, wid: usize) {
         // just dropped its strong pointers, so the weak tables are
         // mostly tombstones. Sweeping here (instead of waiting for the
         // doubling high-water mark) bounds a long-lived worker's table
-        // occupancy by its live working set — the warm elaborator's
-        // prelude plus whatever the caches still pin — so repeated
+        // occupancy by its live working set — what the elaborator still
+        // holds from the last request (its bindings and the keys of its
+        // memo tables, all dropped at the next `renew`) — so repeated
         // identical requests hold occupancy flat instead of ratcheting
         // the high-water mark upward.
         let swept = intern::sweep_now();
@@ -2042,28 +2043,27 @@ mod tests {
     #[test]
     fn worker_intern_occupancy_stabilizes_across_identical_requests() {
         let mut server = Server::start(quiet_cfg()).unwrap();
-        let src = busy_source();
-        let run_one = |id: u64| {
+        let run_one = |id: u64, src: String| {
             let (tx, rx) = channel();
-            server.submit(Request::new(id, "same.rm", src.clone()), tx);
+            server.submit(Request::new(id, "same.rm", src), tx);
             let r = rx.recv_timeout(Duration::from_secs(30)).unwrap();
             assert_eq!(r.status, ResponseStatus::Ok);
         };
         for id in 1..=4 {
-            run_one(id);
+            run_one(id, busy_source());
         }
         let early = worker_snapshot(&server, 4);
         for id in 5..=10 {
-            run_one(id);
+            run_one(id, busy_source());
         }
         let late = worker_snapshot(&server, 10);
         let occupancy = |w: &Json| {
             w.get("con_entries").and_then(Json::as_u64).unwrap()
                 + w.get("kind_entries").and_then(Json::as_u64).unwrap()
         };
-        // The between-requests sweep plus `Tc::renew`'s dead-stamp
-        // pruning bound the warm worker's tables by its live working
-        // set: six more copies of the same request must not grow them.
+        // The between-requests sweep bounds the worker's tables by its
+        // live working set: six more copies of the same request must
+        // not grow them.
         assert!(
             occupancy(&late) <= occupancy(&early),
             "interner occupancy grew on identical requests: {} then {}",
@@ -2074,8 +2074,17 @@ mod tests {
             late.get("intern_sweeps").and_then(Json::as_u64).unwrap() >= 10,
             "every request boundary should sweep"
         );
+        // An identical request re-interns into the very nodes the
+        // renewed elaborator held until it started, so it leaves no
+        // garbage; a differing one drops what only the last request
+        // used, and the sweep after it must reclaim that.
+        run_one(
+            11,
+            "fun flip (b : bool) : bool = if b then false else true".into(),
+        );
+        let after = worker_snapshot(&server, 11);
         assert!(
-            late.get("swept_entries").and_then(Json::as_u64).unwrap() > 0,
+            after.get("swept_entries").and_then(Json::as_u64).unwrap() > 0,
             "sweeps should reclaim the per-request garbage"
         );
         server.shutdown();

@@ -37,8 +37,8 @@ impl Tc {
         if self.engine() != crate::EquivEngine::Nbe {
             return self.synth_con_uncached(ctx, c);
         }
-        let key = (ctx.stamp(), hc(c.clone()).id());
-        if let Some(k) = self.synth_cached(key) {
+        let key = (ctx.stamp(), hc(c.clone()));
+        if let Some(k) = self.synth_cached(&key) {
             crate::stats::TcStats::bump(&self.stat_cells().synth_cache_hits);
             recmod_telemetry::count("kernel.synth_cache_hit", 1);
             return Ok(k);

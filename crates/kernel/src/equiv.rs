@@ -22,7 +22,7 @@
 //!   never equal to a non-`μ`.
 
 use recmod_syntax::ast::{Con, Kind};
-use recmod_syntax::intern::{hc, NodeId};
+use recmod_syntax::intern::{hc, HC};
 use recmod_syntax::subst::{shift_con, shift_kind, subst_con_kind};
 
 use crate::ctx::Ctx;
@@ -31,18 +31,19 @@ use crate::show;
 use crate::{RecMode, Tc};
 
 /// The set of constructor pairs currently assumed equal (coinduction),
-/// keyed by interned node ids: id equality is structural equality, so
-/// membership costs two id reads instead of a deep hash of both trees.
+/// keyed by interned nodes, which hash and compare by id: id equality is
+/// structural equality, so membership costs two id reads instead of a
+/// deep hash of both trees.
 /// The de Bruijn caveat still applies — ids name *syntax*, and the same
 /// syntax under a new binder denotes different variables — so every
 /// comparison that descends under a binder starts a fresh set (see the
 /// `Pi` and iso-`μ` cases).
-type Seen = recmod_syntax::fxhash::FxHashSet<(NodeId, NodeId)>;
+type Seen = recmod_syntax::fxhash::FxHashSet<(HC<Con>, HC<Con>)>;
 
-/// The interned id of a constructor (a shallow clone plus one table
+/// The interned node of a constructor (a shallow clone plus one table
 /// probe — children are already interned).
-fn con_id(c: &Con) -> NodeId {
-    hc(c.clone()).id()
+fn con_node(c: &Con) -> HC<Con> {
+    hc(c.clone())
 }
 
 impl Tc {
@@ -65,7 +66,7 @@ impl Tc {
             self.equiv_remember(stamp, a, b);
         }
         if matches!(k, Kind::Type) {
-            self.equiv_remember(stamp, con_id(c1), con_id(c2));
+            self.equiv_remember(stamp, con_node(c1), con_node(c2));
         }
         Ok(())
     }
@@ -145,11 +146,11 @@ impl Tc {
             recmod_telemetry::count("kernel.equiv_ptr_eq", 1);
             return Ok(());
         }
-        let key = (con_id(&a), con_id(&b));
+        let key = (con_node(&a), con_node(&b));
         if seen.contains(&key) {
             return Ok(());
         }
-        if self.equiv_cached((ctx.stamp(), key.0, key.1)) {
+        if self.equiv_cached(&(ctx.stamp(), key.0.clone(), key.1.clone())) {
             crate::stats::TcStats::bump(&self.stat_cells().equiv_cache_hits);
             recmod_telemetry::count("kernel.equiv_cache_hit", 1);
             return Ok(());
@@ -228,7 +229,7 @@ impl Tc {
 
     /// Adds a pair to the coinductive assumption set, recording the
     /// insert and the set's high-water mark.
-    fn note_assumption(&self, seen: &mut Seen, key: (NodeId, NodeId)) {
+    fn note_assumption(&self, seen: &mut Seen, key: (HC<Con>, HC<Con>)) {
         seen.insert(key);
         let st = self.stat_cells();
         crate::stats::TcStats::bump(&st.assumption_inserts);

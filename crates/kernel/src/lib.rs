@@ -60,7 +60,7 @@ use recmod_syntax::fxhash::{FxHashMap, FxHashSet};
 use std::cell::{Cell, RefCell};
 
 use recmod_syntax::ast::{Con, Kind};
-use recmod_syntax::intern::NodeId;
+use recmod_syntax::intern::{hc, HC};
 
 pub use ctx::{Ctx, Entry};
 pub use error::{raise, TcResult, TypeError};
@@ -131,6 +131,12 @@ pub fn resolve_engine() -> EquivEngine {
     ENGINE_OVERRIDE.with(Cell::get).unwrap_or_default()
 }
 
+/// A memo key: a context stamp and an interned constructor.
+type StampedCon = (u64, HC<Con>);
+
+/// An equivalence-cache key: a context stamp and two constructors.
+type ProvenPair = (u64, HC<Con>, HC<Con>);
+
 /// The default fuel budget for normalization and equivalence checking.
 pub const DEFAULT_FUEL: u64 = 5_000_000;
 
@@ -153,44 +159,44 @@ pub struct Tc {
     /// Transient environment nodes for the NbE machine — recycled
     /// between runs, never interned (see [`nbe`]).
     nbe: nbe::Arena,
-    /// Weak-head normal forms, keyed by (context stamp, constructor id).
-    /// Sound because a stamp names one exact declaration stack and
-    /// interned ids name one exact constructor (see [`Ctx::stamp`]).
-    whnf_cache: RefCell<FxHashMap<(u64, NodeId), Con>>,
-    /// Proven kind-`T` equalities, keyed by (context stamp, lhs id,
-    /// rhs id). Only populated from *successful* root equivalence runs
+    /// Weak-head normal forms, keyed by (context stamp, constructor).
+    /// Sound because a stamp names one exact declaration stack and an
+    /// interned node one exact constructor (see [`Ctx::stamp`]). Every
+    /// table below holds the node it is keyed by, so a key's id stays
+    /// live while its entry does, and a lookup hits exactly when this
+    /// run inserted that structure — whatever else the thread holds.
+    whnf_cache: RefCell<FxHashMap<StampedCon, Con>>,
+    /// Proven kind-`T` equalities, keyed by (context stamp, lhs, rhs).
+    /// Only populated from *successful* root equivalence runs
     /// (a coinductive assumption is a fact once the run it served in
     /// closes — Brandt–Henglein), and only at kind `T`: at `1` and
     /// singleton kinds everything is equal, so caching there would be
     /// vacuous, and `Π`/`Σ` comparisons decompose before reaching the
     /// table.
-    equiv_cache: RefCell<FxHashSet<(u64, NodeId, NodeId)>>,
+    equiv_cache: RefCell<FxHashSet<ProvenPair>>,
     /// Memoized kind synthesis, keyed like the whnf cache. Only
     /// consulted under [`EquivEngine::Nbe`] (the substitution engine
     /// stays byte-for-byte the pre-S17 reference): synthesis is
     /// deterministic and a stamp names one exact declaration stack, so
     /// a cached kind is always the kind synthesis would recompute.
     /// Errors are never cached.
-    synth_cache: RefCell<FxHashMap<(u64, NodeId), Kind>>,
-    /// Memoized contractiveness verdicts, keyed by μ constructor id
-    /// alone — [`whnf::is_contractive`] is a pure function of the node,
+    synth_cache: RefCell<FxHashMap<StampedCon, Kind>>,
+    /// Memoized contractiveness verdicts, keyed by the μ node alone —
+    /// [`whnf::is_contractive`] is a pure function of the node,
     /// independent of context, mode, and engine. Brandt–Henglein
     /// re-tests the same μ on every coinductive step, and each raw test
     /// rebuilds the body's deferral graph, so this single bit per node
     /// is one of the larger S17 wins on μ-heavy programs.
-    mu_contractive: RefCell<FxHashMap<NodeId, bool>>,
+    mu_contractive: RefCell<FxHashMap<HC<Con>, bool>>,
     /// Memoized one-step μ-unrollings (`μα:κ.c ↦ c[μα:κ.c/α]`), keyed
-    /// by μ constructor id. Also context-free. Interned ids are never
-    /// reused, so an id that hits always names the identical live node;
-    /// both tables therefore stay warm across [`Tc::renew`] (bounded by
-    /// [`CACHE_CAP`]) — exactly what a serve worker re-checking the
-    /// same recursive signatures wants.
-    mu_unroll: RefCell<FxHashMap<NodeId, Con>>,
+    /// by the μ node. Also context-free; like every table here it lives
+    /// for one run and [`Tc::renew`] empties it.
+    mu_unroll: RefCell<FxHashMap<HC<Con>, Con>>,
 }
 
 /// Caches are cleared once they pass this many entries — a crude bound
-/// that keeps a long-lived [`Tc`] from growing without limit while
-/// leaving the steady-state hit rate intact for realistic sessions.
+/// that keeps one long run from growing without limit while leaving
+/// the steady-state hit rate intact for realistic programs.
 const CACHE_CAP: usize = 1 << 16;
 
 impl Default for Tc {
@@ -344,16 +350,16 @@ impl Tc {
     }
 
     /// Looks up a memoized synthesized kind (NbE engine only).
-    pub(crate) fn synth_cached(&self, key: (u64, NodeId)) -> Option<Kind> {
+    pub(crate) fn synth_cached(&self, key: &StampedCon) -> Option<Kind> {
         if self.engine != EquivEngine::Nbe {
             return None;
         }
-        self.synth_cache.borrow().get(&key).cloned()
+        self.synth_cache.borrow().get(key).cloned()
     }
 
     /// Records a synthesized kind (NbE engine only; clearing the table
     /// first when it has outgrown [`CACHE_CAP`]).
-    pub(crate) fn synth_remember(&self, key: (u64, NodeId), value: Kind) {
+    pub(crate) fn synth_remember(&self, key: StampedCon, value: Kind) {
         if self.engine != EquivEngine::Nbe {
             return;
         }
@@ -365,13 +371,13 @@ impl Tc {
     }
 
     /// Looks up a memoized weak-head normal form.
-    pub(crate) fn whnf_cached(&self, key: (u64, NodeId)) -> Option<Con> {
-        self.whnf_cache.borrow().get(&key).cloned()
+    pub(crate) fn whnf_cached(&self, key: &StampedCon) -> Option<Con> {
+        self.whnf_cache.borrow().get(key).cloned()
     }
 
     /// Records a weak-head normal form (clearing the table first when it
     /// has outgrown [`CACHE_CAP`]).
-    pub(crate) fn whnf_remember(&self, key: (u64, NodeId), value: Con) {
+    pub(crate) fn whnf_remember(&self, key: StampedCon, value: Con) {
         let mut t = self.whnf_cache.borrow_mut();
         if t.len() >= CACHE_CAP {
             t.clear();
@@ -389,8 +395,8 @@ impl Tc {
         if !matches!(c, Con::Mu(_, _)) {
             return false;
         }
-        let id = recmod_syntax::intern::hc(c.clone()).id();
-        if let Some(&v) = self.mu_contractive.borrow().get(&id) {
+        let node = hc(c.clone());
+        if let Some(&v) = self.mu_contractive.borrow().get(&node) {
             return v;
         }
         let v = whnf::is_contractive(c);
@@ -398,7 +404,7 @@ impl Tc {
         if t.len() >= CACHE_CAP {
             t.clear();
         }
-        t.insert(id, v);
+        t.insert(node, v);
         v
     }
 
@@ -413,8 +419,8 @@ impl Tc {
     /// cached; the non-μ case is a caller bug surfaced as a
     /// diagnostic).
     pub(crate) fn unroll_mu_cached(&self, c: &Con) -> error::TcResult<Con> {
-        let id = recmod_syntax::intern::hc(c.clone()).id();
-        if let Some(u) = self.mu_unroll.borrow().get(&id) {
+        let node = hc(c.clone());
+        if let Some(u) = self.mu_unroll.borrow().get(&node) {
             return Ok(u.clone());
         }
         let u = whnf::unroll_mu(c)?;
@@ -422,73 +428,50 @@ impl Tc {
         if t.len() >= CACHE_CAP {
             t.clear();
         }
-        t.insert(id, u.clone());
+        t.insert(node, u.clone());
         Ok(u)
     }
 
     /// Has this kind-`T` equality already been proven?
-    pub(crate) fn equiv_cached(&self, key: (u64, NodeId, NodeId)) -> bool {
-        self.equiv_cache.borrow().contains(&key)
+    pub(crate) fn equiv_cached(&self, key: &ProvenPair) -> bool {
+        self.equiv_cache.borrow().contains(key)
     }
 
     /// Records proven kind-`T` equalities (both orientations — the
     /// judgement is symmetric).
-    pub(crate) fn equiv_remember(&self, stamp: u64, a: NodeId, b: NodeId) {
+    pub(crate) fn equiv_remember(&self, stamp: u64, a: HC<Con>, b: HC<Con>) {
         let mut t = self.equiv_cache.borrow_mut();
         if t.len() >= CACHE_CAP {
             t.clear();
         }
-        t.insert((stamp, a, b));
+        t.insert((stamp, a.clone(), b.clone()));
         t.insert((stamp, b, a));
     }
 
-    /// Drops every memoized whnf/equivalence/synthesis entry and the
-    /// NbE transient arena (the interning tables in `recmod-syntax`
-    /// are untouched).
-    pub fn clear_caches(&self) {
-        self.whnf_cache.borrow_mut().clear();
-        self.equiv_cache.borrow_mut().clear();
-        self.synth_cache.borrow_mut().clear();
-        self.mu_contractive.borrow_mut().clear();
-        self.mu_unroll.borrow_mut().clear();
-        self.nbe.reset();
-    }
-
-    /// Re-arms the checker for a fresh run under new [`Limits`] while
-    /// keeping its memo tables **warm**: fuel and the live recursion
-    /// depth reset, the deadline is the new one, but the whnf,
-    /// equivalence, and kind-synthesis caches (and the judgement
-    /// counters) carry over. The NbE environment arena, by contrast,
-    /// is *reset* — environments are transients of a single machine
-    /// run and must never survive a re-arm (a run abandoned by a
-    /// worker panic could otherwise leave nodes behind).
+    /// Re-arms the checker for a fresh run under new [`Limits`],
+    /// returning it to exactly the state of a fresh one: fuel, the live
+    /// recursion depth and the judgement counters reset, the deadline is
+    /// the new one, and every memo table and the NbE environment arena
+    /// is emptied (capacity kept). A run's fuel, verdict and diagnostics
+    /// therefore depend only on its own input and limits, never on what
+    /// the checker ran before.
     ///
-    /// This is the batch driver's per-file reset. Reuse is sound
-    /// because all three caches are keyed by context stamps: the empty
-    /// context is always stamp `0` (the same context in every file),
-    /// and non-empty stamps are drawn from a thread-local counter that
-    /// never repeats, so entries recorded under a previous file's
-    /// non-empty contexts can never be looked up again.
-    ///
-    /// Because those non-zero-stamp entries are unreachable, `renew`
-    /// *prunes* them: every surviving hit a warm run could ever see is
-    /// on a stamp-`0` entry, and the dead entries' `HC` pointers would
-    /// otherwise pin interned nodes forever — a long-lived serve
-    /// worker's tables would ratchet upward with every request even
-    /// though its live working set is flat.
-    /// The μ-memo tables (contractiveness, unrollings) are keyed by
-    /// node id alone — context-free facts — so they carry over without
-    /// pruning; [`CACHE_CAP`] bounds them instead.
+    /// This is the batch driver's and the compile service's per-file
+    /// reset. It also discards whatever a run abandoned by a worker
+    /// panic left behind in the arena or the tables.
     pub fn renew(&mut self, limits: Limits) {
         self.fuel.set(limits.fuel);
         self.budget.set(limits.fuel);
         self.depth.set(0);
         self.deadline_tick.set(0);
         self.limits = limits;
+        self.stats.reset();
         self.nbe.reset();
-        self.whnf_cache.borrow_mut().retain(|(s, _), _| *s == 0);
-        self.equiv_cache.borrow_mut().retain(|(s, _, _)| *s == 0);
-        self.synth_cache.borrow_mut().retain(|(s, _), _| *s == 0);
+        self.whnf_cache.get_mut().clear();
+        self.equiv_cache.get_mut().clear();
+        self.synth_cache.get_mut().clear();
+        self.mu_contractive.get_mut().clear();
+        self.mu_unroll.get_mut().clear();
     }
 }
 
@@ -533,57 +516,45 @@ pub(crate) mod show {
 mod renew_tests {
     use super::*;
     use recmod_syntax::ast::Kind;
-    use recmod_syntax::dsl::{cvar, mu, q};
+    use recmod_syntax::dsl::{carrow, cvar, mu, q, tkind};
 
-    #[test]
-    fn renew_resets_budget_but_keeps_caches_warm() {
-        let mut tc = Tc::new();
+    /// Y: `μα:Q(int).α ≡ int` in the empty context, then `α ≡ int`
+    /// under `α : Q(int)` — work that X below has already memoized.
+    fn check_y(tc: &Tc) -> (bool, bool, KernelStats) {
         let mut ctx = Ctx::new();
         let c = mu(q(Con::Int), cvar(0));
-        tc.con_equiv(&mut ctx, &c, &Con::Int, &Kind::Type).unwrap();
-        let spent = DEFAULT_FUEL - tc.fuel();
-        assert!(spent > 0, "the check must burn fuel");
-
-        tc.renew(Limits::default().with_fuel(1_000));
-        assert_eq!(tc.fuel(), 1_000);
-        assert_eq!(tc.fuel_budget(), 1_000);
-
-        // The same empty-context query again: the warm caches answer it
-        // with a cache hit rather than re-deriving.
-        let before = tc.stats();
-        tc.con_equiv(&mut ctx, &c, &Con::Int, &Kind::Type).unwrap();
-        let delta = tc.stats().delta_since(&before);
-        assert!(
-            delta.equiv_cache_hits > 0 || delta.whnf_cache_hits > 0,
-            "renew must not clear the memo tables: {delta:?}"
-        );
+        let top = tc.con_equiv(&mut ctx, &c, &Con::Int, &Kind::Type).is_ok();
+        let under = ctx.with_con(q(Con::Int), |ctx| {
+            tc.con_equiv(ctx, &cvar(0), &Con::Int, &Kind::Type).is_ok()
+        });
+        (top, under, tc.stats())
     }
 
     #[test]
-    fn renew_prunes_dead_stamp_entries_but_keeps_the_empty_context_warm() {
+    fn renewed_checker_behaves_as_a_fresh_one() {
         let mut tc = Tc::new();
+        // X: Y's queries plus a μ equivalence under a binder, so every
+        // memo table holds entries Y could hit if they survived.
         let mut ctx = Ctx::new();
-        // Empty-context work populates stamp-0 entries …
-        let c = mu(q(Con::Int), cvar(0));
-        tc.con_equiv(&mut ctx, &c, &Con::Int, &Kind::Type).unwrap();
-        // … and work under a binder records dead-stamp entries.
+        let m = mu(tkind(), carrow(Con::Int, cvar(0)));
+        let unrolled = carrow(Con::Int, m.clone());
+        tc.con_equiv(&mut ctx, &m, &unrolled, &Kind::Type).unwrap();
         ctx.with_con(q(Con::Bool), |ctx| {
             tc.con_equiv(ctx, &cvar(0), &Con::Bool, &Kind::Type)
                 .unwrap();
         });
-        let dead = tc.whnf_cache.borrow().keys().any(|(s, _)| *s != 0)
-            || tc.synth_cache.borrow().keys().any(|(s, _)| *s != 0)
-            || tc.equiv_cache.borrow().iter().any(|(s, _, _)| *s != 0);
-        assert!(dead, "a binder-scoped query must record non-zero stamps");
+        check_y(&tc);
+        assert!(tc.fuel() < DEFAULT_FUEL, "X must burn fuel");
 
-        tc.renew(Limits::default());
-        assert!(tc.whnf_cache.borrow().keys().all(|(s, _)| *s == 0));
-        assert!(tc.synth_cache.borrow().keys().all(|(s, _)| *s == 0));
-        assert!(tc.equiv_cache.borrow().iter().all(|(s, _, _)| *s == 0));
-        let warm = !tc.whnf_cache.borrow().is_empty()
-            || !tc.equiv_cache.borrow().is_empty()
-            || !tc.synth_cache.borrow().is_empty();
-        assert!(warm, "stamp-0 entries must survive the pruning");
+        tc.renew(Limits::default().with_fuel(1_000));
+        assert_eq!(tc.fuel(), 1_000);
+        assert_eq!(tc.fuel_budget(), 1_000);
+        assert_eq!(tc.stats(), KernelStats::default());
+        let fresh = Tc::with_limits(Limits::default().with_fuel(1_000));
+        let (renewed, fresh) = (check_y(&tc), check_y(&fresh));
+        assert_eq!(renewed, fresh);
+        assert!(renewed.0 && renewed.1, "both queries of Y hold");
+        assert_eq!(tc.fuel(), 1_000 - renewed.2.fuel_used());
     }
 
     #[test]

@@ -46,8 +46,8 @@
 //! the S12 tables — only quoted roots are. No `EnvRef` escapes a run:
 //! the machine's result is ordinary quoted syntax, and the memo
 //! caches on [`Tc`] store only that. [`Tc::renew`] additionally
-//! resets the arena so no stale environment can survive a worker
-//! re-arm (see the warm-cache soundness tests in `tests/`).
+//! resets the arena, with the caches, so no stale environment can
+//! survive a worker re-arm.
 
 use std::cell::{Cell, RefCell};
 
@@ -103,8 +103,8 @@ pub(crate) struct Arena {
 
 impl Arena {
     /// Drops all nodes (capacity retained) and zeroes the nesting
-    /// depth. Called between machine runs and by [`Tc::renew`] /
-    /// [`Tc::clear_caches`] so no stale environment survives a re-arm
+    /// depth. Called between machine runs and by [`Tc::renew`] so no
+    /// stale environment survives a re-arm
     /// (even after a panicking run abandoned mid-machine).
     pub(crate) fn reset(&self) {
         self.nodes.borrow_mut().clear();

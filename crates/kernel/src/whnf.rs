@@ -248,8 +248,8 @@ impl Tc {
         let _j = recmod_telemetry::judgement_span("kernel.whnf");
         let _depth = self.descend("whnf")?;
         let _trace = recmod_telemetry::trace_span(|| format!("whnf {}", crate::show::con(c)));
-        let key = (ctx.stamp(), hc(c.clone()).id());
-        if let Some(w) = self.whnf_cached(key) {
+        let key = (ctx.stamp(), hc(c.clone()));
+        if let Some(w) = self.whnf_cached(&key) {
             crate::stats::TcStats::bump(&self.stat_cells().whnf_cache_hits);
             recmod_telemetry::count("kernel.whnf_cache_hit", 1);
             return Ok(w);

@@ -99,11 +99,11 @@ impl Elaborator {
     }
 
     /// Resets all per-program state (context, environment, bindings,
-    /// gensym, recursion guards) and re-arms the kernel's fuel and
-    /// deadline from `limits`, while keeping the kernel's memo tables
-    /// warm. A batch driver calls this between files so interned nodes,
-    /// whnf results, and equivalence verdicts carry over; soundness of
-    /// the carry-over is argued at [`Tc::renew`].
+    /// gensym, recursion guards) and renews the kernel under `limits`
+    /// (see [`Tc::renew`]), so the elaborator is in the state of a fresh
+    /// one. The batch driver and the compile service call this between
+    /// files to reuse the allocations of the kernel's memo tables; no
+    /// result carries over from one file to the next.
     pub fn renew(&mut self, limits: recmod_kernel::Limits) {
         self.ctx = Ctx::new();
         self.env = ElabEnv::new();

@@ -54,8 +54,7 @@ impl Span {
 ///
 /// Provenance is *metadata about* an error, not part of its identity:
 /// two errors with the same span and kind are the same diagnostic even
-/// if cache state made the checker take a different route to them
-/// (warm vs cold batch workers do exactly that). The `PartialEq` impl
+/// if the checker took a different route to them. The `PartialEq` impl
 /// below encodes this by always comparing equal.
 #[derive(Debug, Clone, Default)]
 pub struct Provenance {

@@ -86,9 +86,9 @@ pub fn compile_with_limits(src: &str, limits: &Limits) -> Result<Compiled, Vec<S
 
 /// Like [`compile_with_limits`], but reuses a caller-supplied
 /// elaborator — and hands it back on failure, so a batch driver can
-/// keep a warm typechecker (interner, whnf memo, equivalence cache)
-/// across files. The caller is responsible for resetting per-run state
-/// first (see `Elaborator::renew`).
+/// reuse one typechecker's allocations across files. The caller is
+/// responsible for resetting per-run state first (see
+/// `Elaborator::renew`, which makes it equal to a fresh one).
 ///
 /// # Errors
 ///

@@ -27,10 +27,14 @@
 //! the kernel's whnf, equivalence, synthesis and μ tables. `--jobs N`
 //! workers therefore share nothing; each builds its own spine.
 //!
-//! What this buys is history independence across threads. Whether a
-//! re-interned node keeps its id — and so which id-keyed lookups hit
-//! and how much kernel fuel a compile spends — depends only on what the
-//! interning thread itself still holds, never on another thread.
+//! What this buys is history independence across threads: whether a
+//! re-interned node keeps its id depends only on what the interning
+//! thread itself still holds, never on another thread. Within a thread,
+//! the kernel's tables hold the nodes they are keyed by and are emptied
+//! between runs, so which kernel lookups hit — and how much fuel a
+//! compile spends — does not depend on what else the thread holds
+//! either. Only the interner's own hit and miss counts and the rewrite
+//! memo's hits still move with it.
 //!
 //! `NodeId`s are **never persisted**: the driver's on-disk artifact
 //! cache stores rendered verdicts keyed by source hashes, never ids,
@@ -167,8 +171,6 @@ struct Table<T: Internable> {
     hits: u64,
     misses: u64,
     sweeps: u64,
-    /// Every node interned while a [`pin_thread`] guard lives.
-    pins: Option<Vec<HC<T>>>,
 }
 
 impl<T: Internable> Table<T> {
@@ -179,12 +181,11 @@ impl<T: Internable> Table<T> {
             hits: 0,
             misses: 0,
             sweeps: 0,
-            pins: None,
         }
     }
 
     fn intern(&mut self, t: T) -> HC<T> {
-        let node = match self.map.get(&t).and_then(Weak::upgrade) {
+        match self.map.get(&t).and_then(Weak::upgrade) {
             Some(rc) => {
                 self.hits += 1;
                 recmod_telemetry::count("syntax.intern_hit", 1);
@@ -205,11 +206,7 @@ impl<T: Internable> Table<T> {
                 }
                 HC(rc)
             }
-        };
-        if let Some(pins) = &mut self.pins {
-            pins.push(node.clone());
         }
-        node
     }
 
     /// Drops the dead entries and resets the high-water mark to fit the
@@ -229,36 +226,6 @@ thread_local! {
     /// Ids start at 1 so 0 can serve as an "absent" sentinel in debug
     /// dumps.
     static NEXT_ID: Cell<NodeId> = const { Cell::new(1) };
-}
-
-/// RAII guard from [`pin_thread`]; dropping it releases the pins.
-pub struct PinGuard {
-    _priv: (),
-}
-
-impl Drop for PinGuard {
-    fn drop(&mut self) {
-        CONS.with(|t| t.borrow_mut().pins = None);
-        KINDS.with(|t| t.borrow_mut().pins = None);
-    }
-}
-
-/// Keeps every node this thread interns alive until the returned guard
-/// drops.
-///
-/// Whether a *re*-interned node keeps its [`NodeId`] depends on whether
-/// the thread still holds it, so id-keyed memo hit counts (the kernel's
-/// whnf/synth caches) move whenever the compiler drops an intermediate
-/// result earlier or later. The deterministic cost model
-/// (`bench_json --costs`) and the pinned views tests pin the measuring
-/// thread's nodes so every re-intern finds a live entry and those
-/// counts measure judgement work alone. Not for production paths:
-/// pinned nodes are exempt from sweeping by construction, so memory
-/// grows with every distinct node interned while the guard lives.
-pub fn pin_thread() -> PinGuard {
-    CONS.with(|t| t.borrow_mut().pins = Some(Vec::new()));
-    KINDS.with(|t| t.borrow_mut().pins = Some(Vec::new()));
-    PinGuard { _priv: () }
 }
 
 impl Internable for Con {

@@ -27,8 +27,8 @@ cargo build --release --workspace
 echo "== cargo test =="
 cargo test --workspace -q
 
-echo "== bounded fuzz (2200 seeded iterations, 200 per class) =="
-FUZZ_ITERS=2200 cargo test -q -p recmod-tests --release --test fuzz
+echo "== bounded fuzz (2400 seeded iterations, 200 per class) =="
+FUZZ_ITERS=2400 cargo test -q -p recmod-tests --release --test fuzz
 
 echo "== NbE engine differential (2000 dedicated iterations) =="
 # The NbE machine vs the legacy substitution engine on random well- and
@@ -92,6 +92,14 @@ echo "== thread isolation (2000 dedicated iterations) =="
 FUZZ_CLASS=thread-isolation FUZZ_ITERS=2000 \
   cargo test -q -p recmod-tests --release --test fuzz seeded
 
+echo "== history independence (2000 dedicated iterations) =="
+# A renewed elaborator is a fresh one: a program compiled under a fuel
+# budget near its needs, fresh, after another program on the same
+# renewed elaborator, and beside another thread's compile, must give
+# identical verdicts, codes, rendered diagnostics and fuel per operation.
+FUZZ_CLASS=history-independence FUZZ_ITERS=2000 \
+  cargo test -q -p recmod-tests --release --test fuzz seeded
+
 echo "== cost-model gate (counters vs tests/golden_costs.json) =="
 # Deterministic per-example counters (fuel, unrolls, cache traffic —
 # never wall clocks) compared against the checked-in baseline. Gating:
@@ -144,6 +152,35 @@ done
 cmp -s /tmp/ci_batch_jobs1.json /tmp/ci_batch_jobs4.json || {
   echo "batch smoke: FAILED (--jobs 1 vs --jobs 4 diagnostics JSON differs)"; exit 1; }
 echo "batch smoke: ok"
+
+echo "== fuel-boundary invariant (generated corpus at --fuel 1100) =="
+# Gating: near a fuel boundary one unit of fuel decides a verdict, so
+# anything a worker carried from one file to the next would show here.
+# The seed-1 generated corpus under --fuel 1100 (about 1 000 files stop
+# with L003) must print the same bytes at one and four workers, apart
+# from the worker count and the names of the crash bundles each L003
+# writes.
+BOUNDARY_DIR=$(mktemp -d)
+python3 perfbench/gen.py --seed 1 --out "$BOUNDARY_DIR/corpus" >/dev/null
+for j in 1 4; do
+  mkdir "$BOUNDARY_DIR/crash$j"
+  set +e
+  ./target/release/recmodc check --jobs "$j" --no-cache --fuel 1100 \
+    --crash-dir "$BOUNDARY_DIR/crash$j" "$BOUNDARY_DIR/corpus" \
+    >"$BOUNDARY_DIR/out$j" 2>"$BOUNDARY_DIR/err$j"
+  echo "exit $?" >>"$BOUNDARY_DIR/out$j"
+  set -e
+  sed -i -e 's/ on [0-9]* worker(s)/ on N worker(s)/' "$BOUNDARY_DIR/out$j"
+  sed -i -e 's/^crash bundle: wrote .*/crash bundle: wrote/' "$BOUNDARY_DIR/err$j"
+done
+cmp -s "$BOUNDARY_DIR/out1" "$BOUNDARY_DIR/out4" || {
+  echo "fuel-boundary invariant: FAILED (--jobs 1 vs --jobs 4 stdout differs)"; exit 1; }
+cmp -s "$BOUNDARY_DIR/err1" "$BOUNDARY_DIR/err4" || {
+  echo "fuel-boundary invariant: FAILED (--jobs 1 vs --jobs 4 stderr differs)"; exit 1; }
+grep -q "L003" "$BOUNDARY_DIR/err1" || {
+  echo "fuel-boundary invariant: FAILED (no file reached the fuel limit)"; exit 1; }
+rm -rf "$BOUNDARY_DIR"
+echo "fuel-boundary invariant: ok"
 
 echo "== cache smoke (artifact cache: hits, byte-identity, opt-out) =="
 # Gating: the content-addressed artifact cache end to end through the

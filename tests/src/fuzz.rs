@@ -1,7 +1,7 @@
 //! The seeded fuzzing + differential harness.
 //!
 //! Every case is fully determined by one `u64` seed (SplitMix64), so a
-//! failure report is a reproduction recipe. A seed drives one of eleven
+//! failure report is a reproduction recipe. A seed drives one of twelve
 //! case classes:
 //!
 //! * **Expression differential** — a random well-typed expression
@@ -63,12 +63,18 @@
 //!   per-thread rewrite memo (`recmod_syntax::memo`), with pool drops
 //!   and interner sweeps interleaved; every result must be the very
 //!   pointer a memo-free reference traversal interns.
+//! * **History independence** — a program is compiled under a fuel
+//!   budget near its needs on a fresh elaborator, on an elaborator
+//!   renewed after compiling another program, and beside another
+//!   thread's compile; verdicts, stable codes, rendered diagnostics and
+//!   the fuel spent per operation must be identical.
 //!
 //! The driver ([`run_case`]) reports `Err(description)` on any
 //! disagreement; panics are caught by the caller (`tests/fuzz.rs`)
 //! which runs each case under `catch_unwind` on a big-stack thread.
 
 use recmod::kernel::{Ctx, RecMode, Tc, TypeError};
+use recmod::surface::Elaborator;
 use recmod::syntax::ast::{Con, Kind};
 use recmod::syntax::intern::HC;
 use recmod::telemetry::Limits;
@@ -1554,12 +1560,101 @@ fn case_subst_memo_differential(rng: &mut Rng) -> Result<(), String> {
 }
 
 // ---------------------------------------------------------------------
+// Class 11: history independence (a renewed elaborator is a fresh one)
+// ---------------------------------------------------------------------
+
+/// What one compile shows: verdict, stable codes, rendered diagnostics
+/// and the kernel's fuel per operation.
+type Observed = (bool, Vec<&'static str>, Vec<String>, [u64; 12]);
+
+/// Compiles `src` on `elab` and hands the elaborator back with what
+/// the compile showed.
+fn compile_on(elab: Elaborator, src: &str) -> (Observed, Elaborator) {
+    match recmod::surface::pipeline::compile_with_limits_in(elab, src) {
+        Ok(c) => {
+            let fuel = c.elab.tc.stats().fuel_by_op;
+            ((true, Vec::new(), Vec::new(), fuel), c.elab)
+        }
+        Err((errors, elab)) => {
+            let codes = errors.iter().map(|e| e.code()).collect();
+            let diags = errors.iter().map(|e| format!("{e}")).collect();
+            ((false, codes, diags, elab.tc.stats().fuel_by_op), elab)
+        }
+    }
+}
+
+/// Runs `f` on a fresh big-stack thread.
+fn on_fresh_thread<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> Result<T, String> {
+    std::thread::Builder::new()
+        .stack_size(recmod::driver::DEFAULT_STACK_SIZE)
+        .spawn(f)
+        .map_err(|e| format!("spawn failed: {e}"))?
+        .join()
+        .map_err(|_| "panic during history-independence compile".to_string())
+}
+
+/// Compiles program B under a fuel budget near what B needs, three
+/// ways: on a fresh elaborator on a fresh thread; on one elaborator
+/// that compiled program A first and was then renewed; and on a fresh
+/// thread while another thread compiles A and holds its result. Near
+/// the budget one unit of fuel decides the verdict, so anything a
+/// renewed elaborator or another thread carried into B's compile would
+/// show. The three must agree on verdict, stable codes, rendered
+/// diagnostics (an `L003` names the top fuel consumers) and the fuel
+/// spent per operation.
+fn case_history_independence(rng: &mut Rng) -> Result<(), String> {
+    let a = observed_source(rng);
+    let b = observed_source(rng);
+    let fresh = |src: String, limits: Limits| {
+        on_fresh_thread(move || compile_on(Elaborator::with_limits(limits), &src).0)
+    };
+    let need: u64 = fresh(b.clone(), Limits::strict())?.3.iter().sum();
+    let fuel = need - need / 8 + rng.below(need / 8 + 3);
+    let limits = Limits::strict().with_fuel(fuel);
+
+    let alone = fresh(b.clone(), limits)?;
+    let after_a = {
+        let (a, b) = (a.clone(), b.clone());
+        on_fresh_thread(move || {
+            let (_, mut elab) = compile_on(Elaborator::with_limits(limits), &a);
+            elab.renew(limits);
+            compile_on(elab, &b).0
+        })?
+    };
+    let (done, wait) = std::sync::mpsc::channel::<()>();
+    let holder = std::thread::Builder::new()
+        .stack_size(recmod::driver::DEFAULT_STACK_SIZE)
+        .spawn(move || {
+            let held = compile_on(Elaborator::with_limits(limits), &a);
+            let _ = wait.recv();
+            drop(held);
+        })
+        .map_err(|e| format!("spawn failed: {e}"))?;
+    let beside = fresh(b.clone(), limits);
+    let _ = done.send(());
+    holder
+        .join()
+        .map_err(|_| "panic during history-independence compile".to_string())?;
+    let beside = beside?;
+
+    for (way, got) in [("after A", &after_a), ("beside A", &beside)] {
+        if *got != alone {
+            return Err(format!(
+                "compiling {b:?} at fuel {fuel} {way} differs from a fresh compile: \
+                 {got:?} vs {alone:?}"
+            ));
+        }
+    }
+    Ok(())
+}
+
+// ---------------------------------------------------------------------
 // Driver
 // ---------------------------------------------------------------------
 
 /// Number of case classes; a seed's class is `seed % CLASS_COUNT`, so
 /// any `CLASS_COUNT` consecutive seeds cover every class once.
-pub const CLASS_COUNT: u64 = 11;
+pub const CLASS_COUNT: u64 = 12;
 
 /// Human-readable class name for a seed (for failure reports).
 pub fn case_class(seed: u64) -> &'static str {
@@ -1574,7 +1669,8 @@ pub fn case_class(seed: u64) -> &'static str {
         7 => "diagnostics-total",
         8 => "chaos-serve",
         9 => "nbe-differential",
-        _ => "subst-memo-differential",
+        10 => "subst-memo-differential",
+        _ => "history-independence",
     }
 }
 
@@ -1594,7 +1690,8 @@ pub fn run_case(seed: u64) -> Result<(), String> {
         7 => case_diagnostics_total(&mut rng),
         8 => case_chaos_serve(&mut rng),
         9 => case_nbe_differential(&mut rng),
-        _ => case_subst_memo_differential(&mut rng),
+        10 => case_subst_memo_differential(&mut rng),
+        _ => case_history_independence(&mut rng),
     }
 }
 

@@ -321,26 +321,12 @@ struct Observed {
 }
 
 /// Compiles `src` under `limits` with a `config` sink on a fresh
-/// thread, so no earlier compile on the test thread can warm a cache or
-/// leave a frame behind. The thread pins the nodes it interns:
-/// otherwise whether a re-interned node keeps its id, and so which
-/// kernel cache lookups hit and how far a fuel budget reaches, would
-/// depend on what the compile itself still holds.
+/// thread, so no earlier compile on the test thread can leave a frame
+/// or a sink behind.
 fn observe(src: &'static str, limits: recmod::Limits, config: telemetry::Config) -> Observed {
-    observe_on_fresh_thread(src, limits, config, true)
-}
-
-/// [`observe`], with the pins optional.
-fn observe_on_fresh_thread(
-    src: &'static str,
-    limits: recmod::Limits,
-    config: telemetry::Config,
-    pin: bool,
-) -> Observed {
     std::thread::Builder::new()
         .stack_size(recmod::driver::DEFAULT_STACK_SIZE)
         .spawn(move || {
-            let _pin = pin.then(recmod::syntax::intern::pin_thread);
             telemetry::install(config);
             telemetry::diag::reset_recorder();
             let _ = recmod::compile_with_limits(src, &limits);
@@ -430,21 +416,18 @@ fn views_of_a_fuel_limited_compile_are_pinned() {
 
 /// A compile on a fresh thread depends only on its source and limits,
 /// not on what other threads of the process hold. Near a fuel boundary
-/// a cache lookup that misses because its node was re-interned under a
-/// new id spends fuel again, so the recorder count and the trace text
-/// are where another thread's live nodes would show. The fresh threads
-/// pin nothing, and the test thread holds two compiled programs for the
-/// second round.
+/// every unit of fuel shows in the recorder count and the trace text,
+/// so that is where another thread's live nodes would show. The test
+/// thread holds two compiled programs for the second round.
 #[test]
 fn a_compile_does_not_depend_on_what_other_threads_hold() {
     let round = || {
         [40, 100, 400].map(|fuel| {
             let limits = recmod::Limits::default().with_fuel(fuel);
-            let seen = observe_on_fresh_thread(
+            let seen = observe(
                 recmod::corpus::OPAQUE_LIST,
                 limits,
                 telemetry::Config::with_trace(3),
-                false,
             );
             (fuel, seen.recorded, seen.report.render_trace())
         })
