@@ -310,9 +310,10 @@ fn read_job(path: &Path) -> Result<Job, String> {
 ///
 /// Spawns `config.jobs` workers (clamped to the job count), each with
 /// its own stack, interner, kernel caches, and telemetry sink; each
-/// worker claims the next unclaimed job until
-/// none is left. See the crate docs for the determinism argument. When [`DriverConfig::cache`] is set, each file consults
-/// the artifact cache before compiling and stores its verdict after.
+/// worker claims the next unclaimed job until none is left. See the
+/// crate docs for the determinism argument. When
+/// [`DriverConfig::cache`] is set, each file consults the artifact
+/// cache before compiling and stores its verdict after.
 pub fn compile_batch(jobs: &[Job], config: &DriverConfig) -> BatchResult {
     let t0 = Instant::now();
     let (opened_cache, mut cache_warnings) = match &config.cache {

@@ -291,14 +291,10 @@ impl Tc {
         self.budget.set(fuel);
     }
 
-    /// A snapshot of the judgement counters accumulated so far.
+    /// A snapshot of the judgement counters accumulated since the
+    /// checker was built or last renewed.
     pub fn stats(&self) -> stats::KernelStats {
         self.stats.snapshot()
-    }
-
-    /// Zeroes the judgement counters (fuel itself is left alone).
-    pub fn reset_stats(&self) {
-        self.stats.reset();
     }
 
     pub(crate) fn burn(&self, op: stats::FuelOp) -> TcResult<()> {
