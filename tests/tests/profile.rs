@@ -252,34 +252,49 @@ fn spans_nest_properly_within_each_lane() {
 /// at every kernel entry point must account for at least 95% of the
 /// kernel stage's wall time, so `--profile-text` self times are a
 /// faithful breakdown rather than one opaque "kernel" bucket.
+///
+/// One compile's kernel stage lasts a few milliseconds of wall time, so
+/// on a loaded machine a single preemption that lands outside every
+/// judgement span can stall it for longer than the judgements ran. That
+/// stall is time spent descheduled, not kernel work the spans failed to
+/// cover. The bound is therefore checked on the median of several
+/// compiles, each measured by its own sink, so one stalled compile
+/// cannot decide it.
 #[test]
 fn judgement_spans_cover_the_kernel_stage() {
-    telemetry::install(Config::profiled());
+    const COMPILES: usize = 9;
     let program = recmod::corpus::list_program(true, 8);
-    let compiled = recmod::compile(&program);
-    let report = telemetry::uninstall().expect("sink was installed");
-    compiled.expect("E1 program compiles");
+    let mut coverages: Vec<(f64, u64, u64)> = (0..COMPILES)
+        .map(|_| {
+            telemetry::install(Config::profiled());
+            let compiled = recmod::compile(&program);
+            let report = telemetry::uninstall().expect("sink was installed");
+            compiled.expect("E1 program compiles");
 
-    assert_eq!(report.spans_dropped, 0, "profiled cap must not drop spans");
-    let rows = profile::flat(&report.spans);
-    let kernel = rows
-        .iter()
-        .find(|r| r.name == "stage.kernel")
-        .expect("kernel stage spans recorded");
-    assert!(kernel.total_nanos > 0);
-    let coverage = 1.0 - kernel.self_nanos as f64 / kernel.total_nanos as f64;
+            assert_eq!(report.spans_dropped, 0, "profiled cap must not drop spans");
+            let rows = profile::flat(&report.spans);
+            let kernel = rows
+                .iter()
+                .find(|r| r.name == "stage.kernel")
+                .expect("kernel stage spans recorded");
+            assert!(kernel.total_nanos > 0);
+            // And the profile actually resolves into judgement forms.
+            assert!(rows.iter().any(|r| r.name.starts_with("kernel.")));
+            assert!(rows.iter().any(|r| r.name.starts_with("surface.")));
+            let coverage = 1.0 - kernel.self_nanos as f64 / kernel.total_nanos as f64;
+            (coverage, kernel.self_nanos, kernel.total_nanos)
+        })
+        .collect();
+    coverages.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let (coverage, self_nanos, total_nanos) = coverages[COMPILES / 2];
     assert!(
         coverage >= 0.95,
-        "judgement spans cover only {:.1}% of the kernel stage \
-         (self {} ns of {} ns total)",
+        "judgement spans cover only {:.1}% of the kernel stage in the \
+         median compile (self {} ns of {} ns total)",
         coverage * 100.0,
-        kernel.self_nanos,
-        kernel.total_nanos
+        self_nanos,
+        total_nanos
     );
-
-    // And the profile actually resolves into judgement forms.
-    assert!(rows.iter().any(|r| r.name.starts_with("kernel.")));
-    assert!(rows.iter().any(|r| r.name.starts_with("surface.")));
 }
 
 // ---------------------------------------------------------------------
