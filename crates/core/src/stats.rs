@@ -163,12 +163,13 @@ impl StatsReport {
         let i = &self.intern;
         out.push_str(&format!(
             "syntax interning: {} hits / {} misses ({:.1}% hit rate), \
-             {} con + {} kind nodes live\n",
+             {} con + {} kind + {} type nodes live\n",
             i.hits,
             i.misses,
             i.hit_rate() * 100.0,
             i.con_entries,
             i.kind_entries,
+            i.ty_entries,
         ));
         for b in &self.bindings {
             out.push_str(&format!(
@@ -241,6 +242,7 @@ impl StatsReport {
             ("intern_sweeps", Json::UInt(i.sweeps)),
             ("con_entries", Json::UInt(i.con_entries)),
             ("kind_entries", Json::UInt(i.kind_entries)),
+            ("ty_entries", Json::UInt(i.ty_entries)),
         ])
     }
 }

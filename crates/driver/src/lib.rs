@@ -514,10 +514,7 @@ fn compile_one(
             recmod_telemetry::sample(
                 TRACK_COUNTERS,
                 &[
-                    (
-                        "syntax.intern_occupancy",
-                        intern.con_entries + intern.kind_entries,
-                    ),
+                    ("syntax.intern_occupancy", intern.entries()),
                     ("kernel.fuel_used", *fuel_used),
                 ],
             );

@@ -74,7 +74,7 @@ use crate::{FileStatus, Verdict, DEFAULT_STACK_SIZE};
 /// Version of the `metrics` op document. Independent of the global
 /// [`SCHEMA_VERSION`] (which the document also carries): bump this
 /// when the metrics key set or semantics change.
-pub const METRICS_SCHEMA_VERSION: u64 = 2;
+pub const METRICS_SCHEMA_VERSION: u64 = 3;
 
 /// Exit class for a request shed by admission control.
 pub const EXIT_OVERLOADED: u8 = 5;
@@ -660,7 +660,7 @@ impl Counters {
 /// `metrics` ops read the slots from the connection thread.
 /// `swept_entries` accumulates
 /// the entries those sweeps reclaimed — occupancy (`con_entries` +
-/// `kind_entries`) measures the *live* working set, this measures the
+/// `kind_entries` + `ty_entries`) measures the *live* working set, this measures the
 /// per-request garbage the sweeps are catching.
 #[derive(Default, Clone, Copy)]
 struct WorkerIntern {
@@ -679,6 +679,7 @@ impl WorkerIntern {
             ("intern_sweeps", Json::UInt(self.stats.sweeps)),
             ("con_entries", Json::UInt(self.stats.con_entries)),
             ("kind_entries", Json::UInt(self.stats.kind_entries)),
+            ("ty_entries", Json::UInt(self.stats.ty_entries)),
             ("swept_entries", Json::UInt(self.swept_entries)),
         ])
     }
@@ -837,10 +838,7 @@ impl Core {
     fn intern_entries(&self) -> u64 {
         self.worker_intern
             .iter()
-            .map(|m| {
-                let stats = lock(m).stats;
-                stats.con_entries + stats.kind_entries
-            })
+            .map(|m| lock(m).stats.entries())
             .sum()
     }
 

@@ -6,12 +6,12 @@
 //! type-sharing information is retained. [`Tc::check_con`] combines
 //! synthesis with subkinding.
 
-use recmod_syntax::ast::{Con, Kind, Sig};
+use recmod_syntax::ast::{Con, Kind};
 use recmod_syntax::intern::hc;
 use recmod_syntax::subst::{shift_kind, subst_con_kind};
 
 use crate::ctx::Ctx;
-use crate::error::{raise, TcResult, TypeError};
+use crate::error::TcResult;
 use crate::show;
 use crate::singleton::selfify;
 use crate::Tc;
@@ -59,14 +59,8 @@ impl Tc {
                 Ok(selfify(c, &k))
             }
             Con::Fst(i) => {
-                let (sig, _) = ctx.lookup_struct(*i)?;
-                match sig {
-                    Sig::Struct(k, _) => Ok(selfify(c, &k)),
-                    s => raise(TypeError::Other(format!(
-                        "structure variable with unresolved signature {}",
-                        show::sig(&s)
-                    ))),
-                }
+                let k = ctx.lookup_fst_kind(*i)?;
+                Ok(selfify(c, &k))
             }
             Con::Star => Ok(Kind::Unit),
             Con::Lam(k, body) => {
@@ -131,6 +125,7 @@ impl Tc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::TypeError;
     use recmod_syntax::dsl::*;
 
     #[test]

@@ -17,7 +17,8 @@
 use std::cell::Cell;
 
 use recmod_syntax::ast::{Kind, Sig, Ty};
-use recmod_syntax::subst::{shift_kind, shift_sig, shift_ty};
+use recmod_syntax::intern::HC;
+use recmod_syntax::subst::{shift_kind, shift_kind_hc, shift_sig, shift_ty_hc};
 
 use crate::error::{raise, TcResult, TypeError};
 
@@ -41,7 +42,7 @@ pub enum Entry {
     /// `α : κ` — a constructor variable.
     Con(Kind),
     /// `x : σ` (valuable = `true`) or `x ↑ σ` (valuable = `false`).
-    Term(Ty, bool),
+    Term(HC<Ty>, bool),
     /// `s : S` (valuable = `true`) or `s ↑ S` (valuable = `false`).
     Struct(Sig, bool),
 }
@@ -119,9 +120,9 @@ impl Ctx {
 
     /// Looks up a term variable, shifting its type to the use site.
     /// Returns the type and the valuability of the variable.
-    pub fn lookup_term(&self, index: usize) -> TcResult<(Ty, bool)> {
+    pub fn lookup_term(&self, index: usize) -> TcResult<(HC<Ty>, bool)> {
         match self.entry(index)? {
-            Entry::Term(t, v) => Ok((shift_ty(t, (index + 1) as isize, 0), *v)),
+            Entry::Term(t, v) => Ok((shift_ty_hc(t, (index + 1) as isize, 0), *v)),
             _ => raise(TypeError::Unbound {
                 what: "term variable",
                 index,
@@ -134,6 +135,25 @@ impl Ctx {
     pub fn lookup_struct(&self, index: usize) -> TcResult<(Sig, bool)> {
         match self.entry(index)? {
             Entry::Struct(s, v) => Ok((shift_sig(s, (index + 1) as isize, 0), *v)),
+            _ => raise(TypeError::Unbound {
+                what: "structure variable",
+                index,
+            }),
+        }
+    }
+
+    /// Looks up the kind of a structure variable's static part, shifted
+    /// to the use site: all that `Fst(s)` depends on. Unlike
+    /// [`Ctx::lookup_struct`] it leaves the run-time type alone, so a
+    /// lookup costs one memoized kind shift.
+    pub fn lookup_fst_kind(&self, index: usize) -> TcResult<HC<Kind>> {
+        let by = (index + 1) as isize;
+        match self.entry(index)? {
+            Entry::Struct(Sig::Struct(k, _), _) => Ok(shift_kind_hc(k, by, 0)),
+            Entry::Struct(s, _) => raise(TypeError::Other(format!(
+                "structure variable with unresolved signature {}",
+                crate::show::sig(&shift_sig(s, by, 0))
+            ))),
             _ => raise(TypeError::Unbound {
                 what: "structure variable",
                 index,
@@ -179,7 +199,7 @@ impl Ctx {
     }
 
     /// Convenience: `with` for a term declaration.
-    pub fn with_term<T>(&mut self, t: Ty, valuable: bool, f: impl FnOnce(&mut Ctx) -> T) -> T {
+    pub fn with_term<T>(&mut self, t: HC<Ty>, valuable: bool, f: impl FnOnce(&mut Ctx) -> T) -> T {
         self.with(Entry::Term(t, valuable), f)
     }
 
@@ -202,6 +222,7 @@ impl Ctx {
 mod tests {
     use super::*;
     use recmod_syntax::ast::Con;
+    use recmod_syntax::intern::hc;
 
     #[test]
     fn lookup_shifts_to_use_site() {
@@ -225,7 +246,7 @@ mod tests {
     #[test]
     fn lookup_wrong_sort_fails() {
         let mut ctx = Ctx::new();
-        ctx.with_term(Ty::Unit, true, |ctx| {
+        ctx.with_term(hc(Ty::Unit), true, |ctx| {
             assert!(ctx.lookup_con(0).is_err());
             assert!(ctx.lookup_struct(0).is_err());
             assert!(ctx.lookup_term(0).is_ok());
@@ -268,9 +289,52 @@ mod tests {
     }
 
     #[test]
+    fn fst_kind_lookup_agrees_with_the_full_signature() {
+        use recmod_syntax::dsl::{carrow, cvar, q, sig, sigma, tcon};
+        let mut ctx = Ctx::new();
+        // Γ = α:T, s:[β:Σγ:Q(α).Q(γ ⇀ α) . β ⇀ int], x:1, y:1
+        ctx.with_con(Kind::Type, |ctx| {
+            let k = sigma(q(cvar(0)), q(carrow(cvar(0), cvar(1))));
+            let s = sig(k, tcon(carrow(cvar(0), Con::Int)));
+            ctx.with_struct(s, true, |ctx| {
+                ctx.with_term(hc(Ty::Unit), true, |ctx| {
+                    ctx.with_term(hc(Ty::Unit), true, |ctx| {
+                        let (full, _) = ctx.lookup_struct(2).unwrap();
+                        let Sig::Struct(want, _) = &full else {
+                            panic!("flat signature expected")
+                        };
+                        let got = ctx.lookup_fst_kind(2).unwrap();
+                        assert!(HC::ptr_eq(&got, want));
+                        assert_eq!(*got, sigma(q(cvar(3)), q(carrow(cvar(0), cvar(4)))));
+                        // Wrong sorts and unbound indices fail as before.
+                        assert!(ctx.lookup_fst_kind(0).is_err());
+                        assert!(ctx.lookup_fst_kind(3).is_err());
+                        assert!(ctx.lookup_fst_kind(4).is_err());
+                    })
+                })
+            })
+        });
+    }
+
+    #[test]
+    fn a_closed_term_lookup_is_the_stored_pointer() {
+        let t = hc(recmod_syntax::dsl::partial(
+            recmod_syntax::dsl::tcon(Con::Int),
+            recmod_syntax::dsl::tcon(Con::Bool),
+        ));
+        let mut ctx = Ctx::new();
+        ctx.with_term(t.clone(), true, |ctx| {
+            ctx.with_con(Kind::Type, |ctx| {
+                let (got, _) = ctx.lookup_term(1).unwrap();
+                assert!(HC::ptr_eq(&got, &t));
+            })
+        });
+    }
+
+    #[test]
     fn valuability_flag_round_trips() {
         let mut ctx = Ctx::new();
-        ctx.with_term(Ty::Unit, false, |ctx| {
+        ctx.with_term(hc(Ty::Unit), false, |ctx| {
             let (_, v) = ctx.lookup_term(0).unwrap();
             assert!(!v);
         });

@@ -16,7 +16,7 @@
 
 use recmod_syntax::ast::{Con, Module, Sig};
 use recmod_syntax::intern::hc;
-use recmod_syntax::subst::{shift_sig, shift_ty};
+use recmod_syntax::subst::{shift_sig, shift_ty_hc};
 
 use crate::ctx::{Ctx, Entry};
 use crate::error::{raise, TcResult, TypeError};
@@ -54,7 +54,7 @@ impl Tc {
             Module::Struct(c, e) => {
                 let k = self.synth_con(ctx, c)?;
                 let te = self.synth_term(ctx, e)?;
-                let sig = Sig::Struct(hc(k), Box::new(shift_ty(&te.ty, 1, 0)));
+                let sig = Sig::Struct(hc(k), shift_ty_hc(&te.ty, 1, 0));
                 Ok(ModTyping {
                     sig,
                     valuable: te.valuable,
@@ -237,7 +237,7 @@ mod tests {
         // ρs.[α : Q(int ⇀ Fst(s)) . Con(α)]
         let ann = rds(Sig::Struct(
             hc(q(carrow(Con::Int, fst(0)))),
-            Box::new(tcon(cvar(0))),
+            hc(tcon(cvar(0))),
         ));
         // Body: [int ⇀ Fst(s), λx:int. snd(s) — wait, must be valuable and
         // of type int ⇀ Fst(s)]. Use λx:int.fail[Fst(s)] : int ⇀ Fst(s).
@@ -299,7 +299,7 @@ mod tests {
         let the_mu = mu(tkind(), carrow(Con::Int, cvar(0)));
         let ann = rds(Sig::Struct(
             hc(q(carrow(Con::Int, fst(0)))),
-            Box::new(tcon(cvar(0))),
+            hc(tcon(cvar(0))),
         ));
         let m = strct(the_mu.clone(), lam(tcon(Con::Int), fail(tcon(the_mu))));
         let mt = tc.check_module(&mut ctx, &m, &ann).unwrap();

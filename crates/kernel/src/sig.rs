@@ -18,7 +18,7 @@
 
 use recmod_syntax::ast::{Con, Module, Sig, Term};
 use recmod_syntax::intern::hc;
-use recmod_syntax::map::{map_con, map_ty, VarMap};
+use recmod_syntax::map::{map_con, map_ty_hc, VarMap};
 
 use crate::ctx::Ctx;
 use crate::error::{raise, TcResult, TypeError};
@@ -188,8 +188,8 @@ impl Tc {
                 // Q(μβ:κ.c(β) : κ) — the higher-order singleton of Figure 5.
                 let new_kind = selfify(&mu_con, &base);
                 // σ[α/Fst(s)] — redirect and drop the structure binder.
-                let new_ty = map_ty(t, 0, &mut RdsTypeRedirect);
-                let resolved = Sig::Struct(hc(new_kind), Box::new(new_ty));
+                let new_ty = map_ty_hc(t, 0, &mut RdsTypeRedirect);
+                let resolved = Sig::Struct(hc(new_kind), new_ty);
                 // Resolution is idempotent; the result is flat by construction.
                 let _ = ctx;
                 Ok(resolved)
@@ -353,7 +353,7 @@ mod tests {
         let s = rds(Sig::Struct(
             hc(q(carrow(Con::Int, fst(0)))),
             // Inside the type, α = index 0 and s = index 1.
-            Box::new(tcon(fst(1))),
+            hc(tcon(fst(1))),
         ));
         let r = tc.resolve_sig(&mut ctx, &s).unwrap();
         let expected_mu = mu(tkind(), carrow(Con::Int, cvar(0)));
@@ -400,10 +400,7 @@ mod tests {
         // binder used at constructor sort must be rejected cleanly.
         let tc = Tc::new();
         let mut ctx = Ctx::new();
-        let s = rds(Sig::Struct(
-            hc(q(carrow(Con::Int, cvar(0)))),
-            Box::new(Ty::Unit),
-        ));
+        let s = rds(Sig::Struct(hc(q(carrow(Con::Int, cvar(0)))), hc(Ty::Unit)));
         assert!(tc.wf_sig(&mut ctx, &s).is_err());
         assert!(tc.resolve_sig(&mut ctx, &s).is_err());
     }
@@ -419,7 +416,7 @@ mod tests {
             // Inside the rds: ρ = 0, β = 1. Codomain adds γ: γ=0, ρ=1, β=2.
             let kappa =
                 recmod_syntax::dsl::pi(q(cvar(1)), q(carrow(cvar(0), capp(fst(1), cvar(0)))));
-            let s = rds(Sig::Struct(hc(kappa), Box::new(Ty::Unit)));
+            let s = rds(Sig::Struct(hc(kappa), hc(Ty::Unit)));
             let r = tc.resolve_sig(ctx, &s).unwrap();
             // The resolution must be well-formed in [β:T] — with the fix the
             // frame's β reference is index 0 again.
@@ -437,7 +434,7 @@ mod tests {
             q(carrow(Con::Int, cproj2(fst(0)))),
             q(carrow(Con::Bool, cproj1(fst(0)))),
         );
-        let s = rds(Sig::Struct(hc(k), Box::new(Ty::Unit)));
+        let s = rds(Sig::Struct(hc(k), hc(Ty::Unit)));
         let r = tc.resolve_sig(&mut ctx, &s).unwrap();
         tc.wf_sig(&mut ctx, &r).unwrap();
         // The resolved static kind must be fully transparent and closed.

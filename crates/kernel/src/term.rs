@@ -17,7 +17,8 @@
 //! * `fail` (the paper's `raise Fail`) is never valuable.
 
 use recmod_syntax::ast::{Con, Kind, PrimOp, Sig, Term, Ty};
-use recmod_syntax::subst::{shift_ty, subst_con_ty};
+use recmod_syntax::intern::{hc, HC};
+use recmod_syntax::subst::{shift_ty_hc, subst_con_ty_hc};
 
 use crate::ctx::Ctx;
 use crate::error::{raise, TcResult, TypeError};
@@ -29,13 +30,13 @@ use crate::Tc;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Typing {
     /// The synthesized type.
-    pub ty: Ty,
+    pub ty: HC<Ty>,
     /// `true` iff `Γ ⊢ e ⇓ σ` holds (terminating, effect-free).
     pub valuable: bool,
 }
 
 impl Typing {
-    fn new(ty: Ty, valuable: bool) -> Self {
+    fn new(ty: HC<Ty>, valuable: bool) -> Self {
         Typing { ty, valuable }
     }
 }
@@ -43,8 +44,13 @@ impl Typing {
 /// Removes the innermost binder from a type that cannot mention it
 /// (types never depend on term or structure variables introduced by
 /// `λ`/`let`/`case`).
-fn strengthen_ty(t: &Ty) -> Ty {
-    shift_ty(t, -1, 0)
+fn strengthen_ty(t: &HC<Ty>) -> HC<Ty> {
+    shift_ty_hc(t, -1, 0)
+}
+
+/// The monotype embedding of an interned constructor.
+fn mono(c: HC<Con>) -> HC<Ty> {
+    hc(Ty::Con(c))
 }
 
 impl Tc {
@@ -63,31 +69,33 @@ impl Tc {
             Term::Snd(i) => {
                 let (sig, valuable) = ctx.lookup_struct(*i)?;
                 match sig {
-                    Sig::Struct(_, t) => Ok(Typing::new(subst_con_ty(&t, &Con::Fst(*i)), valuable)),
+                    Sig::Struct(_, t) => {
+                        Ok(Typing::new(subst_con_ty_hc(&t, &Con::Fst(*i)), valuable))
+                    }
                     s => raise(TypeError::Other(format!(
                         "structure variable with unresolved signature {}",
                         show::sig(&s)
                     ))),
                 }
             }
-            Term::Star => Ok(Typing::new(Ty::Unit, true)),
+            Term::Star => Ok(Typing::new(hc(Ty::Unit), true)),
             Term::Lam(t, body) => {
                 self.wf_ty(ctx, t)?;
-                let b = ctx.with_term((**t).clone(), true, |ctx| self.synth_term(ctx, body))?;
+                let b = ctx.with_term(t.clone(), true, |ctx| self.synth_term(ctx, body))?;
                 let cod = strengthen_ty(&b.ty);
                 let ty = if b.valuable {
-                    Ty::Total(t.clone(), Box::new(cod))
+                    Ty::Total(t.clone(), cod)
                 } else {
-                    Ty::Partial(t.clone(), Box::new(cod))
+                    Ty::Partial(t.clone(), cod)
                 };
-                Ok(Typing::new(ty, true))
+                Ok(Typing::new(hc(ty), true))
             }
             Term::App(f, a) => {
                 let ft = self.synth_term(ctx, f)?;
                 let exposed = self.expose_deep(ctx, &ft.ty)?;
                 let (dom, cod, total) = match exposed {
-                    Ty::Total(d, c) => (*d, *c, true),
-                    Ty::Partial(d, c) => (*d, *c, false),
+                    Ty::Total(d, c) => (d, c, true),
+                    Ty::Partial(d, c) => (d, c, false),
                     other => return raise(TypeError::NotAFunction(show::ty(&other))),
                 };
                 let at = self.synth_term(ctx, a)?;
@@ -98,7 +106,7 @@ impl Tc {
                 let at = self.synth_term(ctx, a)?;
                 let bt = self.synth_term(ctx, b)?;
                 Ok(Typing::new(
-                    Ty::Prod(Box::new(at.ty), Box::new(bt.ty)),
+                    hc(Ty::Prod(at.ty, bt.ty)),
                     at.valuable && bt.valuable,
                 ))
             }
@@ -107,7 +115,7 @@ impl Tc {
                 let exposed = self.expose_deep(ctx, &pt.ty)?;
                 match exposed {
                     Ty::Prod(l, r) => {
-                        let ty = if matches!(e, Term::Proj1(_)) { *l } else { *r };
+                        let ty = if matches!(e, Term::Proj1(_)) { l } else { r };
                         Ok(Typing::new(ty, pt.valuable))
                     }
                     other => raise(TypeError::NotAProduct(show::ty(&other))),
@@ -120,14 +128,14 @@ impl Tc {
                     // Λα:κ.e requires Γ[α:κ] ⊢ e ⇓ σ.
                     return raise(TypeError::ValueRestriction(show::term(body)));
                 }
-                Ok(Typing::new(Ty::Forall(k.clone(), Box::new(b.ty)), true))
+                Ok(Typing::new(hc(Ty::Forall(k.clone(), b.ty)), true))
             }
             Term::TApp(f, c) => {
                 let ft = self.synth_term(ctx, f)?;
                 match self.expose(ctx, &ft.ty)? {
                     Ty::Forall(k, body) => {
                         self.check_con(ctx, c, &k)?;
-                        Ok(Typing::new(subst_con_ty(&body, c), ft.valuable))
+                        Ok(Typing::new(subst_con_ty_hc(&body, c), ft.valuable))
                     }
                     other => raise(TypeError::NotPolymorphic(show::ty(&other))),
                 }
@@ -135,16 +143,16 @@ impl Tc {
             Term::Fix(t, body) => {
                 // Γ ⊢ σ type   Γ[x↑σ] ⊢ e ⇓ σ   ⟹   Γ ⊢ fix(x:σ.e) ⇓ σ
                 self.wf_ty(ctx, t)?;
-                let b = ctx.with_term((**t).clone(), false, |ctx| self.synth_term(ctx, body))?;
+                let b = ctx.with_term(t.clone(), false, |ctx| self.synth_term(ctx, body))?;
                 if !b.valuable {
                     return raise(TypeError::ValueRestriction(show::term(body)));
                 }
                 let found = strengthen_ty(&b.ty);
                 self.ty_sub(ctx, &found, t)?;
-                Ok(Typing::new((**t).clone(), true))
+                Ok(Typing::new(t.clone(), true))
             }
-            Term::IntLit(_) => Ok(Typing::new(Ty::Con(Con::Int), true)),
-            Term::BoolLit(_) => Ok(Typing::new(Ty::Con(Con::Bool), true)),
+            Term::IntLit(_) => Ok(Typing::new(mono(hc(Con::Int)), true)),
+            Term::BoolLit(_) => Ok(Typing::new(mono(hc(Con::Bool)), true)),
             Term::Prim(op, args) => {
                 if args.len() != op.arity() {
                     return raise(TypeError::PrimArity {
@@ -154,20 +162,21 @@ impl Tc {
                     });
                 }
                 let mut valuable = true;
+                let int = Ty::Con(hc(Con::Int));
                 for a in args {
                     let at = self.synth_term(ctx, a)?;
-                    self.ty_sub(ctx, &at.ty, &Ty::Con(Con::Int))?;
+                    self.ty_sub(ctx, &at.ty, &int)?;
                     valuable &= at.valuable;
                 }
                 let out = match op {
                     PrimOp::Add | PrimOp::Sub | PrimOp::Mul => Con::Int,
                     PrimOp::Eq | PrimOp::Lt => Con::Bool,
                 };
-                Ok(Typing::new(Ty::Con(out), valuable))
+                Ok(Typing::new(mono(hc(out)), valuable))
             }
             Term::If(c, t, f) => {
                 let ct = self.synth_term(ctx, c)?;
-                self.ty_sub(ctx, &ct.ty, &Ty::Con(Con::Bool))?;
+                self.ty_sub(ctx, &ct.ty, &Ty::Con(hc(Con::Bool)))?;
                 let tt = self.synth_term(ctx, t)?;
                 let ft = self.synth_term(ctx, f)?;
                 let ty = self.join(ctx, &tt.ty, &ft.ty)?;
@@ -186,8 +195,8 @@ impl Tc {
                     });
                 }
                 let bt = self.synth_term(ctx, body)?;
-                self.ty_sub(ctx, &bt.ty, &Ty::Con(cs[*i].take()))?;
-                Ok(Typing::new(Ty::Con(sum.clone()), bt.valuable))
+                self.ty_sub(ctx, &bt.ty, &Ty::Con(cs[*i].clone()))?;
+                Ok(Typing::new(mono(hc(sum.clone())), bt.valuable))
             }
             Term::Case(scrut, branches) => {
                 let st = self.synth_term(ctx, scrut)?;
@@ -204,10 +213,10 @@ impl Tc {
                         branches: branches.len(),
                     });
                 }
-                let mut result: Option<Ty> = None;
+                let mut result: Option<HC<Ty>> = None;
                 let mut valuable = st.valuable;
                 for (summand, branch) in cs.iter().zip(branches) {
-                    let bt = ctx.with_term(Ty::Con(summand.take()), true, |ctx| {
+                    let bt = ctx.with_term(mono(summand.clone()), true, |ctx| {
                         self.synth_term(ctx, branch)
                     })?;
                     valuable &= bt.valuable;
@@ -230,8 +239,8 @@ impl Tc {
                 self.check_con(ctx, muc, &Kind::Type)?;
                 let unrolled = self.whnf_unroll(ctx, muc)?;
                 let bt = self.synth_term(ctx, body)?;
-                self.ty_sub(ctx, &bt.ty, &Ty::Con(unrolled))?;
-                Ok(Typing::new(Ty::Con(muc.clone()), bt.valuable))
+                self.ty_sub(ctx, &bt.ty, &Ty::Con(hc(unrolled)))?;
+                Ok(Typing::new(mono(hc(muc.clone())), bt.valuable))
             }
             Term::Unroll(body) => {
                 let bt = self.synth_term(ctx, body)?;
@@ -240,11 +249,11 @@ impl Tc {
                     return raise(TypeError::NotAMu(show::ty(&exposed)));
                 };
                 let unrolled = self.whnf_unroll(ctx, &w)?;
-                Ok(Typing::new(Ty::Con(unrolled), bt.valuable))
+                Ok(Typing::new(mono(hc(unrolled)), bt.valuable))
             }
             Term::Fail(t) => {
                 self.wf_ty(ctx, t)?;
-                Ok(Typing::new((**t).clone(), false))
+                Ok(Typing::new(t.clone(), false))
             }
             Term::Let(bound, body) => {
                 let et = self.synth_term(ctx, bound)?;
@@ -259,7 +268,7 @@ impl Tc {
     }
 
     /// `Γ ⊢ e : σ` — checks a term against an expected type.
-    pub fn check_term(&self, ctx: &mut Ctx, e: &Term, t: &Ty) -> TcResult<Typing> {
+    pub fn check_term(&self, ctx: &mut Ctx, e: &Term, t: &HC<Ty>) -> TcResult<Typing> {
         let _j = recmod_telemetry::judgement_span("kernel.check_term");
         let _depth = self.descend("check_term")?;
         let typing = self.synth_term(ctx, e)?;
@@ -269,7 +278,7 @@ impl Tc {
 
     /// The least common supertype of two types under `→ ≤ ⇀`, used to
     /// merge the arms of `if`/`case`.
-    fn join(&self, ctx: &mut Ctx, a: &Ty, b: &Ty) -> TcResult<Ty> {
+    fn join(&self, ctx: &mut Ctx, a: &HC<Ty>, b: &HC<Ty>) -> TcResult<HC<Ty>> {
         if self.ty_sub(ctx, a, b).is_ok() {
             Ok(b.clone())
         } else if self.ty_sub(ctx, b, a).is_ok() {
@@ -297,7 +306,7 @@ mod tests {
     #[test]
     fn literals_are_valuable() {
         let t = synth(&int(42)).unwrap();
-        assert_eq!(t.ty, tcon(Con::Int));
+        assert_eq!(*t.ty, tcon(Con::Int));
         assert!(t.valuable);
     }
 
@@ -305,7 +314,7 @@ mod tests {
     fn lambda_with_valuable_body_is_total() {
         let f = lam(tcon(Con::Int), var(0));
         let t = synth(&f).unwrap();
-        assert_eq!(t.ty, total(tcon(Con::Int), tcon(Con::Int)));
+        assert_eq!(*t.ty, total(tcon(Con::Int), tcon(Con::Int)));
         assert!(t.valuable);
     }
 
@@ -313,7 +322,7 @@ mod tests {
     fn lambda_with_failing_body_is_partial() {
         let f = lam(tcon(Con::Int), fail(tcon(Con::Int)));
         let t = synth(&f).unwrap();
-        assert_eq!(t.ty, partial(tcon(Con::Int), tcon(Con::Int)));
+        assert_eq!(*t.ty, partial(tcon(Con::Int), tcon(Con::Int)));
         assert!(t.valuable, "λ is valuable even with a non-valuable body");
     }
 
@@ -352,7 +361,7 @@ mod tests {
             lam(tcon(Con::Int), app(var(1), var(0))),
         );
         let t = synth(&e).unwrap();
-        assert_eq!(t.ty, partial(tcon(Con::Int), tcon(Con::Int)));
+        assert_eq!(*t.ty, partial(tcon(Con::Int), tcon(Con::Int)));
         assert!(t.valuable, "fix itself is valuable (⇓ rule)");
     }
 
@@ -370,14 +379,14 @@ mod tests {
         assert!(matches!(synth(&bad), Err(TypeError::ValueRestriction(_))));
         let good = tlam(tkind(), lam(tcon(cvar(0)), var(0)));
         let t = synth(&good).unwrap();
-        assert_eq!(t.ty, forall(tkind(), total(tcon(cvar(0)), tcon(cvar(0)))));
+        assert_eq!(*t.ty, forall(tkind(), total(tcon(cvar(0)), tcon(cvar(0)))));
     }
 
     #[test]
     fn tapp_instantiates() {
         let id = tlam(tkind(), lam(tcon(cvar(0)), var(0)));
         let t = synth(&tapp(id, Con::Bool)).unwrap();
-        assert_eq!(t.ty, total(tcon(Con::Bool), tcon(Con::Bool)));
+        assert_eq!(*t.ty, total(tcon(Con::Bool), tcon(Con::Bool)));
     }
 
     #[test]
@@ -386,7 +395,7 @@ mod tests {
         let sum_unrolled = csum([Con::UnitTy, cprod(Con::Int, listc.clone())]);
         let nil = roll(listc.clone(), inj(0, sum_unrolled, Term::Star));
         let t = synth(&nil).unwrap();
-        assert_eq!(t.ty, tcon(listc.clone()));
+        assert_eq!(*t.ty, tcon(listc.clone()));
         assert!(t.valuable);
         let u = synth(&unroll(nil)).unwrap();
         assert!(u.valuable);
@@ -398,7 +407,7 @@ mod tests {
         let scrut = inj(0, sum.clone(), int(1));
         let e = case(scrut, [var(0), fail(tcon(Con::Int))]);
         let t = synth(&e).unwrap();
-        assert_eq!(t.ty, tcon(Con::Int));
+        assert_eq!(*t.ty, tcon(Con::Int));
         assert!(!t.valuable, "a failing branch poisons valuability");
     }
 
@@ -412,7 +421,7 @@ mod tests {
     #[test]
     fn primops_type_and_propagate_valuability() {
         let t = synth(&prim(recmod_syntax::ast::PrimOp::Add, int(1), int(2))).unwrap();
-        assert_eq!(t.ty, tcon(Con::Int));
+        assert_eq!(*t.ty, tcon(Con::Int));
         assert!(t.valuable);
         let t = synth(&prim(
             recmod_syntax::ast::PrimOp::Lt,
@@ -420,7 +429,7 @@ mod tests {
             fail(tcon(Con::Int)),
         ))
         .unwrap();
-        assert_eq!(t.ty, tcon(Con::Bool));
+        assert_eq!(*t.ty, tcon(Con::Bool));
         assert!(!t.valuable);
     }
 
@@ -429,7 +438,7 @@ mod tests {
         let e = ite(int(1), int(2), int(3));
         assert!(synth(&e).is_err());
         let e = ite(boolean(true), int(2), int(3));
-        assert_eq!(synth(&e).unwrap().ty, tcon(Con::Int));
+        assert_eq!(*synth(&e).unwrap().ty, tcon(Con::Int));
     }
 
     #[test]
@@ -439,7 +448,7 @@ mod tests {
             prim(recmod_syntax::ast::PrimOp::Add, var(0), int(1)),
         );
         let t = synth(&e).unwrap();
-        assert_eq!(t.ty, tcon(Con::Int));
+        assert_eq!(*t.ty, tcon(Con::Int));
         assert!(t.valuable);
         let e = let_(fail(tcon(Con::Int)), var(0));
         assert!(!synth(&e).unwrap().valuable);
@@ -451,11 +460,11 @@ mod tests {
         let tc = Tc::new();
         let mut ctx = Ctx::new();
         let m = mu(tkind(), carrow(Con::Int, cvar(0)));
-        ctx.with_term(tcon(m), true, |ctx| {
+        ctx.with_term(hc(tcon(m)), true, |ctx| {
             let t = tc.synth_term(ctx, &app(var(0), int(3))).unwrap();
             // Result is the μ again.
             let exposed = tc.expose(ctx, &t.ty).unwrap();
-            assert!(matches!(exposed, Ty::Con(Con::Mu(_, _))));
+            assert!(matches!(&exposed, Ty::Con(c) if matches!(**c, Con::Mu(_, _))));
         });
     }
 }

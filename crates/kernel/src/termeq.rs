@@ -20,6 +20,7 @@
 //! a semantic inequality.
 
 use recmod_syntax::ast::{Con, Term, Ty};
+use recmod_syntax::intern::hc;
 use recmod_syntax::subst::{shift_term, subst_con_term, subst_term_term};
 
 use crate::ctx::Ctx;
@@ -41,14 +42,12 @@ impl Tc {
             (Term::Var(i), Term::Var(j)) | (Term::Snd(i), Term::Snd(j)) if i == j => Ok(()),
             (Term::Lam(t1, b1), Term::Lam(t2, b2)) => {
                 self.ty_eq(ctx, t1, t2)?;
-                ctx.with_term((**t1).clone(), true, |ctx| self.term_eq(ctx, b1, b2))
+                ctx.with_term(t1.clone(), true, |ctx| self.term_eq(ctx, b1, b2))
             }
             // η: λx. e x = e
             (Term::Lam(t, body), other) | (other, Term::Lam(t, body)) => {
                 let expanded = Term::App(Box::new(shift_term(other, 1, 0)), Box::new(Term::Var(0)));
-                ctx.with_term((**t).clone(), true, |ctx| {
-                    self.term_eq(ctx, body, &expanded)
-                })
+                ctx.with_term(t.clone(), true, |ctx| self.term_eq(ctx, body, &expanded))
             }
             (Term::TLam(k1, b1), Term::TLam(k2, b2)) => {
                 self.kind_eq(ctx, k1, k2)?;
@@ -76,7 +75,7 @@ impl Tc {
             }
             (Term::Fix(t1, b1), Term::Fix(t2, b2)) => {
                 self.ty_eq(ctx, t1, t2)?;
-                ctx.with_term((**t1).clone(), false, |ctx| self.term_eq(ctx, b1, b2))
+                ctx.with_term(t1.clone(), false, |ctx| self.term_eq(ctx, b1, b2))
             }
             (Term::Prim(o1, xs), Term::Prim(o2, ys)) if o1 == o2 && xs.len() == ys.len() => {
                 for (x, y) in xs.iter().zip(ys) {
@@ -98,7 +97,7 @@ impl Tc {
                 for (x, y) in bs1.iter().zip(bs2) {
                     // Branch payload types are not tracked here; compare
                     // under an uninformative binder.
-                    ctx.with_term(Ty::Unit, true, |ctx| self.term_eq(ctx, x, y))?;
+                    ctx.with_term(hc(Ty::Unit), true, |ctx| self.term_eq(ctx, x, y))?;
                 }
                 Ok(())
             }
@@ -110,7 +109,7 @@ impl Tc {
             (Term::Fail(t1), Term::Fail(t2)) => self.ty_eq(ctx, t1, t2),
             (Term::Let(x1, b1), Term::Let(x2, b2)) => {
                 self.term_eq(ctx, x1, x2)?;
-                ctx.with_term(Ty::Unit, true, |ctx| self.term_eq(ctx, b1, b2))
+                ctx.with_term(hc(Ty::Unit), true, |ctx| self.term_eq(ctx, b1, b2))
             }
             _ => raise(TypeError::Other(format!(
                 "terms are not provably equal: {} vs {}",
@@ -290,7 +289,7 @@ mod tests {
     fn eta_for_functions() {
         // λx:int. f x = f   (f free)
         let mut ctx = Ctx::new();
-        ctx.with_term(partial(tcon(Con::Int), tcon(Con::Int)), true, |ctx| {
+        ctx.with_term(hc(partial(tcon(Con::Int), tcon(Con::Int))), true, |ctx| {
             let eta = lam(tcon(Con::Int), app(var(1), var(0)));
             tc().term_eq(ctx, &eta, &var(0)).unwrap();
         });
@@ -299,7 +298,7 @@ mod tests {
     #[test]
     fn eta_for_pairs() {
         let mut ctx = Ctx::new();
-        ctx.with_term(tprod(tcon(Con::Int), tcon(Con::Int)), true, |ctx| {
+        ctx.with_term(hc(tprod(tcon(Con::Int), tcon(Con::Int))), true, |ctx| {
             let eta = pair(proj1(var(0)), proj2(var(0)));
             tc().term_eq(ctx, &eta, &var(0)).unwrap();
         });

@@ -13,6 +13,7 @@
 //! having both declarative rules available.
 
 use recmod_syntax::ast::{Con, Ty};
+use recmod_syntax::intern::hc;
 
 use crate::ctx::Ctx;
 use crate::error::{raise, TcResult, TypeError};
@@ -46,14 +47,12 @@ impl Tc {
             Ty::Con(c) => {
                 let w = self.whnf(ctx, c)?;
                 Ok(match w {
-                    Con::Arrow(a, b) => {
-                        Ty::Partial(Box::new(Ty::Con(a.take())), Box::new(Ty::Con(b.take())))
-                    }
-                    Con::Prod(a, b) => {
-                        Ty::Prod(Box::new(Ty::Con(a.take())), Box::new(Ty::Con(b.take())))
-                    }
+                    Con::Arrow(a, b) => Ty::Partial(hc(Ty::Con(a)), hc(Ty::Con(b))),
+                    Con::Prod(a, b) => Ty::Prod(hc(Ty::Con(a)), hc(Ty::Con(b))),
                     Con::UnitTy => Ty::Unit,
-                    other => Ty::Con(other),
+                    // Already head normal: keep the interned pointer.
+                    other if other == **c => t.clone(),
+                    other => Ty::Con(hc(other)),
                 })
             }
             other => Ok(other.clone()),
@@ -74,7 +73,7 @@ impl Tc {
             }
             self.burn(crate::stats::FuelOp::TypeExpose)?;
             let u = self.unroll_mu_cached(c)?;
-            e = self.expose(ctx, &Ty::Con(u))?;
+            e = self.expose(ctx, &Ty::Con(hc(u)))?;
         }
         Ok(e)
     }
@@ -115,12 +114,12 @@ impl Tc {
                 (Ty::Con(c), _) if self.unrollable(c) => {
                     self.burn(crate::stats::FuelOp::TypeEquiv)?;
                     let u = self.unroll_mu_cached(c)?;
-                    a = self.expose(ctx, &Ty::Con(u))?;
+                    a = self.expose(ctx, &Ty::Con(hc(u)))?;
                 }
                 (_, Ty::Con(c)) if self.unrollable(c) => {
                     self.burn(crate::stats::FuelOp::TypeEquiv)?;
                     let u = self.unroll_mu_cached(c)?;
-                    b = self.expose(ctx, &Ty::Con(u))?;
+                    b = self.expose(ctx, &Ty::Con(hc(u)))?;
                 }
                 _ => {
                     return raise(TypeError::TyMismatch {
@@ -163,12 +162,12 @@ impl Tc {
                 (Ty::Con(c), _) if self.unrollable(c) => {
                     self.burn(crate::stats::FuelOp::Subtype)?;
                     let u = self.unroll_mu_cached(c)?;
-                    a = self.expose(ctx, &Ty::Con(u))?;
+                    a = self.expose(ctx, &Ty::Con(hc(u)))?;
                 }
                 (_, Ty::Con(c)) if self.unrollable(c) => {
                     self.burn(crate::stats::FuelOp::Subtype)?;
                     let u = self.unroll_mu_cached(c)?;
-                    b = self.expose(ctx, &Ty::Con(u))?;
+                    b = self.expose(ctx, &Ty::Con(hc(u)))?;
                 }
                 _ => {
                     return raise(TypeError::NotASubtype {

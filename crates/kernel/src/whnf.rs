@@ -353,16 +353,7 @@ impl Tc {
         let _depth = self.descend("natural_kind")?;
         match c {
             Con::Var(i) => Ok(Some(ctx.lookup_con(*i)?)),
-            Con::Fst(i) => {
-                let (sig, _) = ctx.lookup_struct(*i)?;
-                match sig {
-                    recmod_syntax::ast::Sig::Struct(k, _) => Ok(Some(k.take())),
-                    s => raise(TypeError::Other(format!(
-                        "structure variable with unresolved signature {}",
-                        show::sig(&s)
-                    ))),
-                }
-            }
+            Con::Fst(i) => Ok(Some(ctx.lookup_fst_kind(*i)?.take())),
             Con::App(f, a) => {
                 let Some(fk) = self.natural_kind(ctx, f)? else {
                     return Ok(None);
@@ -490,7 +481,7 @@ mod tests {
     fn fst_of_transparent_structure_expands() {
         let tc = Tc::new();
         let mut ctx = Ctx::new();
-        let s = Sig::Struct(hc(q(Con::Int)), Box::new(tcon(cvar(0))));
+        let s = Sig::Struct(hc(q(Con::Int)), hc(tcon(cvar(0))));
         ctx.with(Entry::Struct(s, true), |ctx| {
             assert_eq!(tc.whnf(ctx, &fst(0)).unwrap(), Con::Int);
         });

@@ -35,9 +35,9 @@ use crate::split::Split;
 pub fn functor_sig(k1: Kind, t1: Ty, k2: Kind, t2: Ty) -> Sig {
     Sig::Struct(
         hc(Kind::Pi(hc(k1.clone()), hc(k2))),
-        Box::new(Ty::Forall(
+        hc(Ty::Forall(
             hc(recmod_syntax::subst::shift_kind(&k1, 1, 0)),
-            Box::new(Ty::Partial(Box::new(t1), Box::new(t2))),
+            hc(Ty::Partial(hc(t1), hc(t2))),
         )),
     )
 }
@@ -59,7 +59,7 @@ pub fn functor_pair(param_kind: &Kind, param_ty: &Ty, body: Split) -> Split {
     let dyn_body = map_term(&body.term, 0, &mut ParamSplit);
     let dynamic = Term::TLam(
         hc(param_kind.clone()),
-        Box::new(Term::Lam(Box::new(param_ty.clone()), Box::new(dyn_body))),
+        Box::new(Term::Lam(hc(param_ty.clone()), Box::new(dyn_body))),
     );
     Split {
         con: static_part,

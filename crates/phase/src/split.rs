@@ -24,7 +24,7 @@ use recmod_syntax::ast::{Con, Kind, Module, Sig, Term, Ty};
 use recmod_syntax::intern::hc;
 use recmod_syntax::map::{map_con, map_term, VarMap};
 use recmod_syntax::size::{con_size, module_size, term_size};
-use recmod_syntax::subst::{shift_con, subst_con_ty};
+use recmod_syntax::subst::{shift_con, subst_con_ty_hc};
 
 /// The two phases of a module: its compile-time constructor and its
 /// run-time term.
@@ -132,7 +132,7 @@ fn split_inner(tc: &Tc, ctx: &mut Ctx, m: &Module) -> TcResult<Split> {
             let mu_body = retarget_fst(&inner.con, 0);
             let static_part = Con::Mu(hc(base), hc(mu_body));
             // Dynamic half: fix(x : σ[μ.../α] . e(μ..., x)).
-            let fix_ty: Ty = subst_con_ty(sigma, &static_part);
+            let fix_ty = subst_con_ty_hc(sigma, &static_part);
             let fix_body = map_term(
                 &inner.term,
                 0,
@@ -142,7 +142,7 @@ fn split_inner(tc: &Tc, ctx: &mut Ctx, m: &Module) -> TcResult<Split> {
             );
             Ok(Split {
                 con: static_part,
-                term: Term::Fix(Box::new(fix_ty), Box::new(fix_body)),
+                term: Term::Fix(fix_ty, Box::new(fix_body)),
             })
         }
     }
@@ -153,7 +153,7 @@ fn split_inner(tc: &Tc, ctx: &mut Ctx, m: &Module) -> TcResult<Split> {
 /// signature's constructor binder.
 pub fn split_sig(tc: &Tc, ctx: &mut Ctx, s: &Sig) -> TcResult<(Kind, Ty)> {
     match tc.resolve_sig(ctx, s)? {
-        Sig::Struct(k, t) => Ok((k.take(), *t)),
+        Sig::Struct(k, t) => Ok((k.take(), t.take())),
         Sig::Rds(_) => raise(TypeError::Other(
             "resolve_sig returned an unresolved rds".to_string(),
         )),
@@ -298,7 +298,7 @@ mod tests {
         let mut ctx = Ctx::new();
         let s = rds(Sig::Struct(
             recmod_syntax::intern::hc(q(carrow(Con::Int, fst(0)))),
-            Box::new(tcon(cvar(0))),
+            recmod_syntax::intern::hc(tcon(cvar(0))),
         ));
         let (k, t) = split_sig(&tc, &mut ctx, &s).unwrap();
         assert_eq!(k, q(mu(tkind(), carrow(Con::Int, cvar(0)))));

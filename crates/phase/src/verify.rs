@@ -117,7 +117,7 @@ mod tests {
         let mut ctx = Ctx::new();
         let ann = rds(Sig::Struct(
             recmod_syntax::intern::hc(q(carrow(Con::Int, fst(0)))),
-            Box::new(tcon(cvar(0))),
+            recmod_syntax::intern::hc(tcon(cvar(0))),
         ));
         let body = strct(
             carrow(Con::Int, fst(0)),

@@ -8,6 +8,7 @@
 
 use recmod_kernel::Entry;
 use recmod_syntax::ast::{Con, PrimOp, Term, Ty};
+use recmod_syntax::intern::{hc, HC};
 use recmod_syntax::subst::{shift_con, shift_term};
 
 use crate::ast::{BinOp, Dec, Exp, Pat};
@@ -108,7 +109,7 @@ impl Elaborator {
                         // λx:argᵢ. roll[μ] injᵢ[sum] x — shift annotations
                         // under the λ binder.
                         Term::Lam(
-                            Box::new(Ty::Con(summands[i].take())),
+                            hc(Ty::Con(summands[i].clone())),
                             Box::new(Term::Roll(
                                 shift_con(&mu, 1, 0),
                                 Box::new(Term::Inj(
@@ -208,7 +209,7 @@ impl Elaborator {
     ) -> SurfaceResult<Term> {
         let pc = self.elab_ty(param_ty)?;
         let rc = self.elab_ty(ret_ty)?;
-        let fn_ty = Ty::Partial(Box::new(Ty::Con(pc.clone())), Box::new(Ty::Con(rc.clone())));
+        let fn_ty = hc(Ty::partial(Ty::con(pc.clone()), Ty::con(rc.clone())));
         // fix(f : pty ⇀ rty. λx:pty. (body : rty))
         let env_mark = self.env.mark();
         self.ctx.push(Entry::Term(fn_ty.clone(), false));
@@ -219,7 +220,7 @@ impl Elaborator {
             },
         );
         self.ctx
-            .push(Entry::Term(Ty::Con(shift_con(&pc, 1, 0)), true));
+            .push(Entry::Term(hc(Ty::con(shift_con(&pc, 1, 0))), true));
         self.env.insert(
             param.to_string(),
             crate::env::Entity::Val {
@@ -233,13 +234,13 @@ impl Elaborator {
         // Ascribe the body at rty (shifted under fix + λ binders).
         let rc_in = shift_con(&rc, 2, 0);
         let checked = Term::App(
-            Box::new(Term::Lam(Box::new(Ty::Con(rc_in)), Box::new(Term::Var(0)))),
+            Box::new(Term::Lam(hc(Ty::con(rc_in)), Box::new(Term::Var(0)))),
             Box::new(body_term),
         );
         Ok(Term::Fix(
-            Box::new(fn_ty),
+            fn_ty,
             Box::new(Term::Lam(
-                Box::new(Ty::Con(shift_con(&pc, 1, 0))),
+                hc(Ty::con(shift_con(&pc, 1, 0))),
                 Box::new(checked),
             )),
         ))
@@ -250,11 +251,11 @@ impl Elaborator {
         if let Term::Fail(_) = term {
             // `(raise Fail : τ)` — give the failure its type directly.
             let con = self.elab_ty(t)?;
-            return Ok(Term::Fail(Box::new(Ty::Con(con))));
+            return Ok(Term::Fail(hc(Ty::con(con))));
         }
         let con = self.elab_ty(t)?;
         Ok(Term::App(
-            Box::new(Term::Lam(Box::new(Ty::Con(con)), Box::new(Term::Var(0)))),
+            Box::new(Term::Lam(hc(Ty::con(con)), Box::new(Term::Var(0)))),
             Box::new(term),
         ))
     }
@@ -311,7 +312,7 @@ impl Elaborator {
             Exp::Fn(x, ty, body, _) => {
                 let con = self.elab_ty(ty)?;
                 let mark = self.env.mark();
-                self.ctx.push(Entry::Term(Ty::Con(con.clone()), true));
+                self.ctx.push(Entry::Term(hc(Ty::con(con.clone())), true));
                 self.env.insert(
                     x.clone(),
                     crate::env::Entity::Val {
@@ -321,7 +322,7 @@ impl Elaborator {
                 let body_res = self.elab_exp(body);
                 self.ctx.truncate(self.depth() - 1);
                 self.env.reset(mark);
-                Ok(Term::Lam(Box::new(Ty::Con(con)), Box::new(body_res?)))
+                Ok(Term::Lam(hc(Ty::con(con)), Box::new(body_res?)))
             }
             Exp::If(c, t, f, _) => {
                 let tc_ = self.elab_exp(c)?;
@@ -331,7 +332,7 @@ impl Elaborator {
             }
             Exp::Annot(inner, ty, _) => {
                 let t = match &**inner {
-                    Exp::Raise(_) => Term::Fail(Box::new(Ty::Unit)), // placeholder, retyped below
+                    Exp::Raise(_) => Term::Fail(hc(Ty::Unit)), // placeholder, retyped below
                     other => self.elab_exp(other)?,
                 };
                 self.ascribe(t, ty)
@@ -379,7 +380,7 @@ impl Elaborator {
                     let mut pushed = 0usize;
                     let mut result: SurfaceResult<()> = Ok(());
                     for p in parts {
-                        let ty = recmod_syntax::subst::shift_ty(
+                        let ty = recmod_syntax::subst::shift_ty_hc(
                             &comp_tys[pushed],
                             (pushed + 1) as isize,
                             0,
@@ -503,7 +504,7 @@ impl Elaborator {
                 .iter()
                 .zip(&ctor_of_arm)
                 .find(|(_, c)| c.as_ref().is_some_and(|c| c.index == i));
-            let payload_ty = Ty::Con(shift_con(&summands[i], 1, 0));
+            let payload_ty = hc(Ty::con(shift_con(&summands[i], 1, 0)));
             self.ctx.push(Entry::Term(payload_ty, true));
             let mark = self.env.mark();
             let branch = match arm {
@@ -578,7 +579,7 @@ impl Elaborator {
                 let mut pushed = 0;
                 let mut result: SurfaceResult<()> = Ok(());
                 for (j, p) in parts.iter().enumerate() {
-                    let comp_ty = Ty::Con(shift_con(&comps[j], pushed as isize, 0));
+                    let comp_ty = hc(Ty::con(shift_con(&comps[j], pushed as isize, 0)));
                     self.ctx.push(Entry::Term(comp_ty, true));
                     pushed += 1;
                     match p {
@@ -629,7 +630,7 @@ impl Elaborator {
 
     /// Splits a type into `n` product components, exposing monotype
     /// structure as needed.
-    fn split_ty_prod(&mut self, ty: &Ty, n: usize, span: Span) -> SurfaceResult<Vec<Ty>> {
+    fn split_ty_prod(&mut self, ty: &HC<Ty>, n: usize, span: Span) -> SurfaceResult<Vec<HC<Ty>>> {
         let mut comps = Vec::with_capacity(n);
         let mut cur = ty.clone();
         for i in 0..n {
@@ -642,8 +643,8 @@ impl Elaborator {
                 .map_err(|err| self.terr(span, err))?;
             match e {
                 Ty::Prod(a, b) => {
-                    comps.push(*a);
-                    cur = *b;
+                    comps.push(a);
+                    cur = b;
                 }
                 other => {
                     return self.err(

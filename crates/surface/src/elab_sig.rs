@@ -200,12 +200,9 @@ impl Elaborator {
                                     // Elaborate with the datatype name bound
                                     // to the α projection (already in env).
                                     let arg = self.elab_ty(arg_ty)?;
-                                    Ty::Total(
-                                        Box::new(Ty::Con(arg)),
-                                        Box::new(Ty::Con(t_con.clone())),
-                                    )
+                                    Ty::total(Ty::con(arg), Ty::con(t_con.clone()))
                                 }
-                                None => Ty::Con(t_con.clone()),
+                                None => Ty::con(t_con.clone()),
                             };
                             dyn_tys.push(ty);
                         }
@@ -213,7 +210,7 @@ impl Elaborator {
                     }
                     Spec::Val { ty, .. } => {
                         let con = self.elab_ty(ty)?;
-                        dyn_tys.push(Ty::Con(con));
+                        dyn_tys.push(Ty::con(con));
                     }
                     Spec::Structure { name, span, .. } => {
                         let slot = shape.static_slot(name).ok_or_else(|| {
@@ -498,7 +495,7 @@ mod tests {
         let Ty::Prod(first, _) = &t.ty else {
             panic!("{:?}", t.ty)
         };
-        assert_eq!(**first, Ty::Con(Con::Var(0)));
+        assert_eq!(**first, Ty::con(Con::Var(0)));
     }
 
     #[test]
@@ -506,7 +503,7 @@ mod tests {
         let t = elab_named_sig("signature S = sig type t = int val x : t end").unwrap();
         assert_eq!(t.kind, Kind::Singleton(recmod_syntax::intern::hc(Con::Int)));
         // x : t resolves to the α projection (arity-1 tuple: α itself).
-        assert_eq!(t.ty, Ty::Con(Con::Var(0)));
+        assert_eq!(t.ty, Ty::con(Con::Var(0)));
     }
 
     #[test]
@@ -589,7 +586,7 @@ mod tests {
         };
         assert_eq!(
             **second,
-            Ty::Con(Con::Arrow(
+            Ty::con(Con::Arrow(
                 recmod_syntax::intern::hc(Con::Var(0)),
                 recmod_syntax::intern::hc(Con::Int)
             ))

@@ -303,13 +303,12 @@ impl Elaborator {
     /// Elaborates one top-level declaration, extending the context,
     /// environment, and binding list.
     pub fn elab_topdec(&mut self, dec: &TopDec) -> SurfaceResult<()> {
-        let _j = recmod_telemetry::judgement_span("surface.elab_topdec");
+        let _j = recmod_telemetry::declaration_span("surface.elab_topdec");
         self.current_decl = dec.span();
         self.with_depth(dec.span(), |this| this.elab_topdec_inner(dec))
     }
 
     fn elab_topdec_inner(&mut self, dec: &TopDec) -> SurfaceResult<()> {
-        let _span = recmod_telemetry::span("surface.elab_topdec");
         recmod_telemetry::count("surface.topdecs", 1);
         match dec {
             TopDec::Signature { name, sig, .. } => {
@@ -554,10 +553,8 @@ impl Elaborator {
         let skeleton = self.sig_skeleton(sig)?;
         let stripped = skeleton_strip_kind(&skeleton);
         let mark = self.env.mark();
-        self.ctx.push(Entry::Struct(
-            Sig::Struct(hc(stripped), Box::new(Ty::Unit)),
-            true,
-        ));
+        self.ctx
+            .push(Entry::Struct(Sig::Struct(hc(stripped), hc(Ty::Unit)), true));
         self.env.insert(
             self_name.to_string(),
             Entity::Struct(StructEntity {
@@ -614,10 +611,8 @@ impl Elaborator {
 
         // 2. Pseudo-binder with the stripped signature; bind the names.
         let mark = self.env.mark();
-        self.ctx.push(Entry::Struct(
-            Sig::Struct(hc(stripped), Box::new(Ty::Unit)),
-            true,
-        ));
+        self.ctx
+            .push(Entry::Struct(Sig::Struct(hc(stripped), hc(Ty::Unit)), true));
         for (i, b) in binds.iter().enumerate() {
             self.env.insert(
                 b.name.clone(),
@@ -760,11 +755,11 @@ impl Elaborator {
         // and are gone; rebind below.
 
         let ann_sig = if transparent {
-            Sig::Rds(Box::new(Sig::Struct(hc(comb_kind), Box::new(comb_ty))))
+            Sig::Rds(Box::new(Sig::Struct(hc(comb_kind), hc(comb_ty))))
         } else {
             Sig::Struct(
                 hc(shift_kind(&comb_kind, -1, 0)),
-                Box::new(shift_ty(&comb_ty, -1, 1)),
+                hc(shift_ty(&comb_ty, -1, 1)),
             )
         };
         self.kernel(|tc, ctx| tc.wf_sig(ctx, &ann_sig))

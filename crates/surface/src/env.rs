@@ -41,7 +41,7 @@ impl SigTemplate {
         let rho = usize::from(self.rds);
         let inner = recmod_syntax::ast::Sig::Struct(
             recmod_syntax::intern::hc(shift_kind(&self.kind, delta, rho)),
-            Box::new(shift_ty(&self.ty, delta, rho + 1)),
+            recmod_syntax::intern::hc(shift_ty(&self.ty, delta, rho + 1)),
         );
         if self.rds {
             recmod_syntax::ast::Sig::Rds(Box::new(inner))
@@ -234,7 +234,7 @@ mod tests {
                 recmod_syntax::intern::hc(Con::Int),
                 recmod_syntax::intern::hc(Con::Fst(0)),
             ))),
-            ty: Ty::Con(Con::Fst(1)),
+            ty: Ty::con(Con::Fst(1)),
             shape: Shape::new(),
             depth: 1,
             rds: true,
@@ -256,7 +256,7 @@ mod tests {
         );
         // In ty, index 0 = α, index 1 = ρ binder: both stay fixed; had it
         // been 2+ it would shift by 3.
-        assert_eq!(*ty, Ty::Con(Con::Fst(1)));
+        assert_eq!(*ty, Ty::con(Con::Fst(1)));
     }
 
     #[test]
@@ -265,7 +265,7 @@ mod tests {
         // kind references a free variable — it moves.
         let t = SigTemplate {
             kind: Kind::Singleton(recmod_syntax::intern::hc(Con::Var(2))),
-            ty: Ty::Con(Con::Var(0)),
+            ty: Ty::con(Con::Var(0)),
             shape: Shape::new(),
             depth: 3,
             rds: false,
@@ -274,6 +274,6 @@ mod tests {
             panic!()
         };
         assert_eq!(*k, Kind::Singleton(recmod_syntax::intern::hc(Con::Var(4))));
-        assert_eq!(*ty, Ty::Con(Con::Var(0)));
+        assert_eq!(*ty, Ty::con(Con::Var(0)));
     }
 }

@@ -83,7 +83,7 @@ pub fn extrude(tc: &Tc, ctx: &mut Ctx, s: &Sig) -> TcResult<Extruded> {
     let filled = fill(&shifted_kind, m, 0, &mut next);
     debug_assert_eq!(next, m);
 
-    let transparent_rds = Sig::Rds(Box::new(Sig::Struct(hc(filled), Box::new(shifted_ty))));
+    let transparent_rds = Sig::Rds(Box::new(Sig::Struct(hc(filled), hc(shifted_ty))));
 
     // Resolve under the hoisted binders.
     let base = ctx.len();
@@ -117,7 +117,7 @@ pub fn extrude(tc: &Tc, ctx: &mut Ctx, s: &Sig) -> TcResult<Extruded> {
     let ty = reproject_ty(&rt, m);
     Ok(Extruded {
         hoisted: m,
-        sig: Sig::Struct(hc(kind), Box::new(ty)),
+        sig: Sig::Struct(hc(kind), hc(ty)),
     })
 }
 
@@ -230,7 +230,7 @@ mod tests {
         let u_def = carrow(cproj2(fst(1)), cvar(0));
         rds(Sig::Struct(
             recmod_syntax::intern::hc(sigma(tkind(), q(u_def))),
-            Box::new(Ty::Unit),
+            hc(Ty::Unit),
         ))
     }
 
@@ -248,7 +248,7 @@ mod tests {
         let mut ctx = Ctx::new();
         let s = rds(Sig::Struct(
             recmod_syntax::intern::hc(q(carrow(Con::Int, fst(0)))),
-            Box::new(Ty::Unit),
+            hc(Ty::Unit),
         ));
         let out = extrude(&tc, &mut ctx, &s).unwrap();
         assert_eq!(out.hoisted, 0);

@@ -193,7 +193,7 @@ pub fn ty_tuple(parts: Vec<Ty>) -> Ty {
     let mut rev = parts.into_iter().rev();
     match rev.next() {
         None => Ty::Unit,
-        Some(last) => rev.fold(last, |acc, t| Ty::Prod(Box::new(t), Box::new(acc))),
+        Some(last) => rev.fold(last, |acc, t| Ty::prod(t, acc)),
     }
 }
 

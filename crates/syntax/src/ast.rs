@@ -87,18 +87,18 @@ pub enum Con {
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Ty {
     /// A monotype, i.e. a constructor of kind `T`.
-    Con(Con),
+    Con(HC<Con>),
     /// The trivial type `1`.
     Unit,
     /// Total (pure) functions `σ₁ → σ₂`: applications of valuable total
     /// functions to valuable arguments are valuable.
-    Total(Box<Ty>, Box<Ty>),
+    Total(HC<Ty>, HC<Ty>),
     /// Partial functions `σ₁ ⇀ σ₂`.
-    Partial(Box<Ty>, Box<Ty>),
+    Partial(HC<Ty>, HC<Ty>),
     /// Products `σ₁ × σ₂`.
-    Prod(Box<Ty>, Box<Ty>),
+    Prod(HC<Ty>, HC<Ty>),
     /// Polymorphism `∀α:κ.σ`. Binds a constructor variable.
-    Forall(HC<Kind>, Box<Ty>),
+    Forall(HC<Kind>, HC<Ty>),
 }
 
 /// Primitive operations on base types (extension; see `DESIGN.md` §2).
@@ -148,7 +148,7 @@ pub enum Term {
     Star,
     /// `λx:σ.e`. Binds a term variable. The checker assigns the total
     /// type `σ → σ'` when the body is valuable and `σ ⇀ σ'` otherwise.
-    Lam(Box<Ty>, Box<Term>),
+    Lam(HC<Ty>, Box<Term>),
     /// Application `e₁ e₂`.
     App(Box<Term>, Box<Term>),
     /// Pair `(e₁, e₂)`.
@@ -163,7 +163,7 @@ pub enum Term {
     TApp(Box<Term>, Con),
     /// `fix(x:σ.e)`: recursive values. Binds a term variable that is
     /// *not valuable* within `e` (the value restriction, §2.1).
-    Fix(Box<Ty>, Box<Term>),
+    Fix(HC<Ty>, Box<Term>),
     /// An integer literal (extension).
     IntLit(i64),
     /// A boolean literal (extension).
@@ -187,7 +187,7 @@ pub enum Term {
     Unroll(Box<Term>),
     /// `fail[σ]`: a run-time failure (models the paper's `raise Fail`);
     /// never valuable.
-    Fail(Box<Ty>),
+    Fail(HC<Ty>),
     /// `let x = e₁ in e₂` (derived form, kept primitive for readability
     /// of elaborator output). Binds a term variable.
     Let(Box<Term>, Box<Term>),
@@ -201,7 +201,7 @@ pub enum Sig {
     /// kind `κ` and whose run-time part has type `σ` (which may mention
     /// the compile-time part through the bound constructor variable).
     /// Binds a constructor variable in the type.
-    Struct(HC<Kind>, Box<Ty>),
+    Struct(HC<Kind>, HC<Ty>),
     /// `ρs.S`: a recursively-dependent signature. Binds a structure
     /// variable in `S`; the static part of `S` must be fully transparent
     /// (paper §4.1).
@@ -249,22 +249,22 @@ impl Con {
 impl Ty {
     /// The partial arrow `σ₁ ⇀ σ₂` (the surface-language `->`).
     pub fn partial(a: Ty, b: Ty) -> Ty {
-        Ty::Partial(Box::new(a), Box::new(b))
+        Ty::Partial(hc(a), hc(b))
     }
 
     /// The total arrow `σ₁ → σ₂`.
     pub fn total(a: Ty, b: Ty) -> Ty {
-        Ty::Total(Box::new(a), Box::new(b))
+        Ty::Total(hc(a), hc(b))
     }
 
     /// The product `σ₁ × σ₂`.
     pub fn prod(a: Ty, b: Ty) -> Ty {
-        Ty::Prod(Box::new(a), Box::new(b))
+        Ty::Prod(hc(a), hc(b))
     }
 
     /// The monotype embedding.
     pub fn con(c: Con) -> Ty {
-        Ty::Con(c)
+        Ty::Con(hc(c))
     }
 }
 

@@ -95,27 +95,27 @@ pub fn csum<I: IntoIterator<Item = Con>>(cs: I) -> Con {
 
 /// The monotype embedding `Con(c)`.
 pub fn tcon(c: Con) -> Ty {
-    Ty::Con(c)
+    Ty::Con(hc(c))
 }
 
 /// The total arrow `a → b`.
 pub fn total(a: Ty, b: Ty) -> Ty {
-    Ty::Total(Box::new(a), Box::new(b))
+    Ty::Total(hc(a), hc(b))
 }
 
 /// The partial arrow `a ⇀ b`.
 pub fn partial(a: Ty, b: Ty) -> Ty {
-    Ty::Partial(Box::new(a), Box::new(b))
+    Ty::Partial(hc(a), hc(b))
 }
 
 /// The type product `a × b`.
 pub fn tprod(a: Ty, b: Ty) -> Ty {
-    Ty::Prod(Box::new(a), Box::new(b))
+    Ty::Prod(hc(a), hc(b))
 }
 
 /// The polymorphic type `∀α:κ.σ` (body under the binder).
 pub fn forall(k: Kind, t: Ty) -> Ty {
-    Ty::Forall(hc(k), Box::new(t))
+    Ty::Forall(hc(k), hc(t))
 }
 
 // --- terms -------------------------------------------------------------------
@@ -132,7 +132,7 @@ pub fn snd(i: Index) -> Term {
 
 /// `λx:σ.e` (body under the binder).
 pub fn lam(t: Ty, body: Term) -> Term {
-    Term::Lam(Box::new(t), Box::new(body))
+    Term::Lam(hc(t), Box::new(body))
 }
 
 /// Term application.
@@ -167,7 +167,7 @@ pub fn tapp(e: Term, c: Con) -> Term {
 
 /// `fix(x:σ.e)` (body under the binder).
 pub fn fix(t: Ty, body: Term) -> Term {
-    Term::Fix(Box::new(t), Box::new(body))
+    Term::Fix(hc(t), Box::new(body))
 }
 
 /// An integer literal.
@@ -212,7 +212,7 @@ pub fn unroll(e: Term) -> Term {
 
 /// `fail[σ]`.
 pub fn fail(t: Ty) -> Term {
-    Term::Fail(Box::new(t))
+    Term::Fail(hc(t))
 }
 
 /// `let x = e in body` (body under the binder).
@@ -224,7 +224,7 @@ pub fn let_(e: Term, body: Term) -> Term {
 
 /// The flat signature `[α:κ.σ]` (type under the binder).
 pub fn sig(k: Kind, t: Ty) -> Sig {
-    Sig::Struct(hc(k), Box::new(t))
+    Sig::Struct(hc(k), hc(t))
 }
 
 /// The recursively-dependent signature `ρs.S` (signature under the binder).
@@ -265,7 +265,7 @@ mod tests {
         );
         assert_eq!(
             sig(tkind(), tcon(cvar(0))),
-            Sig::Struct(hc(Kind::Type), Box::new(Ty::Con(Con::Var(0))))
+            Sig::Struct(hc(Kind::Type), hc(Ty::Con(hc(Con::Var(0)))))
         );
     }
 }

@@ -1,15 +1,17 @@
 //! Hash-consed, reference-counted syntax nodes.
 //!
-//! The recursive spine of [`Con`](crate::ast::Con) and
-//! [`Kind`](crate::ast::Kind) is built from [`HC<T>`] pointers instead of
-//! `Box<T>`: every structurally-distinct node is interned once in its
-//! thread's table and assigned a stable [`NodeId`]. Consequences:
+//! The recursive spine of [`Con`](crate::ast::Con),
+//! [`Kind`](crate::ast::Kind) and [`Ty`](crate::ast::Ty) is built from
+//! [`HC<T>`] pointers instead of `Box<T>`: every structurally-distinct
+//! node is interned once in its thread's table and assigned a stable
+//! [`NodeId`]. (Terms, signatures and modules stay `Box` trees; they
+//! hold interned types, kinds and constructors.) Consequences:
 //!
 //! * **O(1) equality** — two `HC` pointers are equal iff their ids are
 //!   equal, which (by the interning invariant) holds iff the subtrees
-//!   are structurally equal. The derived `PartialEq`/`Hash` on `Con` and
-//!   `Kind` therefore touch only the root variant plus child ids, never
-//!   the whole tree.
+//!   are structurally equal. The derived `PartialEq`/`Hash` on `Con`,
+//!   `Kind` and `Ty` therefore touch only the root variant plus child
+//!   ids, never the whole tree.
 //! * **O(1) clone** — `clone()` is a refcount bump.
 //! * **Cached binding data** — each node carries `fv_bound`, an upper
 //!   bound on its free de Bruijn indices, computed shallowly at intern
@@ -50,8 +52,9 @@ use std::fmt;
 use std::hash::Hash;
 use std::ops::Deref;
 use std::rc::{Rc, Weak};
+use std::thread::LocalKey;
 
-use crate::ast::{Con, Kind};
+use crate::ast::{Con, Kind, Ty};
 
 /// A stable identifier for one structurally-distinct syntax node.
 ///
@@ -223,6 +226,7 @@ impl<T: Internable> Table<T> {
 thread_local! {
     static CONS: RefCell<Table<Con>> = RefCell::new(Table::new());
     static KINDS: RefCell<Table<Kind>> = RefCell::new(Table::new());
+    static TYS: RefCell<Table<Ty>> = RefCell::new(Table::new());
     /// Ids start at 1 so 0 can serve as an "absent" sentinel in debug
     /// dumps.
     static NEXT_ID: Cell<NodeId> = const { Cell::new(1) };
@@ -266,6 +270,21 @@ impl Internable for Kind {
     }
 }
 
+impl Internable for Ty {
+    fn fv_bound_shallow(&self) -> usize {
+        match self {
+            Ty::Con(c) => c.fv_bound(),
+            Ty::Unit => 0,
+            Ty::Total(a, b) | Ty::Partial(a, b) | Ty::Prod(a, b) => a.fv_bound().max(b.fv_bound()),
+            Ty::Forall(k, b) => k.fv_bound().max(b.fv_bound().saturating_sub(1)),
+        }
+    }
+
+    fn intern(self) -> HC<Ty> {
+        TYS.with(|t| t.borrow_mut().intern(self))
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Statistics
 // ---------------------------------------------------------------------------
@@ -284,9 +303,16 @@ pub struct InternStats {
     pub con_entries: u64,
     /// Entries currently in the kind table (live + uncollected).
     pub kind_entries: u64,
+    /// Entries currently in the type table (live + uncollected).
+    pub ty_entries: u64,
 }
 
 impl InternStats {
+    /// Entries in all three tables together.
+    pub fn entries(&self) -> u64 {
+        self.con_entries + self.kind_entries + self.ty_entries
+    }
+
     /// Hit rate in `[0, 1]`; `0` when no requests were made.
     pub fn hit_rate(&self) -> f64 {
         let total = self.hits + self.misses;
@@ -298,61 +324,70 @@ impl InternStats {
     }
 }
 
+/// One table's `(hits, misses, sweeps, entries)`.
+fn table_stats<T: Internable>(table: &'static LocalKey<RefCell<Table<T>>>) -> [u64; 4] {
+    table.with(|t| {
+        let t = t.borrow();
+        [t.hits, t.misses, t.sweeps, t.map.len() as u64]
+    })
+}
+
 /// Snapshots this thread's interning counters and table sizes.
 pub fn intern_stats() -> InternStats {
-    let (con_hits, con_misses, con_sweeps, con_entries) = CONS.with(|t| {
-        let t = t.borrow();
-        (t.hits, t.misses, t.sweeps, t.map.len() as u64)
-    });
-    let (kind_hits, kind_misses, kind_sweeps, kind_entries) = KINDS.with(|t| {
-        let t = t.borrow();
-        (t.hits, t.misses, t.sweeps, t.map.len() as u64)
-    });
+    let [con_hits, con_misses, con_sweeps, con_entries] = table_stats(&CONS);
+    let [kind_hits, kind_misses, kind_sweeps, kind_entries] = table_stats(&KINDS);
+    let [ty_hits, ty_misses, ty_sweeps, ty_entries] = table_stats(&TYS);
     InternStats {
-        hits: con_hits + kind_hits,
-        misses: con_misses + kind_misses,
-        sweeps: con_sweeps + kind_sweeps,
+        hits: con_hits + kind_hits + ty_hits,
+        misses: con_misses + kind_misses + ty_misses,
+        sweeps: con_sweeps + kind_sweeps + ty_sweeps,
         con_entries,
         kind_entries,
+        ty_entries,
     }
 }
 
-/// This thread's entry count (live + uncollected), constructor and
-/// kind tables together, as a one-element array.
+/// This thread's entry count (live + uncollected), all three tables
+/// together, as a one-element array.
 ///
 /// It outlives the sharded table whose per-shard counts it used to
 /// return only because the frozen benchmark tracer
 /// (`perfbench/traced`) sums it; new code reads [`intern_stats`].
 pub fn shard_occupancy() -> [u64; 1] {
-    let s = intern_stats();
-    [s.con_entries + s.kind_entries]
+    [intern_stats().entries()]
 }
 
-/// Sweeps dead entries from both of this thread's tables immediately,
-/// without waiting for the doubling high-water mark, and resets each
-/// table's mark to fit its surviving population.
+/// Sweeps dead entries from this thread's tables immediately, without
+/// waiting for the doubling high-water mark, and resets each table's
+/// mark to fit its surviving population.
 ///
 /// Long-lived worker threads (`recmodc serve`) call this between
 /// requests: each compile drops its strong `HC` pointers when the
 /// per-request syntax dies, so the weak table is mostly tombstones at
 /// request boundaries. Sweeping there bounds steady-state occupancy by
 /// the *live* working set instead of the doubling schedule's high-water
-/// mark. Returns the number of entries reclaimed across both tables.
+/// mark. Returns the number of entries reclaimed across the tables.
 pub fn sweep_now() -> u64 {
-    CONS.with(|t| t.borrow_mut().sweep()) + KINDS.with(|t| t.borrow_mut().sweep())
+    // Types hold constructors and kinds, and kinds hold constructors:
+    // sweeping outer classes first lets their dead keys release the
+    // inner nodes in the same pass.
+    TYS.with(|t| t.borrow_mut().sweep())
+        + KINDS.with(|t| t.borrow_mut().sweep())
+        + CONS.with(|t| t.borrow_mut().sweep())
 }
 
 /// Zeroes this thread's interning hit/miss/sweep counters (table
 /// contents are left alone — canonical nodes stay canonical).
 pub fn reset_intern_stats() {
-    CONS.with(|t| {
-        let mut t = t.borrow_mut();
-        (t.hits, t.misses, t.sweeps) = (0, 0, 0);
-    });
-    KINDS.with(|t| {
-        let mut t = t.borrow_mut();
-        (t.hits, t.misses, t.sweeps) = (0, 0, 0);
-    });
+    fn reset<T: Internable>(table: &'static LocalKey<RefCell<Table<T>>>) {
+        table.with(|t| {
+            let mut t = t.borrow_mut();
+            (t.hits, t.misses, t.sweeps) = (0, 0, 0);
+        });
+    }
+    reset(&CONS);
+    reset(&KINDS);
+    reset(&TYS);
 }
 
 #[cfg(test)]

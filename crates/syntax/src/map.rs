@@ -12,8 +12,8 @@
 //!
 //! # Sharing preservation
 //!
-//! Constructor and kind children are hash-consed [`HC`] pointers carrying
-//! a cached free-variable upper bound (see [`crate::intern`]). A map
+//! Constructor, kind and type children are hash-consed [`HC`] pointers
+//! carrying a cached free-variable upper bound (see [`crate::intern`]). A map
 //! whose [`VarMap::floor`] is `Some(fl)` promises to leave every index
 //! strictly below `fl + d` untouched at traversal depth `d`; a subtree
 //! whose `fv_bound` proves it contains only such indices is returned as
@@ -29,7 +29,8 @@
 //! separate judgement calls, and within one call a shared subtree is
 //! rebuilt once per path that reaches it. A map that declares an
 //! [`VarMap::identity`] is a pure function of `floor + d`, its identity
-//! and the occurrence, so [`map_con_hc`] and [`map_kind_hc`] remember
+//! and the occurrence, so [`map_con_hc`], [`map_kind_hc`] and
+//! [`map_ty_hc`] remember
 //! each rebuilt pointer in the per-thread [`crate::memo`] table under
 //! `(op, floor + d, param, node id)` and answer a repeat from there. Node
 //! ids are never reused, so a key names one structure forever and a hit
@@ -103,7 +104,8 @@ fn memo_key<M: VarMap>(m: &mut M, d: usize, node: u64) -> Option<Key> {
     })
 }
 
-/// The shared body of [`map_kind_hc`] and [`map_con_hc`]: the sharing
+/// The shared body of [`map_kind_hc`], [`map_con_hc`] and
+/// [`map_ty_hc`]: the sharing
 /// fast path, then the memo, then a rebuild.
 fn map_hc<T: Memoized, M: VarMap>(
     x: &HC<T>,
@@ -135,6 +137,12 @@ pub fn map_kind_hc<M: VarMap>(k: &HC<Kind>, d: usize, m: &mut M) -> HC<Kind> {
 /// returning the identical pointer when the subtree is out of reach.
 pub fn map_con_hc<M: VarMap>(c: &HC<Con>, d: usize, m: &mut M) -> HC<Con> {
     map_hc(c, d, m, map_con)
+}
+
+/// Applies `m` to every variable occurrence under a type pointer,
+/// returning the identical pointer when the subtree is out of reach.
+pub fn map_ty_hc<M: VarMap>(t: &HC<Ty>, d: usize, m: &mut M) -> HC<Ty> {
+    map_hc(t, d, m, map_ty)
 }
 
 /// Applies `m` to every variable occurrence in `k`, starting at depth `d`.
@@ -172,12 +180,12 @@ pub fn map_con<M: VarMap>(c: &Con, d: usize, m: &mut M) -> Con {
 /// Applies `m` to every variable occurrence in `t`, starting at depth `d`.
 pub fn map_ty<M: VarMap>(t: &Ty, d: usize, m: &mut M) -> Ty {
     match t {
-        Ty::Con(c) => Ty::Con(map_con(c, d, m)),
+        Ty::Con(c) => Ty::Con(map_con_hc(c, d, m)),
         Ty::Unit => Ty::Unit,
-        Ty::Total(a, b) => Ty::Total(Box::new(map_ty(a, d, m)), Box::new(map_ty(b, d, m))),
-        Ty::Partial(a, b) => Ty::Partial(Box::new(map_ty(a, d, m)), Box::new(map_ty(b, d, m))),
-        Ty::Prod(a, b) => Ty::Prod(Box::new(map_ty(a, d, m)), Box::new(map_ty(b, d, m))),
-        Ty::Forall(k, b) => Ty::Forall(map_kind_hc(k, d, m), Box::new(map_ty(b, d + 1, m))),
+        Ty::Total(a, b) => Ty::Total(map_ty_hc(a, d, m), map_ty_hc(b, d, m)),
+        Ty::Partial(a, b) => Ty::Partial(map_ty_hc(a, d, m), map_ty_hc(b, d, m)),
+        Ty::Prod(a, b) => Ty::Prod(map_ty_hc(a, d, m), map_ty_hc(b, d, m)),
+        Ty::Forall(k, b) => Ty::Forall(map_kind_hc(k, d, m), map_ty_hc(b, d + 1, m)),
     }
 }
 
@@ -187,14 +195,14 @@ pub fn map_term<M: VarMap>(e: &Term, d: usize, m: &mut M) -> Term {
         Term::Var(i) => m.tvar(d, *i),
         Term::Snd(i) => m.snd(d, *i),
         Term::Star => Term::Star,
-        Term::Lam(t, b) => Term::Lam(Box::new(map_ty(t, d, m)), Box::new(map_term(b, d + 1, m))),
+        Term::Lam(t, b) => Term::Lam(map_ty_hc(t, d, m), Box::new(map_term(b, d + 1, m))),
         Term::App(f, a) => Term::App(Box::new(map_term(f, d, m)), Box::new(map_term(a, d, m))),
         Term::Pair(a, b) => Term::Pair(Box::new(map_term(a, d, m)), Box::new(map_term(b, d, m))),
         Term::Proj1(a) => Term::Proj1(Box::new(map_term(a, d, m))),
         Term::Proj2(a) => Term::Proj2(Box::new(map_term(a, d, m))),
         Term::TLam(k, b) => Term::TLam(map_kind_hc(k, d, m), Box::new(map_term(b, d + 1, m))),
         Term::TApp(f, c) => Term::TApp(Box::new(map_term(f, d, m)), map_con(c, d, m)),
-        Term::Fix(t, b) => Term::Fix(Box::new(map_ty(t, d, m)), Box::new(map_term(b, d + 1, m))),
+        Term::Fix(t, b) => Term::Fix(map_ty_hc(t, d, m), Box::new(map_term(b, d + 1, m))),
         Term::IntLit(n) => Term::IntLit(*n),
         Term::BoolLit(b) => Term::BoolLit(*b),
         Term::Prim(op, args) => Term::Prim(*op, args.iter().map(|a| map_term(a, d, m)).collect()),
@@ -210,7 +218,7 @@ pub fn map_term<M: VarMap>(e: &Term, d: usize, m: &mut M) -> Term {
         ),
         Term::Roll(c, e) => Term::Roll(map_con(c, d, m), Box::new(map_term(e, d, m))),
         Term::Unroll(e) => Term::Unroll(Box::new(map_term(e, d, m))),
-        Term::Fail(t) => Term::Fail(Box::new(map_ty(t, d, m))),
+        Term::Fail(t) => Term::Fail(map_ty_hc(t, d, m)),
         Term::Let(e, b) => Term::Let(Box::new(map_term(e, d, m)), Box::new(map_term(b, d + 1, m))),
     }
 }
@@ -218,7 +226,7 @@ pub fn map_term<M: VarMap>(e: &Term, d: usize, m: &mut M) -> Term {
 /// Applies `m` to every variable occurrence in `s`, starting at depth `d`.
 pub fn map_sig<M: VarMap>(s: &Sig, d: usize, m: &mut M) -> Sig {
     match s {
-        Sig::Struct(k, t) => Sig::Struct(map_kind_hc(k, d, m), Box::new(map_ty(t, d + 1, m))),
+        Sig::Struct(k, t) => Sig::Struct(map_kind_hc(k, d, m), map_ty_hc(t, d + 1, m)),
         Sig::Rds(s) => Sig::Rds(Box::new(map_sig(s, d + 1, m))),
     }
 }

@@ -22,8 +22,8 @@
 //!
 //! # Shape
 //!
-//! Two direct-mapped tables per thread, one for [`Con`] results and one
-//! for [`Kind`] results, each [`SLOTS`] slots. A key hashes to one slot;
+//! Three direct-mapped tables per thread, one each for [`Con`], [`Kind`]
+//! and [`Ty`] results, each [`SLOTS`] slots. A key hashes to one slot;
 //! an insert overwrites whatever lived there. Memory is therefore
 //! bounded by construction (the slots plus the result trees they keep
 //! alive), no lock is taken, and nothing needs tuning.
@@ -31,7 +31,7 @@
 use std::cell::RefCell;
 use std::hash::BuildHasher;
 
-use crate::ast::{Con, Kind};
+use crate::ast::{Con, Kind, Ty};
 use crate::fxhash::FxBuildHasher;
 use crate::intern::{Internable, NodeId, HC};
 
@@ -103,6 +103,7 @@ impl<T: Internable> Table<T> {
 thread_local! {
     static CON: RefCell<Table<Con>> = const { RefCell::new(Table::new()) };
     static KIND: RefCell<Table<Kind>> = const { RefCell::new(Table::new()) };
+    static TY: RefCell<Table<Ty>> = const { RefCell::new(Table::new()) };
 }
 
 /// Result types with a per-thread memo table.
@@ -120,6 +121,12 @@ impl Memoized for Con {
 impl Memoized for Kind {
     fn with_table<R>(f: impl FnOnce(&RefCell<Table<Kind>>) -> R) -> R {
         KIND.with(f)
+    }
+}
+
+impl Memoized for Ty {
+    fn with_table<R>(f: impl FnOnce(&RefCell<Table<Ty>>) -> R) -> R {
+        TY.with(f)
     }
 }
 

@@ -511,7 +511,7 @@ mod tests {
 
     #[test]
     fn prints_signature() {
-        let s = Sig::Struct(hc(Kind::Type), Box::new(Ty::Con(Con::Var(0))));
+        let s = Sig::Struct(hc(Kind::Type), hc(Ty::Con(hc(Con::Var(0)))));
         assert_eq!(sig_to_string(&s, &mut Names::new()), "[a:T. a]");
     }
 
@@ -522,7 +522,7 @@ mod tests {
                 hc(Con::Int),
                 hc(Con::Fst(0)),
             )))),
-            Box::new(Ty::Unit),
+            hc(Ty::Unit),
         )));
         assert_eq!(
             sig_to_string(&s, &mut Names::new()),
@@ -533,7 +533,7 @@ mod tests {
     #[test]
     fn prints_fix_module() {
         let m = Module::Fix(
-            Box::new(Sig::Struct(hc(Kind::Type), Box::new(Ty::Unit))),
+            Box::new(Sig::Struct(hc(Kind::Type), hc(Ty::Unit))),
             Box::new(Module::Struct(Con::Int, Term::Star)),
         );
         assert_eq!(

@@ -7,7 +7,7 @@
 //!
 //! # Sharing
 //!
-//! Constructor/kind subtrees that provably cannot mention the shifted or
+//! Constructor, kind and type subtrees that provably cannot mention the shifted or
 //! substituted variable (their cached [`fv_bound`](crate::intern::HC::fv_bound)
 //! lies below the map's [`VarMap::floor`]) are returned as the *same*
 //! hash-consed pointer without being traversed; rebuilt subtrees are
@@ -17,7 +17,7 @@
 //! That bounds one call, not the kernel's many calls on the same nodes.
 //! Shifts and constructor substitutions therefore declare a
 //! [`VarMap::identity`] — `(cutoff, by)` and `(target, replacement id)`
-//! — and every constructor or kind pointer they rebuild is remembered
+//! — and every constructor, kind or type pointer they rebuild is remembered
 //! in the per-thread [`crate::memo`] table under that identity, the
 //! depth and the input's node id. A repeat of the same rewrite on the
 //! same node, in this call or a later one, is one table probe instead
@@ -50,7 +50,8 @@
 use crate::ast::{Con, Index, Kind, Module, Sig, Term, Ty};
 use crate::intern::{hc, HC};
 use crate::map::{
-    map_con, map_con_hc, map_kind, map_kind_hc, map_module, map_sig, map_term, map_ty, VarMap,
+    map_con, map_con_hc, map_kind, map_kind_hc, map_module, map_sig, map_term, map_ty, map_ty_hc,
+    VarMap,
 };
 use crate::memo::Op;
 
@@ -166,6 +167,14 @@ pub fn shift_kind_hc(k: &HC<Kind>, by: isize, cutoff: usize) -> HC<Kind> {
     map_kind_hc(k, 0, &mut Shift { by, cutoff })
 }
 
+/// [`shift_ty`] at the pointer level.
+pub fn shift_ty_hc(t: &HC<Ty>, by: isize, cutoff: usize) -> HC<Ty> {
+    if by == 0 {
+        return t.clone();
+    }
+    map_ty_hc(t, 0, &mut Shift { by, cutoff })
+}
+
 // ---------------------------------------------------------------------------
 // Substitution for a constructor binder
 // ---------------------------------------------------------------------------
@@ -277,6 +286,12 @@ pub fn subst_con_kind_hc(k: &HC<Kind>, c: &Con) -> HC<Kind> {
 /// `t[c/α]` for types (index `0`; removes the binder).
 pub fn subst_con_ty(t: &Ty, c: &Con) -> Ty {
     map_ty(t, 0, &mut SubstCon::new(c))
+}
+
+/// [`subst_con_ty`] at the pointer level: a type that does not mention
+/// the binder comes back as the identical pointer.
+pub fn subst_con_ty_hc(t: &HC<Ty>, c: &Con) -> HC<Ty> {
+    map_ty_hc(t, 0, &mut SubstCon::new(c))
 }
 
 /// `e[c/α]` for terms (index `0`; removes the binder).
@@ -550,14 +565,44 @@ mod tests {
     }
 
     #[test]
+    fn closed_types_come_back_pointer_identical() {
+        // ∀α:T. (α ⇀ int) × 1 has no free index: no shift or
+        // substitution can touch it.
+        let t = crate::intern::hc(crate::dsl::forall(
+            tkind(),
+            crate::dsl::tprod(crate::dsl::partial(tcon(cvar(0)), tcon(Con::Int)), Ty::Unit),
+        ));
+        assert_eq!(t.fv_bound(), 0);
+        for by in [-3, -1, 1, 7] {
+            assert!(HC::ptr_eq(&shift_ty_hc(&t, by, 0), &t));
+        }
+        assert!(HC::ptr_eq(&subst_con_ty_hc(&t, &Con::Bool), &t));
+        assert!(HC::ptr_eq(&subst_con_ty_hc(&t, &cvar(4)), &t));
+    }
+
+    #[test]
+    fn a_type_shifted_up_and_back_is_the_input_pointer() {
+        // ∀α:Q(β). α ⇀ γ with β, γ free (indices 1 and 3 under α).
+        let t = crate::intern::hc(crate::dsl::forall(
+            q(cvar(0)),
+            crate::dsl::partial(tcon(cvar(0)), tcon(cvar(3))),
+        ));
+        for k in [1, 2, 5] {
+            let up = shift_ty_hc(&t, k, 0);
+            assert!(!HC::ptr_eq(&up, &t));
+            assert!(HC::ptr_eq(&shift_ty_hc(&up, -k, 0), &t));
+            // The same round trip above the first free index.
+            let above = shift_ty_hc(&t, k, 1);
+            assert!(HC::ptr_eq(&shift_ty_hc(&above, -k, 1), &t));
+        }
+    }
+
+    #[test]
     fn subst_term_under_lambda() {
         // body = λy:1. x(1); substitute 42 for x.
-        let body = Term::Lam(Box::new(Ty::Unit), Box::new(Term::Var(1)));
+        let body = Term::Lam(hc(Ty::Unit), Box::new(Term::Var(1)));
         let out = subst_term_term(&body, &Term::IntLit(42));
-        assert_eq!(
-            out,
-            Term::Lam(Box::new(Ty::Unit), Box::new(Term::IntLit(42)))
-        );
+        assert_eq!(out, Term::Lam(hc(Ty::Unit), Box::new(Term::IntLit(42))));
     }
 
     #[test]

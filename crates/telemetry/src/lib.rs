@@ -18,8 +18,8 @@
 //! the clock. A test in the workspace asserts this stays within noise
 //! of the pre-instrumentation baseline.
 //!
-//! Every probe — [`judgement_span`], [`stage`], [`span`] and
-//! [`trace_span`] — pushes a frame on one per-thread stack and returns
+//! Every probe — [`judgement_span`], [`declaration_span`], [`stage`],
+//! [`span`] and [`trace_span`] — pushes a frame on one per-thread stack and returns
 //! the one guard type, [`Guard`]. Provenance, the flight recorder, the
 //! span tree, stage self-time and trace indentation are all read off
 //! that stack ([`diag`] describes it).
@@ -474,6 +474,18 @@ pub fn span(name: &'static str) -> Guard {
 pub fn judgement_span(name: &'static str) -> Guard {
     fault::tick();
     diag::open(name, FrameKind::Judgement, profiling_enabled())
+}
+
+/// Opens the frame of one top-level declaration: a judgement frame
+/// exactly like [`judgement_span`]'s (recorder, provenance, fault
+/// countdown) that closes into a span whenever a sink is installed, as
+/// [`span`]'s does. One per declaration is few enough for a plain
+/// `--stats` run to carry, so the declaration is both one judgement and
+/// one span, never two frames of the same name.
+#[must_use = "a span measures until the guard is dropped"]
+pub fn declaration_span(name: &'static str) -> Guard {
+    fault::tick();
+    diag::open(name, FrameKind::Judgement, enabled())
 }
 
 /// Closes a span frame opened at `start`: the span joins `parent` (the

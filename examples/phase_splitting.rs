@@ -11,7 +11,7 @@
 
 use recmod::kernel::{Ctx, Tc};
 use recmod::phase::{check_split, split_module};
-use recmod::syntax::ast::{Con, Sig, Ty};
+use recmod::syntax::ast::{Con, Sig};
 use recmod::syntax::dsl::*;
 use recmod::syntax::pretty::{
     con_to_string, module_to_string, sig_to_string, term_to_string, Names,
@@ -47,7 +47,7 @@ fn main() {
     // ρs.[α : Q(int ⇀ Fst(s)) . Con(Fst(s))]
     let rds_sig = rds(Sig::Struct(
         recmod::syntax::intern::hc(q(carrow(Con::Int, fst(0)))),
-        Box::new(Ty::Con(fst(1))),
+        recmod::syntax::intern::hc(tcon(fst(1))),
     ));
     println!("rds:");
     println!("  {}", sig_to_string(&rds_sig, &mut Names::new()));

@@ -75,7 +75,7 @@
 
 use recmod::kernel::{Ctx, RecMode, Tc, TypeError};
 use recmod::surface::Elaborator;
-use recmod::syntax::ast::{Con, Kind};
+use recmod::syntax::ast::{Con, Kind, Ty};
 use recmod::syntax::intern::HC;
 use recmod::telemetry::Limits;
 use recmod_bench::rng::Rng;
@@ -1258,15 +1258,16 @@ fn case_nbe_differential(rng: &mut Rng) -> Result<(), String> {
 }
 
 // ---------------------------------------------------------------------
-// Class 10: rewrite-memo differential (memoized shift/subst/selfify)
+// Class 10: rewrite-memo differential (memoized shift/subst/selfify,
+// on constructors, kinds and types)
 // ---------------------------------------------------------------------
 
-/// `Fst` indices the class-11 generator draws start here: far above any
+/// `Fst` indices the class-10 generator draws start here: far above any
 /// binder depth it builds, so a substitution for index `0` never meets
 /// an `Fst` at its target (that would be an ill-sorted input).
 const MEMO_FST_BASE: usize = 40;
 
-/// The class-11 reference maps: the same rules as the library's shift
+/// The class-10 reference maps: the same rules as the library's shift
 /// and constructor substitution, with no floor and no identity, so they
 /// visit and rebuild every node and never touch the rewrite memo.
 enum RefMap<'a> {
@@ -1309,12 +1310,20 @@ fn ref_shift_kind(k: &Kind, by: isize, cutoff: usize) -> Kind {
     recmod::syntax::map::map_kind(k, 0, &mut RefMap::Shift { by, cutoff })
 }
 
+fn ref_shift_ty(t: &Ty, by: isize, cutoff: usize) -> Ty {
+    recmod::syntax::map::map_ty(t, 0, &mut RefMap::Shift { by, cutoff })
+}
+
 fn ref_subst_con(c: &Con, replacement: &Con) -> Con {
     recmod::syntax::map::map_con(c, 0, &mut RefMap::Subst { replacement })
 }
 
 fn ref_subst_kind(k: &Kind, replacement: &Con) -> Kind {
     recmod::syntax::map::map_kind(k, 0, &mut RefMap::Subst { replacement })
+}
+
+fn ref_subst_ty(t: &Ty, replacement: &Con) -> Ty {
+    recmod::syntax::map::map_ty(t, 0, &mut RefMap::Subst { replacement })
 }
 
 /// Reference selfification over the reference maps (paper Figure 2,
@@ -1338,7 +1347,7 @@ fn ref_selfify(c: &Con, k: &Kind) -> Kind {
 }
 
 /// Largest tree (node count, shared subtrees counted once per path) a
-/// class-11 pool keeps: substitution multiplies tree sizes, and the
+/// class-10 pool keeps: substitution multiplies tree sizes, and the
 /// reference maps walk trees, not DAGs.
 const MEMO_POOL_NODES: usize = 64;
 
@@ -1373,12 +1382,33 @@ fn kind_fits(k: &Kind, budget: &mut usize) -> bool {
     }
 }
 
-/// Does `c` fit a class-11 pool?
+/// [`con_fits`] for types.
+fn ty_fits(t: &Ty, budget: &mut usize) -> bool {
+    if *budget == 0 {
+        return false;
+    }
+    *budget -= 1;
+    match t {
+        Ty::Unit => true,
+        Ty::Con(c) => con_fits(c, budget),
+        Ty::Total(a, b) | Ty::Partial(a, b) | Ty::Prod(a, b) => {
+            ty_fits(a, budget) && ty_fits(b, budget)
+        }
+        Ty::Forall(k, b) => kind_fits(k, budget) && ty_fits(b, budget),
+    }
+}
+
+/// Does `t` fit a class-10 pool?
+fn small_ty(t: &Ty) -> bool {
+    ty_fits(t, &mut MEMO_POOL_NODES.to_owned())
+}
+
+/// Does `c` fit a class-10 pool?
 fn small_con(c: &Con) -> bool {
     con_fits(c, &mut MEMO_POOL_NODES.to_owned())
 }
 
-/// Does `k` fit a class-11 pool?
+/// Does `k` fit a class-10 pool?
 fn small_kind(k: &Kind) -> bool {
     kind_fits(k, &mut MEMO_POOL_NODES.to_owned())
 }
@@ -1445,8 +1475,40 @@ fn gen_open_kind(rng: &mut Rng, size: usize, binders: usize, pool: &[HC<Con>]) -
     }
 }
 
+/// A random open type over `binders` enclosing binders: monotypes of
+/// open constructors, total and partial arrows, products and `∀`, with
+/// leaves that reuse earlier pool entries.
+fn gen_open_ty(rng: &mut Rng, size: usize, binders: usize, cons: &[HC<Con>], tys: &[HC<Ty>]) -> Ty {
+    use recmod::syntax::intern::hc;
+    if size <= 1 {
+        return match rng.below(4) {
+            0 => Ty::Unit,
+            1 if !tys.is_empty() => tys[rng.range(0, tys.len())].take(),
+            _ => {
+                let size = rng.range(1, 6);
+                Ty::Con(hc(gen_open_con(rng, size, binders, cons)))
+            }
+        };
+    }
+    let sub = size - 1;
+    let half = sub / 2;
+    let ty = |rng: &mut Rng, size: usize, binders: usize| {
+        hc(gen_open_ty(rng, size.max(1), binders, cons, tys))
+    };
+    match rng.below(5) {
+        0 => Ty::Total(ty(rng, half, binders), ty(rng, sub - half, binders)),
+        1 => Ty::Partial(ty(rng, half, binders), ty(rng, sub - half, binders)),
+        2 => Ty::Prod(ty(rng, half, binders), ty(rng, sub - half, binders)),
+        3 => Ty::Forall(
+            hc(gen_open_kind(rng, half, binders, cons)),
+            ty(rng, sub - half, binders + 1),
+        ),
+        _ => Ty::Con(hc(gen_open_con(rng, sub, binders, cons))),
+    }
+}
+
 /// Random sequences of memoized shifts, constructor substitutions and
-/// selfifications over a pool of shared constructors and kinds, with
+/// selfifications over pools of shared constructors, kinds and types, with
 /// sweeps interleaved; every result must be the identical pointer the
 /// memo-free reference builds. Results join the pools, so later steps
 /// rewrite earlier results and repeat earlier rewrites (memo hits), and
@@ -1455,12 +1517,14 @@ fn case_subst_memo_differential(rng: &mut Rng) -> Result<(), String> {
     use recmod::kernel::singleton::selfify;
     use recmod::syntax::intern::{hc, sweep_now};
     use recmod::syntax::subst::{
-        shift_con_hc, shift_kind_hc, subst_con_con_hc, subst_con_kind, subst_con_kind_hc,
+        shift_con_hc, shift_kind_hc, shift_ty_hc, subst_con_con_hc, subst_con_kind,
+        subst_con_kind_hc, subst_con_ty_hc,
     };
 
     let mut cons: Vec<HC<Con>> = Vec::new();
     let mut kinds: Vec<HC<Kind>> = Vec::new();
-    while cons.len() < 8 || kinds.len() < 8 {
+    let mut tys: Vec<HC<Ty>> = Vec::new();
+    while cons.len() < 8 || kinds.len() < 8 || tys.len() < 8 {
         let size = rng.range(1, 24);
         let c = gen_open_con(rng, size, 0, &cons);
         if small_con(&c) {
@@ -1471,15 +1535,21 @@ fn case_subst_memo_differential(rng: &mut Rng) -> Result<(), String> {
         if small_kind(&k) {
             kinds.push(hc(k));
         }
+        let size = rng.range(1, 16);
+        let t = gen_open_ty(rng, size, 0, &cons, &tys);
+        if small_ty(&t) {
+            tys.push(hc(t));
+        }
     }
     let steps = rng.range(200, 600);
     for step in 0..steps {
         let c = cons[rng.range(0, cons.len())].clone();
         let k = kinds[rng.range(0, kinds.len())].clone();
+        let t = tys[rng.range(0, tys.len())].clone();
         let by = rng.range(1, 4) as isize;
         let cutoff = rng.range(0, 4);
         let fail = |what: &str| Err(format!("step {step}: {what} differs from the reference"));
-        match rng.below(8) {
+        match rng.below(10) {
             0 => {
                 let out = shift_con_hc(&c, by, cutoff);
                 if !HC::ptr_eq(&out, &hc(ref_shift_con(&c, by, cutoff))) {
@@ -1544,6 +1614,31 @@ fn case_subst_memo_differential(rng: &mut Rng) -> Result<(), String> {
                     kinds.push(out);
                 }
             }
+            7 => {
+                let out = shift_ty_hc(&t, by, cutoff);
+                if !HC::ptr_eq(&out, &hc(ref_shift_ty(&t, by, cutoff))) {
+                    return fail("shift_ty_hc");
+                }
+                let back = shift_ty_hc(&out, -by, cutoff);
+                if !HC::ptr_eq(&back, &hc(ref_shift_ty(&out, -by, cutoff)))
+                    || !HC::ptr_eq(&back, &t)
+                {
+                    return fail("shift_ty_hc by a negative amount");
+                }
+                if small_ty(&out) {
+                    tys.push(out);
+                }
+            }
+            8 => {
+                let rep = cons[rng.range(0, cons.len())].take();
+                let out = subst_con_ty_hc(&t, &rep);
+                if !HC::ptr_eq(&out, &hc(ref_subst_ty(&t, &rep))) {
+                    return fail("subst_con_ty_hc");
+                }
+                if small_ty(&out) {
+                    tys.push(out);
+                }
+            }
             _ => {
                 // Drop some pool entries and sweep, so the memo outlives
                 // its keys' nodes and re-interned structure gets fresh
@@ -1552,6 +1647,8 @@ fn case_subst_memo_differential(rng: &mut Rng) -> Result<(), String> {
                 cons.drain(..cons.len() - keep);
                 let keep = kinds.len().min(16);
                 kinds.drain(..kinds.len() - keep);
+                let keep = tys.len().min(16);
+                tys.drain(..tys.len() - keep);
                 sweep_now();
             }
         }

@@ -204,7 +204,7 @@ fn fig5_rds_resolution_shape() {
     let mut ctx = Ctx::new();
     let s = rds(Sig::Struct(
         hc(q(carrow(Con::Int, fst(0)))),
-        Box::new(tcon(fst(1))),
+        hc(tcon(fst(1))),
     ));
     let (k, t) = split_sig(&tc, &mut ctx, &s).unwrap();
     assert_eq!(k, q(mu(tkind(), carrow(Con::Int, cvar(0)))));
@@ -215,10 +215,7 @@ fn fig5_rds_resolution_shape() {
 fn fig5_rds_definitionally_equal_to_resolution() {
     let tc = Tc::new();
     let mut ctx = Ctx::new();
-    let s = rds(Sig::Struct(
-        hc(q(carrow(Con::Int, fst(0)))),
-        Box::new(Ty::Unit),
-    ));
+    let s = rds(Sig::Struct(hc(q(carrow(Con::Int, fst(0)))), hc(Ty::Unit)));
     let r = tc.resolve_sig(&mut ctx, &s).unwrap();
     tc.sig_eq(&mut ctx, &s, &r).unwrap();
     println!(
@@ -252,7 +249,7 @@ fn e6_extrusion_of_the_papers_example() {
     let mut ctx = Ctx::new();
     let s = rds(Sig::Struct(
         hc(sigma(tkind(), q(carrow(cproj2(fst(1)), cvar(0))))),
-        Box::new(Ty::Unit),
+        hc(Ty::Unit),
     ));
     let out = extrude(&tc, &mut ctx, &s).unwrap();
     assert_eq!(out.hoisted, 1);

@@ -97,7 +97,10 @@ fn kernel_reports_limit_on_deep_mu_tower() {
 #[test]
 fn phase_split_reports_limit_on_deep_module() {
     recmod::eval::run_big_stack(256, || {
-        let sig = Sig::Struct(recmod::syntax::intern::hc(Kind::Type), Box::new(Ty::Unit));
+        let sig = Sig::Struct(
+            recmod::syntax::intern::hc(Kind::Type),
+            recmod::syntax::intern::hc(Ty::Unit),
+        );
         let mut m = Module::Struct(Con::Int, Term::Star);
         for _ in 0..DEPTH {
             m = Module::Seal(Box::new(m), Box::new(sig.clone()));

@@ -153,6 +153,7 @@ fn stats_document_schema_is_golden() {
                 "kind_entries",
                 "requests",
                 "swept_entries",
+                "ty_entries",
                 "worker",
             ]
         );
@@ -190,7 +191,10 @@ fn metrics_document_schema_is_golden() {
         as_u64(&doc, "metrics_schema_version"),
         METRICS_SCHEMA_VERSION
     );
-    assert_eq!(METRICS_SCHEMA_VERSION, 2, "the per-thread intern object");
+    assert_eq!(
+        METRICS_SCHEMA_VERSION, 3,
+        "intern entries count the type table"
+    );
     assert_eq!(get(&doc, "kind"), &Json::str("metrics"));
     assert_eq!(get(&doc, "deterministic"), &Json::Bool(false));
     for h in [
@@ -273,7 +277,7 @@ fn metrics_intern_entries_sum_the_workers_tables() {
     };
     let tables: u64 = workers
         .iter()
-        .map(|w| as_u64(w, "con_entries") + as_u64(w, "kind_entries"))
+        .map(|w| as_u64(w, "con_entries") + as_u64(w, "kind_entries") + as_u64(w, "ty_entries"))
         .sum();
     assert!(tables > 0, "the workers interned something");
     let doc = server.metrics_json(false);

@@ -468,10 +468,9 @@ fn count_spans(spans: &[telemetry::Span], keep: &dyn Fn(&telemetry::Span) -> boo
 /// The recorder is a 256-slot ring, so `Enter` events are counted only
 /// on runs that did not wrap it. Kernel fuel budgets cut each example
 /// short at a few points, and at least one of these runs per example
-/// is small enough. A sink without profiling records only the plain
-/// `span` calls; profiling adds one span per stage and per judgement,
-/// so the judgement spans are what the profiled run has beyond the
-/// plain run and the stage spans.
+/// is small enough. Under profiling every span is a stage span or a
+/// judgement span (a declaration's frame is one judgement and one span),
+/// so the judgement spans are the profiled spans that are not stages.
 #[test]
 fn judgement_stage_and_frame_views_agree_on_the_corpus() {
     for entry in recmod::corpus::all() {
@@ -491,9 +490,7 @@ fn judgement_stage_and_frame_views_agree_on_the_corpus() {
                 let named = count_spans(spans, &|s| s.name == name);
                 assert_eq!(named, total.calls, "{at}: {name} spans vs calls");
             }
-            let judgements = count_spans(spans, &|_| true)
-                - stage_spans
-                - count_spans(&plain.report.spans, &|_| true);
+            let judgements = count_spans(spans, &|_| true) - stage_spans;
             if profiled.recorded <= telemetry::diag::RECORDER_CAP as u64 {
                 unwrapped += 1;
                 let enters = profiled
