@@ -12,6 +12,7 @@
 
 use recmod::kernel::{Ctx, RecMode, Tc};
 use recmod::syntax::ast::Kind;
+use recmod::syntax::intern::hc;
 use recmod_bench as bench;
 
 fn main() {
@@ -68,8 +69,13 @@ fn table_p1() {
         let tc = Tc::with_mode(mode);
         let before = tc.fuel();
         let mut ctx = Ctx::new();
-        tc.con_equiv(&mut ctx, &pair.0, &pair.1, &Kind::Type)
-            .unwrap();
+        tc.con_equiv(
+            &mut ctx,
+            &hc(pair.0.clone()),
+            &hc(pair.1.clone()),
+            &Kind::Type,
+        )
+        .unwrap();
         (before - tc.fuel(), tc.stats())
     };
     for size in [8usize, 16, 32, 64, 128] {
@@ -112,7 +118,9 @@ fn table_e8() {
         for mode in [RecMode::Equi, RecMode::Iso, RecMode::IsoShao] {
             let tc = Tc::with_mode(mode);
             let mut ctx = Ctx::new();
-            let ok = tc.con_equiv(&mut ctx, a, b, &Kind::Type).is_ok();
+            let ok = tc
+                .con_equiv(&mut ctx, &hc(a.clone()), &hc(b.clone()), &Kind::Type)
+                .is_ok();
             let w = match mode {
                 RecMode::Equi => 6,
                 RecMode::Iso => 6,

@@ -103,8 +103,8 @@ pub fn gen_shao_pair(size: usize, seed: u64) -> (Con, Con) {
 /// A μ paired with its one-step unrolling (equal only in equi mode).
 pub fn gen_unrolled_pair(size: usize, seed: u64) -> (Con, Con) {
     let m = gen_regular_mu(size, seed);
-    let u = recmod::kernel::whnf::unroll_mu(&m).expect("generated constructor is a μ");
-    (m, u)
+    let u = recmod::kernel::whnf::unroll_mu(&hc(m.clone())).expect("generated constructor is a μ");
+    (m, u.take())
 }
 
 /// A nested two-variable tower `μα.μβ.c(α,β)` paired with its §5
@@ -269,7 +269,8 @@ mod tests {
         let mut ctx = Ctx::new();
         for seed in 0..20 {
             let c = gen_regular_mu(16, seed);
-            tc.check_con(&mut ctx, &c, &Kind::Type).unwrap();
+            tc.check_con(&mut ctx, &hc(c.clone()), &hc(Kind::Type))
+                .unwrap();
             assert!(recmod::kernel::whnf::is_contractive(&c));
         }
     }
@@ -280,12 +281,14 @@ mod tests {
         let mut ctx = Ctx::new();
         for seed in 0..10 {
             let (a, b) = gen_unrolled_pair(12, seed);
-            tc.con_equiv(&mut ctx, &a, &b, &Kind::Type).unwrap();
+            tc.con_equiv(&mut ctx, &hc(a.clone()), &hc(b.clone()), &Kind::Type)
+                .unwrap();
             let (a, b) = gen_shao_pair(12, seed);
-            tc.con_equiv(&mut ctx, &a, &b, &Kind::Type).unwrap();
+            tc.con_equiv(&mut ctx, &hc(a.clone()), &hc(b.clone()), &Kind::Type)
+                .unwrap();
             // The Shao pair is also provable without full equi-recursion.
             Tc::with_mode(RecMode::IsoShao)
-                .con_equiv(&mut ctx, &a, &b, &Kind::Type)
+                .con_equiv(&mut ctx, &hc(a.clone()), &hc(b.clone()), &Kind::Type)
                 .unwrap();
         }
     }
@@ -323,10 +326,10 @@ mod tests {
         // variable walks the whole chain.
         let tc = Tc::new();
         let mut ctx = Ctx::new();
-        ctx.push(recmod::kernel::Entry::Con(q(Con::Int)));
+        ctx.push(recmod::kernel::Entry::Con(hc(q(Con::Int))));
         for _ in 1..50 {
-            ctx.push(recmod::kernel::Entry::Con(q(cvar(0))));
+            ctx.push(recmod::kernel::Entry::Con(hc(q(cvar(0)))));
         }
-        assert_eq!(tc.whnf(&mut ctx, &cvar(0)).unwrap(), Con::Int);
+        assert_eq!(tc.whnf(&mut ctx, &hc(cvar(0))).unwrap(), hc(Con::Int));
     }
 }

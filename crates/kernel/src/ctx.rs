@@ -18,7 +18,7 @@ use std::cell::Cell;
 
 use recmod_syntax::ast::{Kind, Sig, Ty};
 use recmod_syntax::intern::HC;
-use recmod_syntax::subst::{shift_kind, shift_kind_hc, shift_sig, shift_ty_hc};
+use recmod_syntax::subst::{shift_kind_hc, shift_sig, shift_ty_hc};
 
 use crate::error::{raise, TcResult, TypeError};
 
@@ -40,7 +40,7 @@ fn fresh_stamp() -> u64 {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Entry {
     /// `α : κ` — a constructor variable.
-    Con(Kind),
+    Con(HC<Kind>),
     /// `x : σ` (valuable = `true`) or `x ↑ σ` (valuable = `false`).
     Term(HC<Ty>, bool),
     /// `s : S` (valuable = `true`) or `s ↑ S` (valuable = `false`).
@@ -107,10 +107,11 @@ impl Ctx {
         }
     }
 
-    /// Looks up a constructor variable, shifting its kind to the use site.
-    pub fn lookup_con(&self, index: usize) -> TcResult<Kind> {
+    /// Looks up a constructor variable, shifting its kind to the use
+    /// site through the memoized pointer-level shift.
+    pub fn lookup_con(&self, index: usize) -> TcResult<HC<Kind>> {
         match self.entry(index)? {
-            Entry::Con(k) => Ok(shift_kind(k, (index + 1) as isize, 0)),
+            Entry::Con(k) => Ok(shift_kind_hc(k, (index + 1) as isize, 0)),
             _ => raise(TypeError::Unbound {
                 what: "constructor variable",
                 index,
@@ -194,7 +195,7 @@ impl Ctx {
     }
 
     /// Convenience: `with` for a constructor declaration `α:κ`.
-    pub fn with_con<T>(&mut self, k: Kind, f: impl FnOnce(&mut Ctx) -> T) -> T {
+    pub fn with_con<T>(&mut self, k: HC<Kind>, f: impl FnOnce(&mut Ctx) -> T) -> T {
         self.with(Entry::Con(k), f)
     }
 
@@ -228,16 +229,16 @@ mod tests {
     fn lookup_shifts_to_use_site() {
         let mut ctx = Ctx::new();
         // Γ = α:T, β:Q(α)
-        ctx.with_con(Kind::Type, |ctx| {
+        ctx.with_con(hc(Kind::Type), |ctx| {
             ctx.with_con(
-                Kind::Singleton(recmod_syntax::intern::hc(Con::Var(0))),
+                hc(Kind::Singleton(recmod_syntax::intern::hc(Con::Var(0)))),
                 |ctx| {
                     // β is index 0; its kind mentions α, which from here is index 1.
                     assert_eq!(
-                        ctx.lookup_con(0).unwrap(),
+                        *ctx.lookup_con(0).unwrap(),
                         Kind::Singleton(recmod_syntax::intern::hc(Con::Var(1)))
                     );
-                    assert_eq!(ctx.lookup_con(1).unwrap(), Kind::Type);
+                    assert_eq!(*ctx.lookup_con(1).unwrap(), Kind::Type);
                 },
             )
         });
@@ -268,7 +269,7 @@ mod tests {
     #[test]
     fn with_pops_after_use() {
         let mut ctx = Ctx::new();
-        ctx.with_con(Kind::Type, |_| ());
+        ctx.with_con(hc(Kind::Type), |_| ());
         assert!(ctx.is_empty());
     }
 
@@ -276,7 +277,7 @@ mod tests {
     fn stamps_identify_declaration_stacks() {
         let mut ctx = Ctx::new();
         assert_eq!(ctx.stamp(), 0);
-        let s1 = ctx.with_con(Kind::Type, |ctx| {
+        let s1 = ctx.with_con(hc(Kind::Type), |ctx| {
             let s = ctx.stamp();
             assert_ne!(s, 0);
             s
@@ -284,7 +285,7 @@ mod tests {
         // Back to empty, and a re-push gets a *fresh* stamp: the old one
         // is retired with the stack it named.
         assert_eq!(ctx.stamp(), 0);
-        let s2 = ctx.with_con(Kind::Type, |ctx| ctx.stamp());
+        let s2 = ctx.with_con(hc(Kind::Type), |ctx| ctx.stamp());
         assert_ne!(s1, s2);
     }
 
@@ -293,7 +294,7 @@ mod tests {
         use recmod_syntax::dsl::{carrow, cvar, q, sig, sigma, tcon};
         let mut ctx = Ctx::new();
         // Γ = α:T, s:[β:Σγ:Q(α).Q(γ ⇀ α) . β ⇀ int], x:1, y:1
-        ctx.with_con(Kind::Type, |ctx| {
+        ctx.with_con(hc(Kind::Type), |ctx| {
             let k = sigma(q(cvar(0)), q(carrow(cvar(0), cvar(1))));
             let s = sig(k, tcon(carrow(cvar(0), Con::Int)));
             ctx.with_struct(s, true, |ctx| {
@@ -324,7 +325,7 @@ mod tests {
         ));
         let mut ctx = Ctx::new();
         ctx.with_term(t.clone(), true, |ctx| {
-            ctx.with_con(Kind::Type, |ctx| {
+            ctx.with_con(hc(Kind::Type), |ctx| {
                 let (got, _) = ctx.lookup_term(1).unwrap();
                 assert!(HC::ptr_eq(&got, &t));
             })

@@ -23,7 +23,7 @@
 
 use recmod_syntax::ast::{Con, Kind};
 use recmod_syntax::intern::{hc, HC};
-use recmod_syntax::subst::{shift_con, shift_kind, subst_con_kind};
+use recmod_syntax::subst::{shift_con_hc, shift_kind_hc, subst_con_kind_hc};
 
 use crate::ctx::Ctx;
 use crate::error::{raise, TcResult, TypeError};
@@ -40,12 +40,6 @@ use crate::{RecMode, Tc};
 /// `Pi` and iso-`μ` cases).
 type Seen = recmod_syntax::fxhash::FxHashSet<(HC<Con>, HC<Con>)>;
 
-/// The interned node of a constructor (a shallow clone plus one table
-/// probe — children are already interned).
-fn con_node(c: &Con) -> HC<Con> {
-    hc(c.clone())
-}
-
 impl Tc {
     /// `Γ ⊢ c₁ = c₂ : κ` — constructor equivalence at kind `κ`.
     ///
@@ -54,7 +48,7 @@ impl Tc {
     /// On success at kind `T`, the pair — and every coinductive
     /// assumption the run relied on — is promoted to the persistent
     /// proven-pair table, so the next query over the same ids is O(1).
-    pub fn con_equiv(&self, ctx: &mut Ctx, c1: &Con, c2: &Con, k: &Kind) -> TcResult<()> {
+    pub fn con_equiv(&self, ctx: &mut Ctx, c1: &HC<Con>, c2: &HC<Con>, k: &Kind) -> TcResult<()> {
         let mut seen = Seen::default();
         self.con_equiv_at(ctx, c1, c2, k, &mut seen)?;
         // The run closed, so its assumptions form a valid bisimulation
@@ -66,7 +60,7 @@ impl Tc {
             self.equiv_remember(stamp, a, b);
         }
         if matches!(k, Kind::Type) {
-            self.equiv_remember(stamp, con_node(c1), con_node(c2));
+            self.equiv_remember(stamp, c1.clone(), c2.clone());
         }
         Ok(())
     }
@@ -74,8 +68,8 @@ impl Tc {
     fn con_equiv_at(
         &self,
         ctx: &mut Ctx,
-        c1: &Con,
-        c2: &Con,
+        c1: &HC<Con>,
+        c2: &HC<Con>,
         k: &Kind,
         seen: &mut Seen,
     ) -> TcResult<()> {
@@ -87,8 +81,7 @@ impl Tc {
         });
         // Interned-id ("pointer") equality: equivalence is reflexive at
         // every kind, and with hash-consing the structural check is one
-        // integer comparison per constructor level — `==` on `Con` is
-        // shallow (variant tag plus child ids).
+        // integer comparison.
         if c1 == c2 {
             crate::stats::TcStats::bump(&self.stat_cells().equiv_ptr_eqs);
             recmod_telemetry::count("kernel.equiv_ptr_eq", 1);
@@ -102,9 +95,9 @@ impl Tc {
                 crate::stats::TcStats::bump(&self.stat_cells().singleton_shortcuts);
                 Ok(())
             }
-            Kind::Pi(k1, k2) => ctx.with_con((**k1).clone(), |ctx| {
-                let a1 = Con::App(hc(shift_con(c1, 1, 0)), hc(Con::Var(0)));
-                let a2 = Con::App(hc(shift_con(c2, 1, 0)), hc(Con::Var(0)));
+            Kind::Pi(k1, k2) => ctx.with_con(k1.clone(), |ctx| {
+                let a1 = hc(Con::App(shift_con_hc(c1, 1, 0), hc(Con::Var(0))));
+                let a2 = hc(Con::App(shift_con_hc(c2, 1, 0), hc(Con::Var(0))));
                 // Coinductive assumptions are de Bruijn syntax; under a new
                 // binder the same syntax denotes different variables, so
                 // start a fresh set rather than shift the old one.
@@ -114,15 +107,15 @@ impl Tc {
                 )
             }),
             Kind::Sigma(k1, k2) => {
-                let p1 = Con::Proj1(hc(c1.clone()));
-                let p2 = Con::Proj1(hc(c2.clone()));
+                let p1 = hc(Con::Proj1(c1.clone()));
+                let p2 = hc(Con::Proj1(c2.clone()));
                 step(self.con_equiv_at(ctx, &p1, &p2, k1, seen), "fst")?;
-                let k2i = subst_con_kind(k2, &p1);
+                let k2i = subst_con_kind_hc(k2, &p1);
                 step(
                     self.con_equiv_at(
                         ctx,
-                        &Con::Proj2(hc(c1.clone())),
-                        &Con::Proj2(hc(c2.clone())),
+                        &hc(Con::Proj2(c1.clone())),
+                        &hc(Con::Proj2(c2.clone())),
                         &k2i,
                         seen,
                     ),
@@ -135,7 +128,13 @@ impl Tc {
 
     /// Structural comparison at kind `T`, after weak-head normalization,
     /// under the coinductive assumption set.
-    fn con_eq_type(&self, ctx: &mut Ctx, c1: &Con, c2: &Con, seen: &mut Seen) -> TcResult<()> {
+    fn con_eq_type(
+        &self,
+        ctx: &mut Ctx,
+        c1: &HC<Con>,
+        c2: &HC<Con>,
+        seen: &mut Seen,
+    ) -> TcResult<()> {
         let _j = recmod_telemetry::judgement_span("kernel.con_equiv");
         let _depth = self.descend("con_equiv")?;
         self.burn(crate::stats::FuelOp::MonoEquiv)?;
@@ -146,7 +145,7 @@ impl Tc {
             recmod_telemetry::count("kernel.equiv_ptr_eq", 1);
             return Ok(());
         }
-        let key = (con_node(&a), con_node(&b));
+        let key = (a.clone(), b.clone());
         if seen.contains(&key) {
             return Ok(());
         }
@@ -155,7 +154,7 @@ impl Tc {
             recmod_telemetry::count("kernel.equiv_cache_hit", 1);
             return Ok(());
         }
-        match (&a, &b) {
+        match (&*a, &*b) {
             // Only *contractive* μs participate in coinductive unrolling;
             // vacuous constructors like μα:T.α are inert (equal only to
             // themselves, which the syntactic fast path already handled).
@@ -172,8 +171,8 @@ impl Tc {
                 }
                 RecMode::Iso => {
                     step(self.kind_eq(ctx, ka, kb), "μ kind")?;
-                    ctx.with_con((**ka).clone(), |ctx| {
-                        let kin = shift_kind(ka, 1, 0);
+                    ctx.with_con(ka.clone(), |ctx| {
+                        let kin = shift_kind_hc(ka, 1, 0);
                         // Fresh assumptions under the binder (see Pi case).
                         step(
                             self.con_equiv_at(ctx, ba, bb, &kin, &mut Seen::default()),
@@ -238,7 +237,7 @@ impl Tc {
 
     /// Structural equivalence of stuck paths, returning their common
     /// natural kind (used to compare spine arguments at the right kind).
-    fn path_equiv(&self, ctx: &mut Ctx, p1: &Con, p2: &Con, seen: &mut Seen) -> TcResult<Kind> {
+    fn path_equiv(&self, ctx: &mut Ctx, p1: &Con, p2: &Con, seen: &mut Seen) -> TcResult<HC<Kind>> {
         self.burn(crate::stats::FuelOp::PathEquiv)?;
         match (p1, p2) {
             (Con::Var(i), Con::Var(j)) if i == j => ctx.lookup_con(*i),
@@ -252,7 +251,7 @@ impl Tc {
                 let fk = step(self.path_equiv(ctx, f1, f2, seen), "spine function")?;
                 let (k1, k2) = self.expect_pi(&fk)?;
                 step(self.con_equiv_at(ctx, a1, a2, &k1, seen), "spine argument")?;
-                Ok(subst_con_kind(&k2, a1))
+                Ok(subst_con_kind_hc(&k2, a1))
             }
             (Con::Proj1(q1), Con::Proj1(q2)) => {
                 let qk = step(self.path_equiv(ctx, q1, q2, seen), "fst")?;
@@ -262,7 +261,7 @@ impl Tc {
             (Con::Proj2(q1), Con::Proj2(q2)) => {
                 let qk = step(self.path_equiv(ctx, q1, q2, seen), "snd")?;
                 let (_, k2) = self.expect_sigma(&qk)?;
-                Ok(subst_con_kind(&k2, &Con::Proj1(q1.clone())))
+                Ok(subst_con_kind_hc(&k2, &Con::Proj1(q1.clone())))
             }
             _ => raise(TypeError::ConMismatch {
                 left: show::con(p1),
@@ -309,7 +308,8 @@ mod tests {
         let mut ctx = Ctx::new();
         let m = mu(tkind(), carrow(Con::Int, cvar(0)));
         let u = carrow(Con::Int, m.clone());
-        tc.con_equiv(&mut ctx, &m, &u, &tkind()).unwrap();
+        tc.con_equiv(&mut ctx, &hc(m.clone()), &hc(u.clone()), &tkind())
+            .unwrap();
     }
 
     #[test]
@@ -318,9 +318,12 @@ mod tests {
         let mut ctx = Ctx::new();
         let m = mu(tkind(), carrow(Con::Int, cvar(0)));
         let u = carrow(Con::Int, m.clone());
-        assert!(tc.con_equiv(&mut ctx, &m, &u, &tkind()).is_err());
+        assert!(tc
+            .con_equiv(&mut ctx, &hc(m.clone()), &hc(u.clone()), &tkind())
+            .is_err());
         // ...but a μ is still equal to itself.
-        tc.con_equiv(&mut ctx, &m, &m, &tkind()).unwrap();
+        tc.con_equiv(&mut ctx, &hc(m.clone()), &hc(m.clone()), &tkind())
+            .unwrap();
     }
 
     #[test]
@@ -333,7 +336,8 @@ mod tests {
             tkind(),
             carrow(Con::Int, recmod_syntax::subst::shift_con(&m, 1, 0)),
         );
-        tc.con_equiv(&mut ctx, &m, &m2, &tkind()).unwrap();
+        tc.con_equiv(&mut ctx, &hc(m.clone()), &hc(m2.clone()), &tkind())
+            .unwrap();
     }
 
     #[test]
@@ -342,7 +346,9 @@ mod tests {
         let mut ctx = Ctx::new();
         let m = mu(tkind(), carrow(Con::Int, cvar(0)));
         let u = carrow(Con::Int, m.clone());
-        assert!(tc.con_equiv(&mut ctx, &m, &u, &tkind()).is_err());
+        assert!(tc
+            .con_equiv(&mut ctx, &hc(m.clone()), &hc(u.clone()), &tkind())
+            .is_err());
     }
 
     #[test]
@@ -352,7 +358,9 @@ mod tests {
         let mut ctx = Ctx::new();
         let m1 = mu(tkind(), carrow(Con::Int, cvar(0)));
         let m2 = mu(tkind(), carrow(Con::Bool, cvar(0)));
-        assert!(tc.con_equiv(&mut ctx, &m1, &m2, &tkind()).is_err());
+        assert!(tc
+            .con_equiv(&mut ctx, &hc(m1.clone()), &hc(m2.clone()), &tkind())
+            .is_err());
     }
 
     #[test]
@@ -363,7 +371,8 @@ mod tests {
         let mut ctx = Ctx::new();
         let m1 = mu(tkind(), carrow(Con::Int, cvar(0)));
         let m2 = mu(tkind(), carrow(Con::Int, carrow(Con::Int, cvar(0))));
-        tc.con_equiv(&mut ctx, &m1, &m2, &tkind()).unwrap();
+        tc.con_equiv(&mut ctx, &hc(m1.clone()), &hc(m2.clone()), &tkind())
+            .unwrap();
     }
 
     #[test]
@@ -372,8 +381,8 @@ mod tests {
         let mut ctx = Ctx::new();
         tc.con_equiv(
             &mut ctx,
-            &Con::Star,
-            &cproj1(cpair(Con::Star, Con::Star)),
+            &hc(Con::Star),
+            &hc(cproj1(cpair(Con::Star, Con::Star))),
             &unit_kind(),
         )
         .unwrap();
@@ -384,8 +393,8 @@ mod tests {
         // Both sides of kind Q(int) are equal without looking at them.
         let tc = equi();
         let mut ctx = Ctx::new();
-        ctx.with_con(q(Con::Int), |ctx| {
-            tc.con_equiv(ctx, &cvar(0), &Con::Int, &q(Con::Int))
+        ctx.with_con(hc(q(Con::Int)), |ctx| {
+            tc.con_equiv(ctx, &hc(cvar(0)), &hc(Con::Int), &q(Con::Int))
                 .unwrap();
         });
     }
@@ -397,10 +406,11 @@ mod tests {
         let tc = equi();
         let mut ctx = Ctx::new();
         let k = pi(tkind(), q(Con::Int));
-        ctx.with_con(k.clone(), |ctx| {
+        ctx.with_con(hc(k.clone()), |ctx| {
             let f = cvar(0);
             let g = clam(tkind(), Con::Int);
-            tc.con_equiv(ctx, &f, &g, &k).unwrap();
+            tc.con_equiv(ctx, &hc(f.clone()), &hc(g.clone()), &k)
+                .unwrap();
         });
     }
 
@@ -410,10 +420,11 @@ mod tests {
         let tc = equi();
         let mut ctx = Ctx::new();
         let k = Kind::times(q(Con::Int), q(Con::Bool));
-        ctx.with_con(k.clone(), |ctx| {
+        ctx.with_con(hc(k.clone()), |ctx| {
             let p = cvar(0);
             let lit = cpair(Con::Int, Con::Bool);
-            tc.con_equiv(ctx, &p, &lit, &k).unwrap();
+            tc.con_equiv(ctx, &hc(p.clone()), &hc(lit.clone()), &k)
+                .unwrap();
         });
     }
 
@@ -423,11 +434,14 @@ mod tests {
         let tc = equi();
         let mut ctx = Ctx::new();
         let k = pi(tkind(), tkind());
-        ctx.with_con(k, |ctx| {
+        ctx.with_con(hc(k.clone()), |ctx| {
             let fi = capp(cvar(0), Con::Int);
             let fb = capp(cvar(0), Con::Bool);
-            tc.con_equiv(ctx, &fi, &fi.clone(), &tkind()).unwrap();
-            assert!(tc.con_equiv(ctx, &fi, &fb, &tkind()).is_err());
+            tc.con_equiv(ctx, &hc(fi.clone()), &hc(fi.clone()), &tkind())
+                .unwrap();
+            assert!(tc
+                .con_equiv(ctx, &hc(fi.clone()), &hc(fb.clone()), &tkind())
+                .is_err());
         });
     }
 
@@ -437,8 +451,9 @@ mod tests {
         let tc = equi();
         let mut ctx = Ctx::new();
         let def = carrow(Con::Int, Con::Int);
-        ctx.with_con(q(def.clone()), |ctx| {
-            tc.con_equiv(ctx, &cvar(0), &def, &tkind()).unwrap();
+        ctx.with_con(hc(q(def.clone())), |ctx| {
+            tc.con_equiv(ctx, &hc(cvar(0)), &hc(def.clone()), &tkind())
+                .unwrap();
         });
     }
 
@@ -452,7 +467,8 @@ mod tests {
         let nested = mu(tkind(), mu(tkind(), carrow(cvar(1), cvar(0))));
         // μβ:T. β ⇀ β
         let flat = mu(tkind(), carrow(cvar(0), cvar(0)));
-        tc.con_equiv(&mut ctx, &nested, &flat, &tkind()).unwrap();
+        tc.con_equiv(&mut ctx, &hc(nested.clone()), &hc(flat.clone()), &tkind())
+            .unwrap();
     }
 
     #[test]
@@ -466,7 +482,7 @@ mod tests {
         // same syntax denotes b).
         let tc = equi();
         let mut ctx = Ctx::new();
-        ctx.with_con(q(Con::Int), |ctx| {
+        ctx.with_con(hc(q(Con::Int)), |ctx| {
             let m1 = mu(tkind(), carrow(cvar(1), cvar(0))); // μa. d ⇀ a (at depth 0)
             let m2 = mu(tkind(), carrow(Con::Int, cvar(0))); // μa. int ⇀ a
             let p1 = cpair(m1.clone(), clam(tkind(), m1.clone()));
@@ -476,13 +492,15 @@ mod tests {
             assert!(tc
                 .con_equiv(
                     ctx,
-                    &clam(tkind(), m1),
-                    &clam(tkind(), m2),
+                    &hc(clam(tkind(), m1)),
+                    &hc(clam(tkind(), m2)),
                     &pi(tkind(), tkind())
                 )
                 .is_err());
             // …so the pairs must be too, regardless of comparison order.
-            assert!(tc.con_equiv(ctx, &p1, &p2, &k).is_err());
+            assert!(tc
+                .con_equiv(ctx, &hc(p1.clone()), &hc(p2.clone()), &k)
+                .is_err());
         });
     }
 
@@ -491,7 +509,10 @@ mod tests {
         let tc = equi();
         let mut ctx = Ctx::new();
         let bot = mu(tkind(), cvar(0));
-        tc.con_equiv(&mut ctx, &bot, &bot, &tkind()).unwrap();
-        assert!(tc.con_equiv(&mut ctx, &bot, &Con::Int, &tkind()).is_err());
+        tc.con_equiv(&mut ctx, &hc(bot.clone()), &hc(bot.clone()), &tkind())
+            .unwrap();
+        assert!(tc
+            .con_equiv(&mut ctx, &hc(bot.clone()), &hc(Con::Int), &tkind())
+            .is_err());
     }
 }

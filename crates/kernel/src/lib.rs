@@ -31,11 +31,12 @@
 //! use recmod_kernel::{Tc, Ctx};
 //! use recmod_syntax::ast::{Con, Kind};
 //! use recmod_syntax::dsl::{mu, q, cvar};
+//! use recmod_syntax::intern::hc;
 //!
 //! let tc = Tc::new();
 //! let mut ctx = Ctx::new();
-//! let c = mu(q(Con::Int), cvar(0));
-//! tc.con_equiv(&mut ctx, &c, &Con::Int, &Kind::Type).unwrap();
+//! let c = hc(mu(q(Con::Int), cvar(0)));
+//! tc.con_equiv(&mut ctx, &c, &hc(Con::Int), &Kind::Type).unwrap();
 //! ```
 
 #![forbid(unsafe_code)]
@@ -165,7 +166,7 @@ pub struct Tc {
     /// table below holds the node it is keyed by, so a key's id stays
     /// live while its entry does, and a lookup hits exactly when this
     /// run inserted that structure — whatever else the thread holds.
-    whnf_cache: RefCell<FxHashMap<StampedCon, Con>>,
+    whnf_cache: RefCell<FxHashMap<StampedCon, HC<Con>>>,
     /// Proven kind-`T` equalities, keyed by (context stamp, lhs, rhs).
     /// Only populated from *successful* root equivalence runs
     /// (a coinductive assumption is a fact once the run it served in
@@ -180,7 +181,7 @@ pub struct Tc {
     /// deterministic and a stamp names one exact declaration stack, so
     /// a cached kind is always the kind synthesis would recompute.
     /// Errors are never cached.
-    synth_cache: RefCell<FxHashMap<StampedCon, Kind>>,
+    synth_cache: RefCell<FxHashMap<StampedCon, HC<Kind>>>,
     /// Memoized contractiveness verdicts, keyed by the μ node alone —
     /// [`whnf::is_contractive`] is a pure function of the node,
     /// independent of context, mode, and engine. Brandt–Henglein
@@ -191,7 +192,10 @@ pub struct Tc {
     /// Memoized one-step μ-unrollings (`μα:κ.c ↦ c[μα:κ.c/α]`), keyed
     /// by the μ node. Also context-free; like every table here it lives
     /// for one run and [`Tc::renew`] empties it.
-    mu_unroll: RefCell<FxHashMap<HC<Con>, Con>>,
+    mu_unroll: RefCell<FxHashMap<HC<Con>, HC<Con>>>,
+    /// The kind `T`, interned once: the kernel checks constructors
+    /// against it at every monotype position.
+    type_kind: HC<Kind>,
 }
 
 /// Caches are cleared once they pass this many entries — a crude bound
@@ -257,6 +261,7 @@ impl Tc {
             synth_cache: RefCell::new(FxHashMap::default()),
             mu_contractive: RefCell::new(FxHashMap::default()),
             mu_unroll: RefCell::new(FxHashMap::default()),
+            type_kind: hc(Kind::Type),
         }
     }
 
@@ -345,8 +350,13 @@ impl Tc {
         &self.nbe
     }
 
+    /// The interned kind `T`.
+    pub(crate) fn type_kind(&self) -> &HC<Kind> {
+        &self.type_kind
+    }
+
     /// Looks up a memoized synthesized kind (NbE engine only).
-    pub(crate) fn synth_cached(&self, key: &StampedCon) -> Option<Kind> {
+    pub(crate) fn synth_cached(&self, key: &StampedCon) -> Option<HC<Kind>> {
         if self.engine != EquivEngine::Nbe {
             return None;
         }
@@ -355,7 +365,7 @@ impl Tc {
 
     /// Records a synthesized kind (NbE engine only; clearing the table
     /// first when it has outgrown [`CACHE_CAP`]).
-    pub(crate) fn synth_remember(&self, key: StampedCon, value: Kind) {
+    pub(crate) fn synth_remember(&self, key: StampedCon, value: HC<Kind>) {
         if self.engine != EquivEngine::Nbe {
             return;
         }
@@ -367,13 +377,13 @@ impl Tc {
     }
 
     /// Looks up a memoized weak-head normal form.
-    pub(crate) fn whnf_cached(&self, key: &StampedCon) -> Option<Con> {
+    pub(crate) fn whnf_cached(&self, key: &StampedCon) -> Option<HC<Con>> {
         self.whnf_cache.borrow().get(key).cloned()
     }
 
     /// Records a weak-head normal form (clearing the table first when it
     /// has outgrown [`CACHE_CAP`]).
-    pub(crate) fn whnf_remember(&self, key: StampedCon, value: Con) {
+    pub(crate) fn whnf_remember(&self, key: StampedCon, value: HC<Con>) {
         let mut t = self.whnf_cache.borrow_mut();
         if t.len() >= CACHE_CAP {
             t.clear();
@@ -384,15 +394,14 @@ impl Tc {
     /// [`whnf::is_contractive`], memoized per interned node. The raw
     /// test walks the μ body to build its deferral graph; every
     /// equivalence step and every elimination-position unroll re-asks,
-    /// so the answer is cached under the node's id (contractiveness is
-    /// a pure function of the node — no context, mode, or engine in
+    /// so the answer is cached under the node (contractiveness is a
+    /// pure function of the node — no context, mode, or engine in
     /// play). A non-μ answers `false` without touching the table.
-    pub(crate) fn is_contractive_cached(&self, c: &Con) -> bool {
-        if !matches!(c, Con::Mu(_, _)) {
+    pub(crate) fn is_contractive_cached(&self, c: &HC<Con>) -> bool {
+        if !matches!(**c, Con::Mu(_, _)) {
             return false;
         }
-        let node = hc(c.clone());
-        if let Some(&v) = self.mu_contractive.borrow().get(&node) {
+        if let Some(&v) = self.mu_contractive.borrow().get(c) {
             return v;
         }
         let v = whnf::is_contractive(c);
@@ -400,7 +409,7 @@ impl Tc {
         if t.len() >= CACHE_CAP {
             t.clear();
         }
-        t.insert(node, v);
+        t.insert(c.clone(), v);
         v
     }
 
@@ -414,9 +423,8 @@ impl Tc {
     /// As for [`whnf::unroll_mu`]: `c` must be a μ (errors are not
     /// cached; the non-μ case is a caller bug surfaced as a
     /// diagnostic).
-    pub(crate) fn unroll_mu_cached(&self, c: &Con) -> error::TcResult<Con> {
-        let node = hc(c.clone());
-        if let Some(u) = self.mu_unroll.borrow().get(&node) {
+    pub(crate) fn unroll_mu_cached(&self, c: &HC<Con>) -> error::TcResult<HC<Con>> {
+        if let Some(u) = self.mu_unroll.borrow().get(c) {
             return Ok(u.clone());
         }
         let u = whnf::unroll_mu(c)?;
@@ -424,7 +432,7 @@ impl Tc {
         if t.len() >= CACHE_CAP {
             t.clear();
         }
-        t.insert(node, u.clone());
+        t.insert(c.clone(), u.clone());
         Ok(u)
     }
 
@@ -519,9 +527,12 @@ mod renew_tests {
     fn check_y(tc: &Tc) -> (bool, bool, KernelStats) {
         let mut ctx = Ctx::new();
         let c = mu(q(Con::Int), cvar(0));
-        let top = tc.con_equiv(&mut ctx, &c, &Con::Int, &Kind::Type).is_ok();
-        let under = ctx.with_con(q(Con::Int), |ctx| {
-            tc.con_equiv(ctx, &cvar(0), &Con::Int, &Kind::Type).is_ok()
+        let top = tc
+            .con_equiv(&mut ctx, &hc(c.clone()), &hc(Con::Int), &Kind::Type)
+            .is_ok();
+        let under = ctx.with_con(hc(q(Con::Int)), |ctx| {
+            tc.con_equiv(ctx, &hc(cvar(0)), &hc(Con::Int), &Kind::Type)
+                .is_ok()
         });
         (top, under, tc.stats())
     }
@@ -534,9 +545,10 @@ mod renew_tests {
         let mut ctx = Ctx::new();
         let m = mu(tkind(), carrow(Con::Int, cvar(0)));
         let unrolled = carrow(Con::Int, m.clone());
-        tc.con_equiv(&mut ctx, &m, &unrolled, &Kind::Type).unwrap();
-        ctx.with_con(q(Con::Bool), |ctx| {
-            tc.con_equiv(ctx, &cvar(0), &Con::Bool, &Kind::Type)
+        tc.con_equiv(&mut ctx, &hc(m.clone()), &hc(unrolled.clone()), &Kind::Type)
+            .unwrap();
+        ctx.with_con(hc(q(Con::Bool)), |ctx| {
+            tc.con_equiv(ctx, &hc(cvar(0)), &hc(Con::Bool), &Kind::Type)
                 .unwrap();
         });
         check_y(&tc);
@@ -558,17 +570,19 @@ mod renew_tests {
         let mut tc = Tc::new();
         let mut ctx = Ctx::new();
         // Run 1: under α : Q(int), α ≡ int holds and is memoized.
-        ctx.with_con(q(Con::Int), |ctx| {
-            tc.con_equiv(ctx, &cvar(0), &Con::Int, &Kind::Type).unwrap();
+        ctx.with_con(hc(q(Con::Int)), |ctx| {
+            tc.con_equiv(ctx, &hc(cvar(0)), &hc(Con::Int), &Kind::Type)
+                .unwrap();
         });
         tc.renew(Limits::default());
         // Run 2: the same query *shape* under α : Q(bool) must fail. A
         // memo entry surviving renew in a form the new run can hit
         // (e.g. keyed without a fresh context stamp) would accept it.
         let mut ctx2 = Ctx::new();
-        ctx2.with_con(q(Con::Bool), |ctx| {
+        ctx2.with_con(hc(q(Con::Bool)), |ctx| {
             assert!(
-                tc.con_equiv(ctx, &cvar(0), &Con::Int, &Kind::Type).is_err(),
+                tc.con_equiv(ctx, &hc(cvar(0)), &hc(Con::Int), &Kind::Type)
+                    .is_err(),
                 "stale equivalence survived Tc::renew"
             );
         });

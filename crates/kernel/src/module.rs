@@ -52,9 +52,9 @@ impl Tc {
                 })
             }
             Module::Struct(c, e) => {
-                let k = self.synth_con(ctx, c)?;
+                let k = self.synth_con(ctx, &hc(c.clone()))?;
                 let te = self.synth_term(ctx, e)?;
-                let sig = Sig::Struct(hc(k), shift_ty_hc(&te.ty, 1, 0));
+                let sig = Sig::Struct(k, shift_ty_hc(&te.ty, 1, 0));
                 Ok(ModTyping {
                     sig,
                     valuable: te.valuable,

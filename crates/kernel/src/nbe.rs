@@ -356,7 +356,7 @@ fn quote_kind(arena: &Arena, stats: &TcStats, k: &Kind, env: EnvRef) -> Kind {
 /// NbE engine behind [`Tc::whnf`]; it produces exactly the syntax (and
 /// exactly the errors, in the same order) that the substitution engine
 /// would.
-pub(crate) fn machine_whnf(tc: &Tc, ctx: &mut Ctx, c: &Con) -> TcResult<Con> {
+pub(crate) fn machine_whnf(tc: &Tc, ctx: &mut Ctx, c: &HC<Con>) -> TcResult<HC<Con>> {
     let arena = tc.nbe_arena();
     if arena.depth.get() == 0 {
         // Fresh run: recycle the arena (capacity retained — this is
@@ -369,10 +369,10 @@ pub(crate) fn machine_whnf(tc: &Tc, ctx: &mut Ctx, c: &Con) -> TcResult<Con> {
     out
 }
 
-fn machine_loop(tc: &Tc, ctx: &mut Ctx, root: &Con) -> TcResult<Con> {
+fn machine_loop(tc: &Tc, ctx: &mut Ctx, root: &HC<Con>) -> TcResult<HC<Con>> {
     let arena = tc.nbe_arena();
     let stats = tc.stat_cells();
-    let mut code: Con = root.clone();
+    let mut code: HC<Con> = root.clone();
     let mut env: EnvRef = ENV_NIL;
     let mut spine: Vec<Frame> = Vec::new();
     'machine: loop {
@@ -387,27 +387,30 @@ fn machine_loop(tc: &Tc, ctx: &mut Ctx, root: &Con) -> TcResult<Con> {
         // Each arm either steps the machine (`continue 'machine`) or
         // produces the quoted head of a stuck / head-normal form and
         // falls through to the rebuild loop below.
-        let head: Con = match code {
+        let head: HC<Con> = match &*code {
             Con::App(f, a) => {
-                spine.push(Frame::App { code: a, env });
-                code = f.take();
+                spine.push(Frame::App {
+                    code: a.clone(),
+                    env,
+                });
+                code = f.clone();
                 continue 'machine;
             }
             Con::Proj1(p) => {
                 spine.push(Frame::Proj1);
-                code = p.take();
+                code = p.clone();
                 continue 'machine;
             }
             Con::Proj2(p) => {
                 spine.push(Frame::Proj2);
-                code = p.take();
+                code = p.clone();
                 continue 'machine;
             }
-            Con::Lam(k, body) => match spine.pop() {
+            Con::Lam(_, body) => match spine.pop() {
                 Some(Frame::App { code: a, env: aenv }) => {
                     // β: no substitution — extend the environment.
                     env = arena.alloc(a, aenv, env, stats);
-                    code = body.take();
+                    code = body.clone();
                     continue 'machine;
                 }
                 fr => {
@@ -416,58 +419,63 @@ fn machine_loop(tc: &Tc, ctx: &mut Ctx, root: &Con) -> TcResult<Con> {
                     if let Some(fr) = fr {
                         spine.push(fr);
                     }
-                    quote_con(arena, stats, &Con::Lam(k, body), env)
+                    quote_hc(arena, stats, &code, env)
                 }
             },
             Con::Pair(l, r) => match spine.pop() {
                 Some(Frame::Proj1) => {
-                    code = l.take();
+                    code = l.clone();
                     continue 'machine;
                 }
                 Some(Frame::Proj2) => {
-                    code = r.take();
+                    code = r.clone();
                     continue 'machine;
                 }
                 fr => {
                     if let Some(fr) = fr {
                         spine.push(fr);
                     }
-                    quote_con(arena, stats, &Con::Pair(l, r), env)
+                    quote_hc(arena, stats, &code, env)
                 }
             },
-            Con::Var(i) => match arena.lookup(env, i) {
+            Con::Var(i) => match arena.lookup(env, *i) {
                 Some((ccode, cenv)) => {
                     // Jump into the closure the machine bound here.
-                    code = ccode.take();
+                    code = ccode;
                     env = cenv;
                     continue 'machine;
                 }
-                None => Con::Var(i - arena.env_len(env)),
+                None if env == ENV_NIL => code.clone(),
+                None => hc(Con::Var(i - arena.env_len(env))),
             },
             Con::Fst(i) => {
                 let n = arena.env_len(env);
-                if i < n {
+                if *i < n {
                     wrong_sort();
                 }
-                Con::Fst(i - n)
+                if n == 0 {
+                    code.clone()
+                } else {
+                    hc(Con::Fst(i - n))
+                }
             }
-            Con::Mu(k, body) => {
-                if fully_transparent(&k) {
+            Con::Mu(k, _) => {
+                if fully_transparent(k) {
                     // μα:κ.b = the canonical inhabitant of κ when κ is
                     // fully transparent (paper §2.1). Transparency is
                     // invariant under substitution, so the test runs on
                     // the raw kind; the definition must be read back.
-                    let kq = quote_kind(arena, stats, &k, env);
-                    code = kind_definition(&kq).ok_or_else(|| {
+                    let kq = quote_kind(arena, stats, k, env);
+                    code = hc(kind_definition(&kq).ok_or_else(|| {
                         TypeError::Internal(format!(
                             "fully transparent kind without a definition: {}",
                             show::kind(&kq)
                         ))
-                    })?;
+                    })?);
                     env = ENV_NIL;
                     continue 'machine;
                 }
-                let m = quote_con(arena, stats, &Con::Mu(k, body), env);
+                let m = quote_hc(arena, stats, &code, env);
                 if !spine.is_empty() && tc.is_contractive_cached(&m) {
                     // Elimination position: one definitional unroll.
                     TcStats::bump(&stats.mu_unrolls);
@@ -481,13 +489,13 @@ fn machine_loop(tc: &Tc, ctx: &mut Ctx, root: &Con) -> TcResult<Con> {
             }
             // Star and the monotype formers are head-normal; under an
             // incompatible frame they are stuck and rebuild below.
-            c @ (Con::Star
+            Con::Star
             | Con::Int
             | Con::Bool
             | Con::UnitTy
             | Con::Arrow(..)
             | Con::Prod(..)
-            | Con::Sum(..)) => quote_con(arena, stats, &c, env),
+            | Con::Sum(..) => quote_hc(arena, stats, &code, env),
         };
         // Stuck rebuild. Mirrors the substitution engine exactly: a
         // bare variable head consults its natural kind first; then
@@ -495,9 +503,9 @@ fn machine_loop(tc: &Tc, ctx: &mut Ctx, root: &Con) -> TcResult<Con> {
         // the natural kind of the partial spine at every level, and a
         // singleton answer restarts the machine on the definition with
         // the *remaining* spine (Stone–Harper head expansion).
-        if matches!(head, Con::Var(_) | Con::Fst(_)) {
-            if let Some(Kind::Singleton(next)) = tc.natural_kind(ctx, &head)? {
-                code = next.take();
+        if matches!(*head, Con::Var(_) | Con::Fst(_)) {
+            if let Some(next) = singleton_definition(tc, ctx, &head)? {
+                code = next;
                 env = ENV_NIL;
                 continue 'machine;
             }
@@ -507,20 +515,27 @@ fn machine_loop(tc: &Tc, ctx: &mut Ctx, root: &Con) -> TcResult<Con> {
             let Some(fr) = spine.pop() else {
                 return Ok(h);
             };
-            h = match fr {
-                Frame::App { code: a, env: aenv } => {
-                    Con::App(hc(h), quote_hc(arena, stats, &a, aenv))
-                }
-                Frame::Proj1 => Con::Proj1(hc(h)),
-                Frame::Proj2 => Con::Proj2(hc(h)),
+            let partial = match fr {
+                Frame::App { code: a, env: aenv } => Con::App(h, quote_hc(arena, stats, &a, aenv)),
+                Frame::Proj1 => Con::Proj1(h),
+                Frame::Proj2 => Con::Proj2(h),
             };
-            if let Some(Kind::Singleton(next)) = tc.natural_kind(ctx, &h)? {
-                code = next.take();
+            if let Some(next) = singleton_definition(tc, ctx, &partial)? {
+                code = next;
                 env = ENV_NIL;
                 continue 'machine;
             }
+            h = hc(partial);
         }
     }
+}
+
+/// The definition `c` of a path whose natural kind is `Q(c)`, if any.
+fn singleton_definition(tc: &Tc, ctx: &mut Ctx, path: &Con) -> TcResult<Option<HC<Con>>> {
+    Ok(match tc.natural_kind(ctx, path)?.as_deref() {
+        Some(Kind::Singleton(next)) => Some(next.clone()),
+        _ => None,
+    })
 }
 
 #[cfg(test)]
@@ -529,6 +544,7 @@ mod tests {
     use crate::{EquivEngine, Limits, RecMode, Tc};
     use recmod_syntax::ast::Con;
     use recmod_syntax::dsl::*;
+    use recmod_syntax::intern::hc;
 
     fn engines() -> (Tc, Tc) {
         (
@@ -540,8 +556,8 @@ mod tests {
     /// Both engines must produce byte-identical weak-head normal forms.
     fn agree(ctx: &mut Ctx, c: &Con) {
         let (nbe, subst) = engines();
-        let a = nbe.whnf(ctx, c);
-        let b = subst.whnf(ctx, c);
+        let a = nbe.whnf(ctx, &hc(c.clone()));
+        let b = subst.whnf(ctx, &hc(c.clone()));
         match (&a, &b) {
             (Ok(x), Ok(y)) => assert_eq!(x, y, "engines disagree on {c:?}"),
             (Err(x), Err(y)) => assert_eq!(
@@ -565,8 +581,8 @@ mod tests {
         );
         let (nbe, _) = engines();
         assert_eq!(
-            nbe.whnf(&mut ctx, &c).unwrap(),
-            clam(tkind(), carrow(Con::Int, cvar(0)))
+            nbe.whnf(&mut ctx, &hc(c.clone())).unwrap(),
+            hc(clam(tkind(), carrow(Con::Int, cvar(0))))
         );
         agree(&mut ctx, &c);
     }
@@ -583,7 +599,10 @@ mod tests {
             Con::Bool,
         );
         let (nbe, _) = engines();
-        assert_eq!(nbe.whnf(&mut ctx, &c).unwrap(), cprod(Con::Bool, Con::Int));
+        assert_eq!(
+            nbe.whnf(&mut ctx, &hc(c.clone())).unwrap(),
+            hc(cprod(Con::Bool, Con::Int))
+        );
         agree(&mut ctx, &c);
     }
 
@@ -593,11 +612,11 @@ mod tests {
         // must quote the free α back to index 0, not leave it at 1.
         let (nbe, subst) = engines();
         let mut ctx = Ctx::new();
-        ctx.with_con(tkind(), |ctx| {
+        ctx.with_con(hc(tkind()), |ctx| {
             let c = capp(clam(tkind(), carrow(cvar(0), cvar(1))), Con::Int);
-            let expect = carrow(Con::Int, cvar(0));
-            assert_eq!(nbe.whnf(ctx, &c).unwrap(), expect);
-            assert_eq!(subst.whnf(ctx, &c).unwrap(), expect);
+            let expect = hc(carrow(Con::Int, cvar(0)));
+            assert_eq!(nbe.whnf(ctx, &hc(c.clone())).unwrap(), expect);
+            assert_eq!(subst.whnf(ctx, &hc(c.clone())).unwrap(), expect);
         });
     }
 
@@ -614,7 +633,10 @@ mod tests {
             Con::Int,
         );
         let (nbe, _) = engines();
-        assert_eq!(nbe.whnf(&mut ctx, &c).unwrap(), carrow(Con::Int, Con::Int));
+        assert_eq!(
+            nbe.whnf(&mut ctx, &hc(c.clone())).unwrap(),
+            hc(carrow(Con::Int, Con::Int))
+        );
         agree(&mut ctx, &c);
     }
 
@@ -626,11 +648,11 @@ mod tests {
         let (nbe, subst) = engines();
         let mut ctx = Ctx::new();
         let k = pi(tkind(), q(carrow(cvar(0), cvar(0))));
-        ctx.with_con(k, |ctx| {
+        ctx.with_con(hc(k.clone()), |ctx| {
             let c = capp(clam(tkind(), capp(cvar(1), cvar(0))), Con::Int);
-            let expect = carrow(Con::Int, Con::Int);
-            assert_eq!(nbe.whnf(ctx, &c).unwrap(), expect);
-            assert_eq!(subst.whnf(ctx, &c).unwrap(), expect);
+            let expect = hc(carrow(Con::Int, Con::Int));
+            assert_eq!(nbe.whnf(ctx, &hc(c.clone())).unwrap(), expect);
+            assert_eq!(subst.whnf(ctx, &hc(c.clone())).unwrap(), expect);
         });
     }
 
@@ -657,12 +679,12 @@ mod tests {
     fn stuck_spines_agree_with_eager_rebuild() {
         let (nbe, subst) = engines();
         let mut ctx = Ctx::new();
-        ctx.with_con(pi(tkind(), sigma(tkind(), tkind())), |ctx| {
+        ctx.with_con(hc(pi(tkind(), sigma(tkind(), tkind()))), |ctx| {
             let c = cproj2(capp(cvar(0), Con::Int));
-            let a = nbe.whnf(ctx, &c).unwrap();
-            let b = subst.whnf(ctx, &c).unwrap();
+            let a = nbe.whnf(ctx, &hc(c.clone())).unwrap();
+            let b = subst.whnf(ctx, &hc(c.clone())).unwrap();
             assert_eq!(a, b);
-            assert_eq!(a, c);
+            assert_eq!(a, hc(c));
         });
     }
 
@@ -673,10 +695,10 @@ mod tests {
         // non-Π kind must raise the same NotAPiKind from both.
         let (nbe, subst) = engines();
         let mut ctx = Ctx::new();
-        ctx.with_con(tkind(), |ctx| {
+        ctx.with_con(hc(tkind()), |ctx| {
             let c = capp(cvar(0), Con::Int);
-            let a = nbe.whnf(ctx, &c);
-            let b = subst.whnf(ctx, &c);
+            let a = nbe.whnf(ctx, &hc(c.clone()));
+            let b = subst.whnf(ctx, &hc(c.clone()));
             let (Err(ea), Err(eb)) = (a, b) else {
                 panic!("expected NotAPiKind from both engines");
             };
@@ -690,8 +712,8 @@ mod tests {
         let (nbe, subst) = engines();
         let mut ctx = Ctx::new();
         let c = capp(clam(tkind(), carrow(cvar(0), cvar(0))), Con::Int);
-        nbe.whnf(&mut ctx, &c).unwrap();
-        subst.whnf(&mut ctx, &c).unwrap();
+        nbe.whnf(&mut ctx, &hc(c.clone())).unwrap();
+        subst.whnf(&mut ctx, &hc(c.clone())).unwrap();
         let (sn, ss) = (nbe.stats(), subst.stats());
         assert!(sn.eval_steps > 0 && sn.env_allocs > 0);
         assert_eq!(sn.whnf_steps, 0, "whnf_steps is the subst engine's counter");
@@ -704,12 +726,12 @@ mod tests {
         let (nbe, _) = engines();
         let mut ctx = Ctx::new();
         let c = capp(clam(tkind(), carrow(cvar(0), cvar(0))), Con::Int);
-        nbe.whnf(&mut ctx, &c).unwrap();
-        nbe.whnf(&mut ctx, &c).unwrap();
+        nbe.whnf(&mut ctx, &hc(c.clone())).unwrap();
+        nbe.whnf(&mut ctx, &hc(c.clone())).unwrap();
         // Second run is answered by the whnf memo without re-running
         // the machine; a cold equivalent still must not accumulate.
         let d = capp(clam(tkind(), carrow(cvar(0), Con::Bool)), Con::Int);
-        nbe.whnf(&mut ctx, &d).unwrap();
+        nbe.whnf(&mut ctx, &hc(d.clone())).unwrap();
         assert!(nbe.nbe_arena().nodes.borrow().len() <= 1);
     }
 }

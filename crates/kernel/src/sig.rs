@@ -24,7 +24,7 @@ use crate::ctx::Ctx;
 use crate::error::{raise, TcResult, TypeError};
 use crate::kind::kind_mentions;
 use crate::show;
-use crate::singleton::{fully_transparent, kind_definition, selfify, strip_kind};
+use crate::singleton::{fully_transparent, kind_definition, selfify_hc, strip_kind};
 use crate::Tc;
 
 /// Replaces occurrences of `Fst(s)` for the structure binder at index
@@ -127,7 +127,7 @@ impl Tc {
         match s {
             Sig::Struct(k, t) => {
                 self.wf_kind(ctx, k)?;
-                ctx.with_con((**k).clone(), |ctx| self.wf_ty(ctx, t))
+                ctx.with_con(k.clone(), |ctx| self.wf_ty(ctx, t))
             }
             Sig::Rds(_) => {
                 let r = self.resolve_sig(ctx, s)?;
@@ -175,7 +175,7 @@ impl Tc {
                 // The μ's *annotation* sits outside the binder that replaces
                 // ρ, so outer references in the frame drop one index. (The μ
                 // body keeps its indices: the binder swap is one-for-one.)
-                let base = recmod_syntax::subst::shift_kind(&base, -1, 0);
+                let base = hc(recmod_syntax::subst::shift_kind(&base, -1, 0));
                 let def = kind_definition(k).ok_or_else(|| {
                     TypeError::Internal(format!(
                         "fully transparent kind without a definition: {}",
@@ -184,12 +184,12 @@ impl Tc {
                 })?;
                 // c(Fst s) ↦ c(β): the structure binder becomes the μ binder.
                 let mu_body = retarget_fst_to_cvar(&def, 0);
-                let mu_con = Con::Mu(hc(base.clone()), hc(mu_body));
+                let mu_con = hc(Con::Mu(base.clone(), hc(mu_body)));
                 // Q(μβ:κ.c(β) : κ) — the higher-order singleton of Figure 5.
-                let new_kind = selfify(&mu_con, &base);
+                let new_kind = selfify_hc(&mu_con, &base);
                 // σ[α/Fst(s)] — redirect and drop the structure binder.
                 let new_ty = map_ty_hc(t, 0, &mut RdsTypeRedirect);
-                let resolved = Sig::Struct(hc(new_kind), new_ty);
+                let resolved = Sig::Struct(new_kind, new_ty);
                 // Resolution is idempotent; the result is flat by construction.
                 let _ = ctx;
                 Ok(resolved)
@@ -206,7 +206,7 @@ impl Tc {
         match (&a, &b) {
             (Sig::Struct(k1, t1), Sig::Struct(k2, t2)) => {
                 self.kind_eq(ctx, k1, k2)?;
-                ctx.with_con((**k1).clone(), |ctx| self.ty_eq(ctx, t1, t2))
+                ctx.with_con(k1.clone(), |ctx| self.ty_eq(ctx, t1, t2))
             }
             _ => raise(TypeError::Internal(
                 "resolve_sig returned an unresolved rds".to_string(),
@@ -231,7 +231,7 @@ impl Tc {
                     }
                     .noted()
                 })?;
-                ctx.with_con((**k1).clone(), |ctx| self.ty_sub(ctx, t1, t2))
+                ctx.with_con(k1.clone(), |ctx| self.ty_sub(ctx, t1, t2))
                     .map_err(|e| match e {
                         e @ TypeError::FuelExhausted { .. } => e,
                         _ => TypeError::NotASubsignature {
@@ -296,7 +296,7 @@ fn kind_mentions_wrong_sort(k: &recmod_syntax::ast::Kind, target: usize) -> bool
 /// selfification rule; the module-level analogue of Figure 2).
 pub fn selfify_sig(index: usize, s: &Sig) -> Sig {
     match s {
-        Sig::Struct(k, t) => Sig::Struct(hc(selfify(&Con::Fst(index), k)), t.clone()),
+        Sig::Struct(k, t) => Sig::Struct(selfify_hc(&hc(Con::Fst(index)), k), t.clone()),
         Sig::Rds(_) => s.clone(),
     }
 }
@@ -412,7 +412,7 @@ mod tests {
         // those references by one, or the resolved annotation dangles.
         let tc = Tc::new();
         let mut ctx = Ctx::new();
-        ctx.with_con(Kind::Type, |ctx| {
+        ctx.with_con(hc(Kind::Type), |ctx| {
             // Inside the rds: ρ = 0, β = 1. Codomain adds γ: γ=0, ρ=1, β=2.
             let kappa =
                 recmod_syntax::dsl::pi(q(cvar(1)), q(carrow(cvar(0), capp(fst(1), cvar(0)))));

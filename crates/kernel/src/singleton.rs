@@ -1,6 +1,6 @@
 //! Singleton-kind machinery.
 //!
-//! * [`selfify`] — the higher-order singleton `Q(c : κ)` of paper
+//! * [`selfify_hc`] — the higher-order singleton `Q(c : κ)` of paper
 //!   Figure 2, extended to `Σ` kinds in the standard (Stone–Harper) way.
 //!   The paper's footnote restricts `Q(c:κ)` to non-`Σ` kinds to keep the
 //!   construct *definable*; selfification is the algorithmic counterpart
@@ -14,39 +14,28 @@
 //!   transparent kind (the constructor `c` such that `κ = Q(c : strip κ)`).
 
 use recmod_syntax::ast::{Con, Kind};
-use recmod_syntax::dsl::{clam, cpair, q};
+use recmod_syntax::dsl::{clam, cpair};
 use recmod_syntax::intern::{hc, HC};
 use recmod_syntax::memo::{self, Key, Op};
 use recmod_syntax::subst::{shift_con_hc, shift_kind_hc, subst_con_kind, subst_con_kind_hc};
 
 /// Computes the principal (most transparent) kind `Q(c : κ)` of a
-/// constructor `c` already known to have kind `κ`.
+/// constructor `c` already known to have kind `κ`. A Π or Σ result is
+/// remembered in the per-thread [`memo`] table under `(c id, κ id)`:
+/// the kernel selfifies the same variable at the same kind from many
+/// judgement calls, and a Σ of width k re-selfifies every later
+/// component after each substitution.
 ///
 /// ```
 /// use recmod_syntax::ast::{Con, Kind};
-/// use recmod_kernel::singleton::selfify;
+/// use recmod_syntax::intern::hc;
+/// use recmod_kernel::singleton::selfify_hc;
 ///
 /// // Q(int : T) = Q(int)
-/// assert_eq!(
-///     selfify(&Con::Int, &Kind::Type),
-///     Kind::Singleton(recmod_syntax::intern::hc(Con::Int))
-/// );
+/// let int = hc(Con::Int);
+/// assert_eq!(*selfify_hc(&int, &hc(Kind::Type)), Kind::Singleton(int));
 /// ```
-pub fn selfify(c: &Con, k: &Kind) -> Kind {
-    match k {
-        Kind::Type => q(c.clone()),
-        Kind::Unit => Kind::Unit,
-        Kind::Singleton(c0) => Kind::Singleton(c0.clone()),
-        Kind::Pi(..) | Kind::Sigma(..) => selfify_hc(&hc(c.clone()), &hc(k.clone())).take(),
-    }
-}
-
-/// [`selfify`] on interned pointers. A Π or Σ result is remembered in
-/// the per-thread [`memo`] table under `(c id, κ id)`: the kernel
-/// selfifies the same variable at the same kind from many judgement
-/// calls, and a Σ of width k re-selfifies every later component after
-/// each substitution.
-fn selfify_hc(c: &HC<Con>, k: &HC<Kind>) -> HC<Kind> {
+pub fn selfify_hc(c: &HC<Con>, k: &HC<Kind>) -> HC<Kind> {
     let (k1, k2) = match &**k {
         Kind::Type => return hc(Kind::Singleton(c.clone())),
         Kind::Unit | Kind::Singleton(_) => return k.clone(),
@@ -127,33 +116,33 @@ pub fn kind_definition(k: &Kind) -> Option<Con> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use recmod_syntax::dsl::{capp, cproj1, cproj2, cvar, pi, sigma, tkind};
+    use recmod_syntax::dsl::{capp, cproj1, cproj2, cvar, pi, q, sigma, tkind};
 
     #[test]
     fn selfify_at_type_is_singleton() {
-        assert_eq!(selfify(&Con::Bool, &tkind()), q(Con::Bool));
+        assert_eq!(*selfify_hc(&hc(Con::Bool), &hc(tkind())), q(Con::Bool));
     }
 
     #[test]
     fn selfify_at_singleton_keeps_definition() {
         // Q(c : Q(int)) = Q(int) — the declared identity wins.
-        assert_eq!(selfify(&cvar(0), &q(Con::Int)), q(Con::Int));
+        assert_eq!(*selfify_hc(&hc(cvar(0)), &hc(q(Con::Int))), q(Con::Int));
     }
 
     #[test]
     fn selfify_pi_is_figure_2() {
         // Q(c : Πα:T.T) = Πα:T.Q(c α)
         let k = pi(tkind(), tkind());
-        let out = selfify(&cvar(3), &k);
-        assert_eq!(out, pi(tkind(), q(capp(cvar(4), cvar(0)))));
+        let out = selfify_hc(&hc(cvar(3)), &hc(k));
+        assert_eq!(*out, pi(tkind(), q(capp(cvar(4), cvar(0)))));
     }
 
     #[test]
     fn selfify_sigma_projects() {
         // Q(c : T×T) = Q(π₁c) × Q(π₂c)
         let k = sigma(tkind(), tkind());
-        let out = selfify(&cvar(0), &k);
-        assert_eq!(out, Kind::times(q(cproj1(cvar(0))), q(cproj2(cvar(0)))));
+        let out = selfify_hc(&hc(cvar(0)), &hc(k));
+        assert_eq!(*out, Kind::times(q(cproj1(cvar(0))), q(cproj2(cvar(0)))));
     }
 
     #[test]
@@ -167,12 +156,13 @@ mod tests {
         // Held interned, as the kernel's contexts hold their kinds: a
         // re-interned dead node would get a fresh id, hence a new key.
         let k = hc(sigma(tkind(), pi(tkind(), q(cvar(1)))));
-        let first = selfify(&cvar(2), &k);
+        let c = hc(cvar(2));
+        let first = selfify_hc(&c, &k);
         let before = probes();
-        let again = selfify(&cvar(2), &k);
-        // Interning the constructor and the kind is the whole cost.
-        assert_eq!(probes(), before + 2);
-        assert_eq!(first, again);
+        let again = selfify_hc(&c, &k);
+        // Both arguments are already interned: the memo hit is free.
+        assert_eq!(probes(), before);
+        assert!(HC::ptr_eq(&first, &again));
     }
 
     #[test]

@@ -16,13 +16,14 @@
 //!   `fix(x:int list. 1 :: x)`;
 //! * `fail` (the paper's `raise Fail`) is never valuable.
 
-use recmod_syntax::ast::{Con, Kind, PrimOp, Sig, Term, Ty};
+use recmod_syntax::ast::{Con, PrimOp, Sig, Term, Ty};
 use recmod_syntax::intern::{hc, HC};
 use recmod_syntax::subst::{shift_ty_hc, subst_con_ty_hc};
 
 use crate::ctx::Ctx;
 use crate::error::{raise, TcResult, TypeError};
 use crate::show;
+use crate::ty::mono;
 use crate::Tc;
 
 /// The result of typechecking a term: its principal type and whether it
@@ -46,11 +47,6 @@ impl Typing {
 /// `λ`/`let`/`case`).
 fn strengthen_ty(t: &HC<Ty>) -> HC<Ty> {
     shift_ty_hc(t, -1, 0)
-}
-
-/// The monotype embedding of an interned constructor.
-fn mono(c: HC<Con>) -> HC<Ty> {
-    hc(Ty::Con(c))
 }
 
 impl Tc {
@@ -93,14 +89,17 @@ impl Tc {
             Term::App(f, a) => {
                 let ft = self.synth_term(ctx, f)?;
                 let exposed = self.expose_deep(ctx, &ft.ty)?;
-                let (dom, cod, total) = match exposed {
+                let (dom, cod, total) = match &*exposed {
                     Ty::Total(d, c) => (d, c, true),
                     Ty::Partial(d, c) => (d, c, false),
-                    other => return raise(TypeError::NotAFunction(show::ty(&other))),
+                    other => return raise(TypeError::NotAFunction(show::ty(other))),
                 };
                 let at = self.synth_term(ctx, a)?;
-                self.ty_sub(ctx, &at.ty, &dom)?;
-                Ok(Typing::new(cod, total && ft.valuable && at.valuable))
+                self.ty_sub(ctx, &at.ty, dom)?;
+                Ok(Typing::new(
+                    cod.clone(),
+                    total && ft.valuable && at.valuable,
+                ))
             }
             Term::Pair(a, b) => {
                 let at = self.synth_term(ctx, a)?;
@@ -113,17 +112,17 @@ impl Tc {
             Term::Proj1(p) | Term::Proj2(p) => {
                 let pt = self.synth_term(ctx, p)?;
                 let exposed = self.expose_deep(ctx, &pt.ty)?;
-                match exposed {
+                match &*exposed {
                     Ty::Prod(l, r) => {
                         let ty = if matches!(e, Term::Proj1(_)) { l } else { r };
-                        Ok(Typing::new(ty, pt.valuable))
+                        Ok(Typing::new(ty.clone(), pt.valuable))
                     }
-                    other => raise(TypeError::NotAProduct(show::ty(&other))),
+                    other => raise(TypeError::NotAProduct(show::ty(other))),
                 }
             }
             Term::TLam(k, body) => {
                 self.wf_kind(ctx, k)?;
-                let b = ctx.with_con((**k).clone(), |ctx| self.synth_term(ctx, body))?;
+                let b = ctx.with_con(k.clone(), |ctx| self.synth_term(ctx, body))?;
                 if !b.valuable {
                     // Λα:κ.e requires Γ[α:κ] ⊢ e ⇓ σ.
                     return raise(TypeError::ValueRestriction(show::term(body)));
@@ -132,12 +131,12 @@ impl Tc {
             }
             Term::TApp(f, c) => {
                 let ft = self.synth_term(ctx, f)?;
-                match self.expose(ctx, &ft.ty)? {
+                match &*self.expose(ctx, &ft.ty)? {
                     Ty::Forall(k, body) => {
-                        self.check_con(ctx, c, &k)?;
-                        Ok(Typing::new(subst_con_ty_hc(&body, c), ft.valuable))
+                        self.check_con(ctx, &hc(c.clone()), k)?;
+                        Ok(Typing::new(subst_con_ty_hc(body, c), ft.valuable))
                     }
-                    other => raise(TypeError::NotPolymorphic(show::ty(&other))),
+                    other => raise(TypeError::NotPolymorphic(show::ty(other))),
                 }
             }
             Term::Fix(t, body) => {
@@ -162,7 +161,7 @@ impl Tc {
                     });
                 }
                 let mut valuable = true;
-                let int = Ty::Con(hc(Con::Int));
+                let int = mono(hc(Con::Int));
                 for a in args {
                     let at = self.synth_term(ctx, a)?;
                     self.ty_sub(ctx, &at.ty, &int)?;
@@ -176,16 +175,17 @@ impl Tc {
             }
             Term::If(c, t, f) => {
                 let ct = self.synth_term(ctx, c)?;
-                self.ty_sub(ctx, &ct.ty, &Ty::Con(hc(Con::Bool)))?;
+                self.ty_sub(ctx, &ct.ty, &mono(hc(Con::Bool)))?;
                 let tt = self.synth_term(ctx, t)?;
                 let ft = self.synth_term(ctx, f)?;
                 let ty = self.join(ctx, &tt.ty, &ft.ty)?;
                 Ok(Typing::new(ty, ct.valuable && tt.valuable && ft.valuable))
             }
             Term::Inj(i, sum, body) => {
-                self.check_con(ctx, sum, &Kind::Type)?;
-                let w = self.whnf(ctx, sum)?;
-                let Con::Sum(cs) = &w else {
+                let sum = hc(sum.clone());
+                self.check_con(ctx, &sum, self.type_kind())?;
+                let w = self.whnf(ctx, &sum)?;
+                let Con::Sum(cs) = &*w else {
                     return raise(TypeError::NotASum(show::con(&w)));
                 };
                 if *i >= cs.len() {
@@ -195,17 +195,18 @@ impl Tc {
                     });
                 }
                 let bt = self.synth_term(ctx, body)?;
-                self.ty_sub(ctx, &bt.ty, &Ty::Con(cs[*i].clone()))?;
-                Ok(Typing::new(mono(hc(sum.clone())), bt.valuable))
+                self.ty_sub(ctx, &bt.ty, &mono(cs[*i].clone()))?;
+                Ok(Typing::new(mono(sum), bt.valuable))
             }
             Term::Case(scrut, branches) => {
                 let st = self.synth_term(ctx, scrut)?;
                 let exposed = self.expose_deep(ctx, &st.ty)?;
-                let Ty::Con(w) = exposed else {
+                let Ty::Con(w) = &*exposed else {
                     return raise(TypeError::NotASum(show::ty(&exposed)));
                 };
-                let Con::Sum(cs) = self.whnf(ctx, &w)? else {
-                    return raise(TypeError::NotASum(show::con(&w)));
+                let ws = self.whnf(ctx, w)?;
+                let Con::Sum(cs) = &*ws else {
+                    return raise(TypeError::NotASum(show::con(w)));
                 };
                 if cs.len() != branches.len() {
                     return raise(TypeError::BranchCount {
@@ -236,20 +237,21 @@ impl Tc {
                 }
             }
             Term::Roll(muc, body) => {
-                self.check_con(ctx, muc, &Kind::Type)?;
-                let unrolled = self.whnf_unroll(ctx, muc)?;
+                let muc = hc(muc.clone());
+                self.check_con(ctx, &muc, self.type_kind())?;
+                let unrolled = self.whnf_unroll(ctx, &muc)?;
                 let bt = self.synth_term(ctx, body)?;
-                self.ty_sub(ctx, &bt.ty, &Ty::Con(hc(unrolled)))?;
-                Ok(Typing::new(mono(hc(muc.clone())), bt.valuable))
+                self.ty_sub(ctx, &bt.ty, &mono(unrolled))?;
+                Ok(Typing::new(mono(muc), bt.valuable))
             }
             Term::Unroll(body) => {
                 let bt = self.synth_term(ctx, body)?;
                 let exposed = self.expose(ctx, &bt.ty)?;
-                let Ty::Con(w) = exposed else {
+                let Ty::Con(w) = &*exposed else {
                     return raise(TypeError::NotAMu(show::ty(&exposed)));
                 };
-                let unrolled = self.whnf_unroll(ctx, &w)?;
-                Ok(Typing::new(mono(hc(unrolled)), bt.valuable))
+                let unrolled = self.whnf_unroll(ctx, w)?;
+                Ok(Typing::new(mono(unrolled), bt.valuable))
             }
             Term::Fail(t) => {
                 self.wf_ty(ctx, t)?;
@@ -464,7 +466,7 @@ mod tests {
             let t = tc.synth_term(ctx, &app(var(0), int(3))).unwrap();
             // Result is the μ again.
             let exposed = tc.expose(ctx, &t.ty).unwrap();
-            assert!(matches!(&exposed, Ty::Con(c) if matches!(**c, Con::Mu(_, _))));
+            assert!(matches!(&*exposed, Ty::Con(c) if matches!(**c, Con::Mu(_, _))));
         });
     }
 }

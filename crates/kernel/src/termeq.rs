@@ -19,7 +19,7 @@
 //! A failure verdict means "not provably equal by this procedure", not
 //! a semantic inequality.
 
-use recmod_syntax::ast::{Con, Term, Ty};
+use recmod_syntax::ast::{Con, Kind, Term, Ty};
 use recmod_syntax::intern::hc;
 use recmod_syntax::subst::{shift_term, subst_con_term, subst_term_term};
 
@@ -51,7 +51,7 @@ impl Tc {
             }
             (Term::TLam(k1, b1), Term::TLam(k2, b2)) => {
                 self.kind_eq(ctx, k1, k2)?;
-                ctx.with_con((**k1).clone(), |ctx| self.term_eq(ctx, b1, b2))
+                ctx.with_con(k1.clone(), |ctx| self.term_eq(ctx, b1, b2))
             }
             (Term::Pair(a1, b1), Term::Pair(a2, b2)) => {
                 self.term_eq(ctx, a1, a2)?;
@@ -71,7 +71,7 @@ impl Tc {
             }
             (Term::TApp(f1, c1), Term::TApp(f2, c2)) => {
                 self.term_eq(ctx, f1, f2)?;
-                self.con_equiv(ctx, c1, c2, &recmod_syntax::ast::Kind::Type)
+                self.con_equiv(ctx, &hc(c1.clone()), &hc(c2.clone()), &Kind::Type)
             }
             (Term::Fix(t1, b1), Term::Fix(t2, b2)) => {
                 self.ty_eq(ctx, t1, t2)?;
@@ -89,7 +89,7 @@ impl Tc {
                 self.term_eq(ctx, f1, f2)
             }
             (Term::Inj(i, c1, x), Term::Inj(j, c2, y)) if i == j => {
-                self.con_equiv(ctx, c1, c2, &recmod_syntax::ast::Kind::Type)?;
+                self.con_equiv(ctx, &hc(c1.clone()), &hc(c2.clone()), &Kind::Type)?;
                 self.term_eq(ctx, x, y)
             }
             (Term::Case(s1, bs1), Term::Case(s2, bs2)) if bs1.len() == bs2.len() => {
@@ -102,7 +102,7 @@ impl Tc {
                 Ok(())
             }
             (Term::Roll(c1, x), Term::Roll(c2, y)) => {
-                self.con_equiv(ctx, c1, c2, &recmod_syntax::ast::Kind::Type)?;
+                self.con_equiv(ctx, &hc(c1.clone()), &hc(c2.clone()), &Kind::Type)?;
                 self.term_eq(ctx, x, y)
             }
             (Term::Unroll(x), Term::Unroll(y)) => self.term_eq(ctx, x, y),
@@ -243,13 +243,13 @@ pub fn parts_eq(
     (c1, e1): (&Con, &Term),
     (c2, e2): (&Con, &Term),
 ) -> TcResult<()> {
-    tc.con_equiv(ctx, c1, c2, &recmod_syntax::ast::Kind::Type)
-        .or_else(|_| {
-            // Static parts need not be monotypes; fall back to kind
-            // synthesis plus kind-directed comparison.
-            let k = tc.synth_con(ctx, c1)?;
-            tc.con_equiv(ctx, c1, c2, &k)
-        })?;
+    let (c1, c2) = (hc(c1.clone()), hc(c2.clone()));
+    tc.con_equiv(ctx, &c1, &c2, &Kind::Type).or_else(|_| {
+        // Static parts need not be monotypes; fall back to kind
+        // synthesis plus kind-directed comparison.
+        let k = tc.synth_con(ctx, &c1)?;
+        tc.con_equiv(ctx, &c1, &c2, &k)
+    })?;
     tc.term_eq(ctx, e1, e2)
 }
 

@@ -13,7 +13,7 @@
 //! having both declarative rules available.
 
 use recmod_syntax::ast::{Con, Ty};
-use recmod_syntax::intern::hc;
+use recmod_syntax::intern::{hc, HC};
 
 use crate::ctx::Ctx;
 use crate::error::{raise, TcResult, TypeError};
@@ -26,7 +26,7 @@ impl Tc {
         let _j = recmod_telemetry::judgement_span("kernel.wf_ty");
         let _depth = self.descend("wf_ty")?;
         match t {
-            Ty::Con(c) => self.check_con(ctx, c, &recmod_syntax::ast::Kind::Type),
+            Ty::Con(c) => self.check_con(ctx, c, self.type_kind()),
             Ty::Unit => Ok(()),
             Ty::Total(a, b) | Ty::Partial(a, b) | Ty::Prod(a, b) => {
                 self.wf_ty(ctx, a)?;
@@ -34,67 +34,65 @@ impl Tc {
             }
             Ty::Forall(k, b) => {
                 self.wf_kind(ctx, k)?;
-                ctx.with_con((**k).clone(), |ctx| self.wf_ty(ctx, b))
+                ctx.with_con(k.clone(), |ctx| self.wf_ty(ctx, b))
             }
         }
     }
 
     /// Weak-head normalizes a type, surfacing structure hidden inside a
     /// monotype embedding.
-    pub fn expose(&self, ctx: &mut Ctx, t: &Ty) -> TcResult<Ty> {
+    pub fn expose(&self, ctx: &mut Ctx, t: &HC<Ty>) -> TcResult<HC<Ty>> {
         let _j = recmod_telemetry::judgement_span("kernel.expose");
-        match t {
-            Ty::Con(c) => {
-                let w = self.whnf(ctx, c)?;
-                Ok(match w {
-                    Con::Arrow(a, b) => Ty::Partial(hc(Ty::Con(a)), hc(Ty::Con(b))),
-                    Con::Prod(a, b) => Ty::Prod(hc(Ty::Con(a)), hc(Ty::Con(b))),
-                    Con::UnitTy => Ty::Unit,
-                    // Already head normal: keep the interned pointer.
-                    other if other == **c => t.clone(),
-                    other => Ty::Con(hc(other)),
-                })
-            }
-            other => Ok(other.clone()),
-        }
+        let Ty::Con(c) = &**t else {
+            return Ok(t.clone());
+        };
+        let w = self.whnf(ctx, c)?;
+        Ok(match &*w {
+            Con::Arrow(a, b) => hc(Ty::Partial(mono(a.clone()), mono(b.clone()))),
+            Con::Prod(a, b) => hc(Ty::Prod(mono(a.clone()), mono(b.clone()))),
+            Con::UnitTy => hc(Ty::Unit),
+            // Already head normal: keep the interned pointer.
+            _ if w == *c => t.clone(),
+            _ => mono(w),
+        })
     }
 
     /// Like [`Tc::expose`], but in equi-recursive mode also unrolls a
     /// (contractive) `μ` at the head until type-level structure appears.
     /// Used by elimination forms (application, projection, `case`) so
     /// that a value of type `μt.int ⇀ t` can be applied directly.
-    pub fn expose_deep(&self, ctx: &mut Ctx, t: &Ty) -> TcResult<Ty> {
+    pub fn expose_deep(&self, ctx: &mut Ctx, t: &HC<Ty>) -> TcResult<HC<Ty>> {
         let _j = recmod_telemetry::judgement_span("kernel.expose_deep");
         let _depth = self.descend("expose_deep")?;
         let mut e = self.expose(ctx, t)?;
-        while let Ty::Con(c) = &e {
+        while let Ty::Con(c) = &*e {
             if !self.unrollable(c) {
                 break;
             }
             self.burn(crate::stats::FuelOp::TypeExpose)?;
             let u = self.unroll_mu_cached(c)?;
-            e = self.expose(ctx, &Ty::Con(hc(u)))?;
+            e = self.expose(ctx, &mono(u))?;
         }
         Ok(e)
     }
 
     /// Is `c` a head `μ` that equi-recursive equality identifies with its
     /// unrolling?
-    fn unrollable(&self, c: &Con) -> bool {
+    fn unrollable(&self, c: &HC<Con>) -> bool {
         self.mode() == crate::RecMode::Equi
-            && matches!(c, Con::Mu(_, _))
+            && matches!(**c, Con::Mu(_, _))
             && self.is_contractive_cached(c)
     }
 
     /// `Γ ⊢ σ₁ = σ₂ type` — type equivalence.
-    pub fn ty_eq(&self, ctx: &mut Ctx, t1: &Ty, t2: &Ty) -> TcResult<()> {
+    pub fn ty_eq(&self, ctx: &mut Ctx, t1: &HC<Ty>, t2: &HC<Ty>) -> TcResult<()> {
         let _j = recmod_telemetry::judgement_span("kernel.ty_eq");
         let _depth = self.descend("ty_eq")?;
         self.burn(crate::stats::FuelOp::TypeEquiv)?;
         let mut a = self.expose(ctx, t1)?;
         let mut b = self.expose(ctx, t2)?;
         loop {
-            match (&a, &b) {
+            match (&*a, &*b) {
                 (Ty::Con(c1), Ty::Con(c2)) => {
                     return self.con_equiv(ctx, c1, c2, &recmod_syntax::ast::Kind::Type)
                 }
@@ -107,19 +105,19 @@ impl Tc {
                 }
                 (Ty::Forall(k1, b1), Ty::Forall(k2, b2)) => {
                     self.kind_eq(ctx, k1, k2)?;
-                    return ctx.with_con((**k1).clone(), |ctx| self.ty_eq(ctx, b1, b2));
+                    return ctx.with_con(k1.clone(), |ctx| self.ty_eq(ctx, b1, b2));
                 }
                 // One side is a μ monotype, the other has type-level
                 // structure: unroll the μ (equi mode) and retry.
                 (Ty::Con(c), _) if self.unrollable(c) => {
                     self.burn(crate::stats::FuelOp::TypeEquiv)?;
                     let u = self.unroll_mu_cached(c)?;
-                    a = self.expose(ctx, &Ty::Con(hc(u)))?;
+                    a = self.expose(ctx, &mono(u))?;
                 }
                 (_, Ty::Con(c)) if self.unrollable(c) => {
                     self.burn(crate::stats::FuelOp::TypeEquiv)?;
                     let u = self.unroll_mu_cached(c)?;
-                    b = self.expose(ctx, &Ty::Con(hc(u)))?;
+                    b = self.expose(ctx, &mono(u))?;
                 }
                 _ => {
                     return raise(TypeError::TyMismatch {
@@ -133,14 +131,14 @@ impl Tc {
 
     /// `σ₁ ≤ σ₂` — subtyping: `→ ≤ ⇀` with contravariant domains,
     /// covariant products, invariant `∀`-kinds, equivalence on monotypes.
-    pub fn ty_sub(&self, ctx: &mut Ctx, t1: &Ty, t2: &Ty) -> TcResult<()> {
+    pub fn ty_sub(&self, ctx: &mut Ctx, t1: &HC<Ty>, t2: &HC<Ty>) -> TcResult<()> {
         let _j = recmod_telemetry::judgement_span("kernel.ty_sub");
         let _depth = self.descend("ty_sub")?;
         self.burn(crate::stats::FuelOp::Subtype)?;
         let mut a = self.expose(ctx, t1)?;
         let mut b = self.expose(ctx, t2)?;
         loop {
-            match (&a, &b) {
+            match (&*a, &*b) {
                 (Ty::Con(c1), Ty::Con(c2)) => {
                     return self.con_equiv(ctx, c1, c2, &recmod_syntax::ast::Kind::Type)
                 }
@@ -157,17 +155,17 @@ impl Tc {
                 }
                 (Ty::Forall(k1, b1), Ty::Forall(k2, b2)) => {
                     self.kind_eq(ctx, k1, k2)?;
-                    return ctx.with_con((**k1).clone(), |ctx| self.ty_sub(ctx, b1, b2));
+                    return ctx.with_con(k1.clone(), |ctx| self.ty_sub(ctx, b1, b2));
                 }
                 (Ty::Con(c), _) if self.unrollable(c) => {
                     self.burn(crate::stats::FuelOp::Subtype)?;
                     let u = self.unroll_mu_cached(c)?;
-                    a = self.expose(ctx, &Ty::Con(hc(u)))?;
+                    a = self.expose(ctx, &mono(u))?;
                 }
                 (_, Ty::Con(c)) if self.unrollable(c) => {
                     self.burn(crate::stats::FuelOp::Subtype)?;
                     let u = self.unroll_mu_cached(c)?;
-                    b = self.expose(ctx, &Ty::Con(hc(u)))?;
+                    b = self.expose(ctx, &mono(u))?;
                 }
                 _ => {
                     return raise(TypeError::NotASubtype {
@@ -178,6 +176,11 @@ impl Tc {
             }
         }
     }
+}
+
+/// The monotype embedding of an interned constructor.
+pub(crate) fn mono(c: HC<Con>) -> HC<Ty> {
+    hc(Ty::Con(c))
 }
 
 #[cfg(test)]
@@ -191,8 +194,8 @@ mod tests {
         let tc = Tc::new();
         let mut ctx = Ctx::new();
         let t = tcon(carrow(Con::Int, Con::Bool));
-        let e = tc.expose(&mut ctx, &t).unwrap();
-        assert_eq!(e, partial(tcon(Con::Int), tcon(Con::Bool)));
+        let e = tc.expose(&mut ctx, &hc(t.clone())).unwrap();
+        assert_eq!(e, hc(partial(tcon(Con::Int), tcon(Con::Bool))));
     }
 
     #[test]
@@ -201,8 +204,11 @@ mod tests {
         let mut ctx = Ctx::new();
         let tot = total(tcon(Con::Int), tcon(Con::Int));
         let par = partial(tcon(Con::Int), tcon(Con::Int));
-        tc.ty_sub(&mut ctx, &tot, &par).unwrap();
-        assert!(tc.ty_sub(&mut ctx, &par, &tot).is_err());
+        tc.ty_sub(&mut ctx, &hc(tot.clone()), &hc(par.clone()))
+            .unwrap();
+        assert!(tc
+            .ty_sub(&mut ctx, &hc(par.clone()), &hc(tot.clone()))
+            .is_err());
     }
 
     #[test]
@@ -212,14 +218,16 @@ mod tests {
         let mut ctx = Ctx::new();
         let tot = total(tcon(Con::Int), tcon(Con::Int));
         let mono = tcon(carrow(Con::Int, Con::Int));
-        tc.ty_sub(&mut ctx, &tot, &mono).unwrap();
+        tc.ty_sub(&mut ctx, &hc(tot.clone()), &hc(mono.clone()))
+            .unwrap();
     }
 
     #[test]
     fn unit_type_and_unit_monotype_coincide() {
         let tc = Tc::new();
         let mut ctx = Ctx::new();
-        tc.ty_eq(&mut ctx, &Ty::Unit, &tcon(Con::UnitTy)).unwrap();
+        tc.ty_eq(&mut ctx, &hc(Ty::Unit), &hc(tcon(Con::UnitTy)))
+            .unwrap();
     }
 
     #[test]
@@ -228,7 +236,8 @@ mod tests {
         let mut ctx = Ctx::new();
         let m = mu(tkind(), carrow(Con::Int, cvar(0)));
         let unrolled = tcon(carrow(Con::Int, m.clone()));
-        tc.ty_eq(&mut ctx, &tcon(m), &unrolled).unwrap();
+        tc.ty_eq(&mut ctx, &hc(tcon(m)), &hc(unrolled.clone()))
+            .unwrap();
     }
 
     #[test]
@@ -237,8 +246,11 @@ mod tests {
         let mut ctx = Ctx::new();
         let t1 = forall(tkind(), tcon(cvar(0)));
         let t2 = forall(q(Con::Int), tcon(cvar(0)));
-        assert!(tc.ty_eq(&mut ctx, &t1, &t2).is_err());
-        tc.ty_eq(&mut ctx, &t1, &t1.clone()).unwrap();
+        assert!(tc
+            .ty_eq(&mut ctx, &hc(t1.clone()), &hc(t2.clone()))
+            .is_err());
+        tc.ty_eq(&mut ctx, &hc(t1.clone()), &hc(t1.clone()))
+            .unwrap();
     }
 
     #[test]
@@ -256,9 +268,10 @@ mod tests {
         let tc = Tc::new();
         let mut ctx = Ctx::new();
         ctx.with_con(
-            Kind::Singleton(recmod_syntax::intern::hc(Con::Int)),
+            hc(Kind::Singleton(recmod_syntax::intern::hc(Con::Int))),
             |ctx| {
-                tc.ty_eq(ctx, &tcon(cvar(0)), &tcon(Con::Int)).unwrap();
+                tc.ty_eq(ctx, &hc(tcon(cvar(0))), &hc(tcon(Con::Int)))
+                    .unwrap();
             },
         );
     }
@@ -269,7 +282,10 @@ mod tests {
         let mut ctx = Ctx::new();
         let p1 = tprod(total(Ty::Unit, Ty::Unit), Ty::Unit);
         let p2 = tprod(partial(Ty::Unit, Ty::Unit), Ty::Unit);
-        tc.ty_sub(&mut ctx, &p1, &p2).unwrap();
-        assert!(tc.ty_sub(&mut ctx, &p2, &p1).is_err());
+        tc.ty_sub(&mut ctx, &hc(p1.clone()), &hc(p2.clone()))
+            .unwrap();
+        assert!(tc
+            .ty_sub(&mut ctx, &hc(p2.clone()), &hc(p1.clone()))
+            .is_err());
     }
 }

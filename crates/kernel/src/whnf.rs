@@ -27,8 +27,8 @@
 //! `eval_steps`/`quote_nodes`/`env_allocs` the machine).
 
 use recmod_syntax::ast::{Con, Kind};
-use recmod_syntax::intern::hc;
-use recmod_syntax::subst::{subst_con_con, subst_con_kind};
+use recmod_syntax::intern::{hc, HC};
+use recmod_syntax::subst::{subst_con_con_hc, subst_con_kind_hc};
 
 use crate::ctx::Ctx;
 use crate::error::{raise, TcResult, TypeError};
@@ -43,9 +43,9 @@ use crate::Tc;
 /// Returns [`TypeError::Internal`] if `c` is not a `μ` — every caller
 /// matches on `Con::Mu` first, so reaching the error indicates a bug in
 /// the caller, reported as a diagnostic instead of a panic.
-pub fn unroll_mu(c: &Con) -> TcResult<Con> {
-    match c {
-        Con::Mu(_, body) => Ok(subst_con_con(body, c)),
+pub fn unroll_mu(c: &HC<Con>) -> TcResult<HC<Con>> {
+    match &**c {
+        Con::Mu(_, body) => Ok(subst_con_con_hc(body, c)),
         _ => raise(TypeError::Internal(format!(
             "unroll_mu: not a μ constructor: {}",
             show::con(c)
@@ -233,22 +233,22 @@ fn analyze_head(c: &Con, target: usize, projs: &mut Vec<bool>, info: &mut HeadIn
 impl Tc {
     /// Weak-head normalizes `c`.
     ///
-    /// Results are memoized per `(context stamp, constructor id)`: a
-    /// stamp names one exact declaration stack and an interned id one
-    /// exact constructor, so a cached answer is always the answer this
-    /// function would recompute (see S12 in DESIGN.md). Only successful
-    /// normalizations are recorded — errors (fuel, limits, ill-sorted
-    /// input) always re-run.
+    /// Results are memoized per `(context stamp, constructor)`, keyed by
+    /// `c`'s own pointer: a stamp names one exact declaration stack and
+    /// an interned node one exact constructor, so a cached answer is
+    /// always the answer this function would recompute (see S12 in
+    /// DESIGN.md). Only successful normalizations are recorded — errors
+    /// (fuel, limits, ill-sorted input) always re-run.
     ///
     /// # Errors
     ///
     /// Fails on fuel exhaustion or on ill-sorted input (e.g. applying a
     /// constructor whose natural kind is not a `Π`).
-    pub fn whnf(&self, ctx: &mut Ctx, c: &Con) -> TcResult<Con> {
+    pub fn whnf(&self, ctx: &mut Ctx, c: &HC<Con>) -> TcResult<HC<Con>> {
         let _j = recmod_telemetry::judgement_span("kernel.whnf");
         let _depth = self.descend("whnf")?;
         let _trace = recmod_telemetry::trace_span(|| format!("whnf {}", crate::show::con(c)));
-        let key = (ctx.stamp(), hc(c.clone()));
+        let key = (ctx.stamp(), c.clone());
         if let Some(w) = self.whnf_cached(&key) {
             crate::stats::TcStats::bump(&self.stat_cells().whnf_cache_hits);
             recmod_telemetry::count("kernel.whnf_cache_hit", 1);
@@ -265,78 +265,79 @@ impl Tc {
     }
 
     /// The reduction loop behind [`Tc::whnf`].
-    fn whnf_uncached(&self, ctx: &mut Ctx, c: &Con) -> TcResult<Con> {
+    fn whnf_uncached(&self, ctx: &mut Ctx, c: &HC<Con>) -> TcResult<HC<Con>> {
         let mut c = c.clone();
         loop {
             self.burn(crate::stats::FuelOp::Whnf)?;
-            match c {
+            let next = match &*c {
                 Con::App(f, a) => {
-                    let f = self.whnf(ctx, &f)?;
-                    match f {
-                        Con::Lam(_, body) => c = subst_con_con(&body, &a),
+                    let f = self.whnf(ctx, f)?;
+                    match &*f {
+                        Con::Lam(_, body) => subst_con_con_hc(body, a),
                         Con::Mu(_, _) if self.is_contractive_cached(&f) => {
                             crate::stats::TcStats::bump(&self.stat_cells().mu_unrolls);
-                            c = Con::App(hc(self.unroll_mu_cached(&f)?), a);
+                            hc(Con::App(self.unroll_mu_cached(&f)?, a.clone()))
                         }
                         _ => {
-                            let stuck = Con::App(hc(f), a);
-                            match self.natural_kind(ctx, &stuck)? {
-                                Some(Kind::Singleton(next)) => c = next.take(),
-                                _ => return Ok(stuck),
+                            let stuck = Con::App(f.clone(), a.clone());
+                            match self.natural_kind(ctx, &stuck)?.as_deref() {
+                                Some(Kind::Singleton(next)) => next.clone(),
+                                _ => return Ok(hc(stuck)),
                             }
                         }
                     }
                 }
                 Con::Proj1(p) => {
-                    let p = self.whnf(ctx, &p)?;
-                    match p {
-                        Con::Pair(l, _) => c = l.take(),
+                    let p = self.whnf(ctx, p)?;
+                    match &*p {
+                        Con::Pair(l, _) => l.clone(),
                         Con::Mu(_, _) if self.is_contractive_cached(&p) => {
                             crate::stats::TcStats::bump(&self.stat_cells().mu_unrolls);
-                            c = Con::Proj1(hc(self.unroll_mu_cached(&p)?));
+                            hc(Con::Proj1(self.unroll_mu_cached(&p)?))
                         }
                         _ => {
-                            let stuck = Con::Proj1(hc(p));
-                            match self.natural_kind(ctx, &stuck)? {
-                                Some(Kind::Singleton(next)) => c = next.take(),
-                                _ => return Ok(stuck),
+                            let stuck = Con::Proj1(p.clone());
+                            match self.natural_kind(ctx, &stuck)?.as_deref() {
+                                Some(Kind::Singleton(next)) => next.clone(),
+                                _ => return Ok(hc(stuck)),
                             }
                         }
                     }
                 }
                 Con::Proj2(p) => {
-                    let p = self.whnf(ctx, &p)?;
-                    match p {
-                        Con::Pair(_, r) => c = r.take(),
+                    let p = self.whnf(ctx, p)?;
+                    match &*p {
+                        Con::Pair(_, r) => r.clone(),
                         Con::Mu(_, _) if self.is_contractive_cached(&p) => {
                             crate::stats::TcStats::bump(&self.stat_cells().mu_unrolls);
-                            c = Con::Proj2(hc(self.unroll_mu_cached(&p)?));
+                            hc(Con::Proj2(self.unroll_mu_cached(&p)?))
                         }
                         _ => {
-                            let stuck = Con::Proj2(hc(p));
-                            match self.natural_kind(ctx, &stuck)? {
-                                Some(Kind::Singleton(next)) => c = next.take(),
-                                _ => return Ok(stuck),
+                            let stuck = Con::Proj2(p.clone());
+                            match self.natural_kind(ctx, &stuck)?.as_deref() {
+                                Some(Kind::Singleton(next)) => next.clone(),
+                                _ => return Ok(hc(stuck)),
                             }
                         }
                     }
                 }
-                Con::Var(_) | Con::Fst(_) => match self.natural_kind(ctx, &c)? {
-                    Some(Kind::Singleton(next)) => c = next.take(),
+                Con::Var(_) | Con::Fst(_) => match self.natural_kind(ctx, &c)?.as_deref() {
+                    Some(Kind::Singleton(next)) => next.clone(),
                     _ => return Ok(c),
                 },
-                Con::Mu(ref k, _) if fully_transparent(k) => {
+                Con::Mu(k, _) if fully_transparent(k) => {
                     // μα:κ.b = the canonical inhabitant of κ when κ pins
                     // down its inhabitant completely (e.g. μα:Q(int).α = int).
-                    c = kind_definition(k).ok_or_else(|| {
+                    hc(kind_definition(k).ok_or_else(|| {
                         TypeError::Internal(format!(
                             "fully transparent kind without a definition: {}",
                             show::kind(k)
                         ))
-                    })?;
+                    })?)
                 }
                 _ => return Ok(c),
-            }
+            };
+            c = next;
             // Every arm either returned (head normal / stuck) or reduced
             // and fell through to here: count one head-reduction step.
             crate::stats::TcStats::bump(&self.stat_cells().whnf_steps);
@@ -347,38 +348,39 @@ impl Tc {
     /// projection chain): the kind obtained from the declared kind of its
     /// head by the elimination rules, without any singleton promotion.
     ///
-    /// Returns `Ok(None)` if `c` is not a path.
-    pub fn natural_kind(&self, ctx: &mut Ctx, c: &Con) -> TcResult<Option<Kind>> {
+    /// Returns `Ok(None)` if `c` is not a path. The path itself is only
+    /// inspected, so it may be an uninterned node over interned children.
+    pub fn natural_kind(&self, ctx: &mut Ctx, c: &Con) -> TcResult<Option<HC<Kind>>> {
         let _j = recmod_telemetry::judgement_span("kernel.natural_kind");
         let _depth = self.descend("natural_kind")?;
         match c {
             Con::Var(i) => Ok(Some(ctx.lookup_con(*i)?)),
-            Con::Fst(i) => Ok(Some(ctx.lookup_fst_kind(*i)?.take())),
+            Con::Fst(i) => Ok(Some(ctx.lookup_fst_kind(*i)?)),
             Con::App(f, a) => {
                 let Some(fk) = self.natural_kind(ctx, f)? else {
                     return Ok(None);
                 };
-                match fk {
-                    Kind::Pi(_, k2) => Ok(Some(subst_con_kind(&k2, a))),
-                    k => raise(TypeError::NotAPiKind(show::kind(&k))),
+                match &*fk {
+                    Kind::Pi(_, k2) => Ok(Some(subst_con_kind_hc(k2, a))),
+                    k => raise(TypeError::NotAPiKind(show::kind(k))),
                 }
             }
             Con::Proj1(p) => {
                 let Some(pk) = self.natural_kind(ctx, p)? else {
                     return Ok(None);
                 };
-                match pk {
-                    Kind::Sigma(k1, _) => Ok(Some(k1.take())),
-                    k => raise(TypeError::NotASigmaKind(show::kind(&k))),
+                match &*pk {
+                    Kind::Sigma(k1, _) => Ok(Some(k1.clone())),
+                    k => raise(TypeError::NotASigmaKind(show::kind(k))),
                 }
             }
             Con::Proj2(p) => {
                 let Some(pk) = self.natural_kind(ctx, p)? else {
                     return Ok(None);
                 };
-                match pk {
-                    Kind::Sigma(_, k2) => Ok(Some(subst_con_kind(&k2, &Con::Proj1(p.clone())))),
-                    k => raise(TypeError::NotASigmaKind(show::kind(&k))),
+                match &*pk {
+                    Kind::Sigma(_, k2) => Ok(Some(subst_con_kind_hc(k2, &Con::Proj1(p.clone())))),
+                    k => raise(TypeError::NotASigmaKind(show::kind(k))),
                 }
             }
             _ => Ok(None),
@@ -387,9 +389,9 @@ impl Tc {
 
     /// Weak-head normalizes under the assumption that `c` is a monotype
     /// and unrolls a leading `μ` once (used by `roll`/`unroll` checking).
-    pub fn whnf_unroll(&self, ctx: &mut Ctx, c: &Con) -> TcResult<Con> {
+    pub fn whnf_unroll(&self, ctx: &mut Ctx, c: &HC<Con>) -> TcResult<HC<Con>> {
         let w = self.whnf(ctx, c)?;
-        match w {
+        match &*w {
             Con::Mu(_, _) => self.unroll_mu_cached(&w),
             _ => raise(TypeError::NotAMu(show::con(&w))),
         }
@@ -408,7 +410,33 @@ mod tests {
         let tc = Tc::new();
         let mut ctx = Ctx::new();
         let c = capp(clam(tkind(), carrow(cvar(0), cvar(0))), Con::Int);
-        assert_eq!(tc.whnf(&mut ctx, &c).unwrap(), carrow(Con::Int, Con::Int));
+        assert_eq!(
+            tc.whnf(&mut ctx, &hc(c.clone())).unwrap(),
+            hc(carrow(Con::Int, Con::Int))
+        );
+    }
+
+    #[test]
+    fn a_repeated_whnf_is_a_memo_hit_that_interns_nothing() {
+        let probes = || {
+            let s = recmod_syntax::intern::intern_stats();
+            s.hits + s.misses
+        };
+        let tc = Tc::new();
+        let mut ctx = Ctx::new();
+        ctx.with_con(hc(q(carrow(Con::Int, Con::Bool))), |ctx| {
+            // (λα:T. β) int, with β : Q(int ⇀ bool): a β-step and a
+            // singleton expansion.
+            let c = hc(capp(clam(tkind(), cvar(1)), Con::Int));
+            let first = tc.whnf(ctx, &c).unwrap();
+            assert_eq!(*first, carrow(Con::Int, Con::Bool));
+            let hits = tc.stats().whnf_cache_hits;
+            let before = probes();
+            let again = tc.whnf(ctx, &c).unwrap();
+            assert_eq!(probes(), before, "a memo hit makes no intern probe");
+            assert_eq!(tc.stats().whnf_cache_hits, hits + 1);
+            assert!(HC::ptr_eq(&first, &again));
+        });
     }
 
     #[test]
@@ -416,9 +444,9 @@ mod tests {
         let tc = Tc::new();
         let mut ctx = Ctx::new();
         assert_eq!(
-            tc.whnf(&mut ctx, &cproj2(cpair(Con::Int, Con::Bool)))
+            tc.whnf(&mut ctx, &hc(cproj2(cpair(Con::Int, Con::Bool))))
                 .unwrap(),
-            Con::Bool
+            hc(Con::Bool)
         );
     }
 
@@ -426,8 +454,8 @@ mod tests {
     fn singleton_variable_expands() {
         let tc = Tc::new();
         let mut ctx = Ctx::new();
-        ctx.with_con(q(Con::Int), |ctx| {
-            assert_eq!(tc.whnf(ctx, &cvar(0)).unwrap(), Con::Int);
+        ctx.with_con(hc(q(Con::Int)), |ctx| {
+            assert_eq!(tc.whnf(ctx, &hc(cvar(0))).unwrap(), hc(Con::Int));
         });
     }
 
@@ -435,8 +463,8 @@ mod tests {
     fn opaque_variable_is_stuck() {
         let tc = Tc::new();
         let mut ctx = Ctx::new();
-        ctx.with_con(tkind(), |ctx| {
-            assert_eq!(tc.whnf(ctx, &cvar(0)).unwrap(), cvar(0));
+        ctx.with_con(hc(tkind()), |ctx| {
+            assert_eq!(tc.whnf(ctx, &hc(cvar(0))).unwrap(), hc(cvar(0)));
         });
     }
 
@@ -446,7 +474,7 @@ mod tests {
         let tc = Tc::new();
         let mut ctx = Ctx::new();
         let c = mu(q(Con::Int), cvar(0));
-        assert_eq!(tc.whnf(&mut ctx, &c).unwrap(), Con::Int);
+        assert_eq!(tc.whnf(&mut ctx, &hc(c.clone())).unwrap(), hc(Con::Int));
     }
 
     #[test]
@@ -454,7 +482,7 @@ mod tests {
         let tc = Tc::new();
         let mut ctx = Ctx::new();
         let c = mu(tkind(), carrow(Con::Int, cvar(0)));
-        assert_eq!(tc.whnf(&mut ctx, &c).unwrap(), c);
+        assert_eq!(tc.whnf(&mut ctx, &hc(c.clone())).unwrap(), hc(c));
     }
 
     #[test]
@@ -463,7 +491,7 @@ mod tests {
         let tc = Tc::new();
         let mut ctx = Ctx::new();
         let c = mu(tkind(), cvar(0));
-        assert_eq!(tc.whnf(&mut ctx, &c).unwrap(), c);
+        assert_eq!(tc.whnf(&mut ctx, &hc(c.clone())).unwrap(), hc(c));
     }
 
     #[test]
@@ -473,8 +501,8 @@ mod tests {
         let mut ctx = Ctx::new();
         let body = cpair(carrow(Con::Int, cproj2(cvar(0))), Con::Bool);
         let m = mu(sigma(tkind(), tkind()), body);
-        let out = tc.whnf(&mut ctx, &cproj1(m.clone())).unwrap();
-        assert_eq!(out, carrow(Con::Int, cproj2(m)));
+        let out = tc.whnf(&mut ctx, &hc(cproj1(m.clone()))).unwrap();
+        assert_eq!(out, hc(carrow(Con::Int, cproj2(m))));
     }
 
     #[test]
@@ -483,7 +511,7 @@ mod tests {
         let mut ctx = Ctx::new();
         let s = Sig::Struct(hc(q(Con::Int)), hc(tcon(cvar(0))));
         ctx.with(Entry::Struct(s, true), |ctx| {
-            assert_eq!(tc.whnf(ctx, &fst(0)).unwrap(), Con::Int);
+            assert_eq!(tc.whnf(ctx, &hc(fst(0))).unwrap(), hc(Con::Int));
         });
     }
 
@@ -493,9 +521,9 @@ mod tests {
         let tc = Tc::new();
         let mut ctx = Ctx::new();
         let k = pi(tkind(), q(carrow(cvar(0), cvar(0))));
-        ctx.with_con(k, |ctx| {
-            let out = tc.whnf(ctx, &capp(cvar(0), Con::Int)).unwrap();
-            assert_eq!(out, carrow(Con::Int, Con::Int));
+        ctx.with_con(hc(k.clone()), |ctx| {
+            let out = tc.whnf(ctx, &hc(capp(cvar(0), Con::Int))).unwrap();
+            assert_eq!(out, hc(carrow(Con::Int, Con::Int)));
         });
     }
 
@@ -509,8 +537,8 @@ mod tests {
         let mut ctx = Ctx::new();
         let m = mu(sigma(tkind(), tkind()), cpair(cproj1(cvar(0)), Con::Int));
         assert!(!is_contractive(&m));
-        let stuck = tc.whnf(&mut ctx, &cproj1(m.clone())).unwrap();
-        assert_eq!(stuck, cproj1(m));
+        let stuck = tc.whnf(&mut ctx, &hc(cproj1(m.clone()))).unwrap();
+        assert_eq!(stuck, hc(cproj1(m)));
     }
 
     #[test]
@@ -521,8 +549,8 @@ mod tests {
         let mut ctx = Ctx::new();
         let m = mu(pi(tkind(), tkind()), clam(tkind(), capp(cvar(1), cvar(0))));
         assert!(!is_contractive(&m));
-        let stuck = tc.whnf(&mut ctx, &capp(m.clone(), Con::Int)).unwrap();
-        assert_eq!(stuck, capp(m, Con::Int));
+        let stuck = tc.whnf(&mut ctx, &hc(capp(m.clone(), Con::Int))).unwrap();
+        assert_eq!(stuck, hc(capp(m, Con::Int)));
     }
 
     #[test]
@@ -536,9 +564,9 @@ mod tests {
             clam(tkind(), carrow(Con::Int, capp(cvar(1), cvar(0)))),
         );
         assert!(is_contractive(&m));
-        let out = tc.whnf(&mut ctx, &capp(m.clone(), Con::Bool)).unwrap();
+        let out = tc.whnf(&mut ctx, &hc(capp(m.clone(), Con::Bool))).unwrap();
         // One unroll + β: int ⇀ (μf.… bool).
-        assert_eq!(out, carrow(Con::Int, capp(m, Con::Bool)));
+        assert_eq!(out, hc(carrow(Con::Int, capp(m, Con::Bool))));
     }
 
     #[test]
@@ -551,7 +579,7 @@ mod tests {
         let omega_half = clam(tkind(), capp(cvar(0), cvar(0)));
         let omega = capp(omega_half.clone(), omega_half);
         assert!(matches!(
-            tc.whnf(&mut ctx, &omega),
+            tc.whnf(&mut ctx, &hc(omega.clone())),
             Err(TypeError::FuelExhausted { .. })
         ));
     }

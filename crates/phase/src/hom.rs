@@ -184,10 +184,10 @@ mod tests {
         // Statically: (λα:T.α) int — whnf's to int.
         let tc = Tc::new();
         let mut ctx = Ctx::new();
-        assert_eq!(tc.whnf(&mut ctx, &applied.con).unwrap(), Con::Int);
+        assert_eq!(*tc.whnf(&mut ctx, &hc(applied.con)).unwrap(), Con::Int);
         // Dynamically it typechecks at int.
         let t = tc.synth_term(&mut ctx, &applied.term).unwrap();
-        tc.ty_eq(&mut ctx, &t.ty, &tcon(Con::Int)).unwrap();
+        tc.ty_eq(&mut ctx, &t.ty, &hc(tcon(Con::Int))).unwrap();
     }
 
     #[test]

@@ -142,7 +142,8 @@ mod tests {
             mu(tkind(), csum([Con::UnitTy, cprod(cvar(1), cvar(0))])),
         );
         let flat = collapse_mu(&nested).unwrap();
-        tc.con_equiv(&mut ctx, &nested, &flat, &tkind()).unwrap();
+        tc.con_equiv(&mut ctx, &hc(nested.clone()), &hc(flat.clone()), &tkind())
+            .unwrap();
     }
 
     #[test]
@@ -161,10 +162,13 @@ mod tests {
             tkind(),
             carrow(recmod_syntax::subst::shift_con(&flat, 1, 0), cvar(0)),
         ); // μβ.F⇀β
-        tc.con_equiv(&mut ctx, &flat, &inside, &tkind()).unwrap();
+        tc.con_equiv(&mut ctx, &hc(flat.clone()), &hc(inside.clone()), &tkind())
+            .unwrap();
         // Plain iso mode cannot derive it.
         let iso = Tc::with_mode(RecMode::Iso);
-        assert!(iso.con_equiv(&mut ctx, &flat, &inside, &tkind()).is_err());
+        assert!(iso
+            .con_equiv(&mut ctx, &hc(flat.clone()), &hc(inside.clone()), &tkind())
+            .is_err());
     }
 
     #[test]
@@ -175,7 +179,9 @@ mod tests {
         let mut ctx = Ctx::new();
         let nested = mu(tkind(), mu(tkind(), carrow(cvar(1), cvar(0))));
         let flat = collapse_mu(&nested).unwrap();
-        assert!(tc.con_equiv(&mut ctx, &nested, &flat, &tkind()).is_err());
+        assert!(tc
+            .con_equiv(&mut ctx, &hc(nested.clone()), &hc(flat.clone()), &tkind())
+            .is_err());
     }
 
     #[test]
@@ -208,7 +214,8 @@ mod tests {
         assert_eq!(nested_mu_count(&out), 0);
         let tc = Tc::new();
         let mut ctx = Ctx::new();
-        tc.con_equiv(&mut ctx, &c, &out, &tkind()).unwrap();
+        tc.con_equiv(&mut ctx, &hc(c.clone()), &hc(out.clone()), &tkind())
+            .unwrap();
     }
 
     #[test]

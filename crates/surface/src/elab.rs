@@ -452,7 +452,7 @@ impl Elaborator {
         ctors: &[crate::ast::CtorDecl],
     ) -> SurfaceResult<(Con, DataInfo)> {
         // Elaborate summands under the μ binder.
-        self.ctx.push(Entry::Con(Kind::Type));
+        self.ctx.push(Entry::Con(hc(Kind::Type)));
         let mark = self.env.mark();
         self.env.insert(
             name,
@@ -486,7 +486,7 @@ impl Elaborator {
         self.ctx.truncate(self.depth() - 1);
         result?;
         let mu = Con::Mu(hc(Kind::Type), hc(Con::Sum(summands)));
-        Ok((mu, DataInfo { ctors: info }))
+        Ok((mu, DataInfo { ctors: info.into() }))
     }
 
     /// The sum constructor reached by unrolling a datatype's `μ` (needed
@@ -495,13 +495,13 @@ impl Elaborator {
     /// nested-tower situation), so unrolling repeats until the sum
     /// appears.
     pub(crate) fn unrolled_sum(&mut self, data_con: &Con, span: Span) -> SurfaceResult<Con> {
-        let mut cur = data_con.clone();
+        let mut cur = hc(data_con.clone());
         for _ in 0..64 {
             let w = self
                 .kernel(|tc, ctx| tc.whnf(ctx, &cur))
                 .map_err(|e| self.terr(span, e))?;
-            match w {
-                Con::Sum(_) => return Ok(w),
+            match &*w {
+                Con::Sum(_) => return Ok(w.take()),
                 Con::Mu(_, _) if recmod_kernel::whnf::is_contractive(&w) => {
                     cur = recmod_kernel::whnf::unroll_mu(&w).map_err(|e| self.terr(span, e))?;
                 }
@@ -511,7 +511,7 @@ impl Elaborator {
                         ErrorKind::Other(format!(
                             "not a datatype: {}",
                             recmod_syntax::pretty::con_to_string(
-                                &other,
+                                other,
                                 &mut recmod_syntax::pretty::Names::new()
                             )
                         )),

@@ -641,10 +641,10 @@ impl Elaborator {
             let e = self
                 .kernel(|tc, ctx| tc.expose_deep(ctx, &cur))
                 .map_err(|err| self.terr(span, err))?;
-            match e {
+            match &*e {
                 Ty::Prod(a, b) => {
-                    comps.push(a);
-                    cur = b;
+                    comps.push(a.clone());
+                    cur = b.clone();
                 }
                 other => {
                     return self.err(
@@ -652,7 +652,7 @@ impl Elaborator {
                         ErrorKind::Other(format!(
                             "tuple pattern with {n} parts does not match type {}",
                             recmod_syntax::pretty::ty_to_string(
-                                &other,
+                                other,
                                 &mut recmod_syntax::pretty::Names::new()
                             )
                         )),
@@ -667,19 +667,19 @@ impl Elaborator {
     /// normalizing so aliases are seen through).
     fn prod_components(&mut self, con: &Con, n: usize, span: Span) -> SurfaceResult<Vec<Con>> {
         let mut comps = Vec::with_capacity(n);
-        let mut cur = con.clone();
+        let mut cur = hc(con.clone());
         for i in 0..n {
             if i == n - 1 {
-                comps.push(cur.clone());
+                comps.push(cur.take());
                 break;
             }
             let w = self
                 .kernel(|tc, ctx| tc.whnf(ctx, &cur))
                 .map_err(|e| self.terr(span, e))?;
-            match w {
+            match &*w {
                 Con::Prod(a, b) => {
                     comps.push(a.take());
-                    cur = b.take();
+                    cur = b.clone();
                 }
                 other => {
                     return self.err(
@@ -687,7 +687,7 @@ impl Elaborator {
                         ErrorKind::Other(format!(
                             "tuple pattern with {n} parts does not match type {}",
                             recmod_syntax::pretty::con_to_string(
-                                &other,
+                                other,
                                 &mut recmod_syntax::pretty::Names::new()
                             )
                         )),

@@ -106,7 +106,7 @@ impl Elaborator {
                         self.push_static_slot(name, k.clone(), None);
                         slot_kinds.push(k);
                         fields.push((name.clone(), Item::Data(info.clone())));
-                        for (cname, _) in &info.ctors {
+                        for (cname, _) in info.ctors.iter() {
                             fields.push((cname.clone(), Item::Val));
                         }
                     }
@@ -141,10 +141,12 @@ impl Elaborator {
         self.env.reset(mark);
         r1?;
         let kind = kind_tuple(slot_kinds);
-        let shape = Shape { fields };
+        let shape = Shape {
+            fields: fields.into(),
+        };
 
         // ---- pass 2: dynamic types under the single α binder ----
-        self.ctx.push(Entry::Con(kind.clone()));
+        self.ctx.push(Entry::Con(hc(kind.clone())));
         let alpha_depth = self.depth();
         let mark2 = self.env.mark();
         let n_static = shape.static_len();
@@ -255,7 +257,7 @@ impl Elaborator {
 
     /// Pushes a `Σ` binder for a static slot and binds its surface name.
     fn push_static_slot(&mut self, name: &str, kind: Kind, sub: Option<Shape>) {
-        self.ctx.push(Entry::Con(kind));
+        self.ctx.push(Entry::Con(hc(kind)));
         match sub {
             None => {
                 // Both plain types and datatypes resolve as type aliases

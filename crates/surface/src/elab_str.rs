@@ -146,7 +146,7 @@ impl Elaborator {
             );
             Some(StructEntity {
                 shape: Shape {
-                    fields: acc.fields.clone(),
+                    fields: acc.fields.as_slice().into(),
                 },
                 statics,
                 dynamics: term,
@@ -924,7 +924,7 @@ impl Elaborator {
                                 );
                                 statics.push(mu);
                                 fields.push((name.clone(), Item::Data(info.clone())));
-                                for (cname, _) in &info.ctors {
+                                for (cname, _) in info.ctors.iter() {
                                     fields.push((cname.clone(), Item::Val));
                                 }
                             }
@@ -953,7 +953,12 @@ impl Elaborator {
                 self.ctx.truncate(base);
                 self.env.reset(mark);
                 r?;
-                Ok((con_tuple(statics), Shape { fields }))
+                Ok((
+                    con_tuple(statics),
+                    Shape {
+                        fields: fields.into(),
+                    },
+                ))
             }
         }
     }
@@ -998,7 +1003,9 @@ impl Elaborator {
                         }
                     }
                 }
-                Ok(Shape { fields })
+                Ok(Shape {
+                    fields: fields.into(),
+                })
             }
         }
     }

@@ -88,7 +88,7 @@ pub fn extrude(tc: &Tc, ctx: &mut Ctx, s: &Sig) -> TcResult<Extruded> {
     // Resolve under the hoisted binders.
     let base = ctx.len();
     for _ in 0..m {
-        ctx.push(Entry::Con(Kind::Type));
+        ctx.push(Entry::Con(hc(Kind::Type)));
     }
     let resolved =
         recmod_telemetry::stage("stage.kernel", || tc.resolve_sig(ctx, &transparent_rds));
@@ -298,8 +298,8 @@ mod tests {
         let Kind::Singleton(t_def) = &**t_slot else {
             panic!("{t_slot:?}")
         };
-        ctx.with_con(Kind::Type, |ctx| {
-            tc.con_equiv(ctx, t_def, &cvar(0), &Kind::Type).unwrap();
+        ctx.with_con(hc(Kind::Type), |ctx| {
+            tc.con_equiv(ctx, t_def, &hc(cvar(0)), &Kind::Type).unwrap();
         });
     }
 }

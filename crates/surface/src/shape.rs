@@ -6,6 +6,12 @@
 //! (value) components in the term — and keeps a [`Shape`] describing
 //! which field lives where. Field access compiles to projection chains;
 //! signature matching compiles to re-tupling coercions.
+//!
+//! A shape is built once and then copied into every entity and template
+//! that mentions the structure, so both [`Shape`] and [`DataInfo`] keep
+//! their contents behind an `Rc`: a clone is a reference-count bump.
+
+use std::rc::Rc;
 
 use recmod_syntax::ast::{Con, Term, Ty};
 use recmod_syntax::intern::hc;
@@ -17,7 +23,7 @@ use recmod_syntax::intern::hc;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DataInfo {
     /// `(constructor name, takes an argument)`, in declaration order.
-    pub ctors: Vec<(String, bool)>,
+    pub ctors: Rc<[(String, bool)]>,
 }
 
 impl DataInfo {
@@ -50,7 +56,7 @@ pub enum Item {
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Shape {
     /// The named fields, in declaration order.
-    pub fields: Vec<(String, Item)>,
+    pub fields: Rc<[(String, Item)]>,
 }
 
 impl Shape {
@@ -67,7 +73,7 @@ impl Shape {
     /// The position of `name` among the *static* slots, if it has one.
     pub fn static_slot(&self, name: &str) -> Option<usize> {
         let mut slot = 0;
-        for (n, item) in &self.fields {
+        for (n, item) in self.fields.iter() {
             let has_static = matches!(item, Item::Ty | Item::Data(_) | Item::Struct(_));
             if n == name {
                 return has_static.then_some(slot);
@@ -82,7 +88,7 @@ impl Shape {
     /// The position of `name` among the *dynamic* slots, if it has one.
     pub fn dyn_slot(&self, name: &str) -> Option<usize> {
         let mut slot = 0;
-        for (n, item) in &self.fields {
+        for (n, item) in self.fields.iter() {
             let has_dyn = matches!(item, Item::Val | Item::Struct(_));
             if n == name {
                 return has_dyn.then_some(slot);
@@ -217,7 +223,7 @@ mod tests {
                 (
                     "t".into(),
                     Item::Data(DataInfo {
-                        ctors: vec![("NIL".into(), false), ("CONS".into(), true)],
+                        ctors: vec![("NIL".into(), false), ("CONS".into(), true)].into(),
                     }),
                 ),
                 ("NIL".into(), Item::Val),
@@ -227,10 +233,11 @@ mod tests {
                 (
                     "Sub".into(),
                     Item::Struct(Shape {
-                        fields: vec![("v".into(), Item::Ty)],
+                        fields: vec![("v".into(), Item::Ty)].into(),
                     }),
                 ),
-            ],
+            ]
+            .into(),
         }
     }
 

@@ -13,13 +13,17 @@ use recmod::kernel::{Ctx, RecMode, Tc};
 use recmod::phase::iso::{collapse_mu, eliminate_nested_mu, nested_mu_count};
 use recmod::syntax::ast::Con;
 use recmod::syntax::dsl::*;
+use recmod::syntax::intern::hc;
 use recmod::syntax::pretty::{con_to_string, Names};
 use recmod::syntax::subst::shift_con;
 
 fn verdict(mode: RecMode, a: &Con, b: &Con) -> &'static str {
     let tc = Tc::with_mode(mode);
     let mut ctx = Ctx::new();
-    if tc.con_equiv(&mut ctx, a, b, &tkind()).is_ok() {
+    if tc
+        .con_equiv(&mut ctx, &hc(a.clone()), &hc(b.clone()), &tkind())
+        .is_ok()
+    {
         "equal"
     } else {
         "NOT equal"
@@ -77,7 +81,9 @@ fn main() {
     };
     let def = recmod::kernel::singleton::kind_definition(&k).expect("transparent");
     let tc = Tc::new();
-    let w = tc.whnf(&mut elab.ctx, &def).expect("normalizes");
+    let w = tc
+        .whnf(&mut elab.ctx, &hc(def.clone()))
+        .expect("normalizes");
     println!("  implementation type (head):");
     println!("    {}", show(&w));
     println!("  nested μμ towers: {}", nested_mu_count(&w));

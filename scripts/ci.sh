@@ -182,6 +182,55 @@ grep -q "L003" "$BOUNDARY_DIR/err1" || {
 rm -rf "$BOUNDARY_DIR"
 echo "fuel-boundary invariant: ok"
 
+echo "== generated-corpus verdicts (gen.py --seed 1 vs expected.tsv) =="
+# Gating: every one of the 2 800 generated programs has a known verdict
+# (`ok`, or the code of its first diagnostic) in the generator's
+# expected.tsv. A kernel change that flips one fails here, not only in
+# the benchmark.
+VERDICT_DIR=$(mktemp -d)
+python3 perfbench/gen.py --seed 1 --out "$VERDICT_DIR/corpus" >/dev/null
+set +e
+./target/release/recmodc check --jobs 1 --no-cache \
+  --log-json="$VERDICT_DIR/log.jsonl" "$VERDICT_DIR/corpus" >/dev/null 2>&1
+code=$?
+set -e
+if [[ $code -ne 1 ]]; then
+  echo "generated-corpus verdicts: FAILED (mixed corpus exited $code, want 1)"
+  exit 1
+fi
+VERDICT_DIR="$VERDICT_DIR" python3 - <<'EOF'
+import json, os, sys
+
+d = os.environ["VERDICT_DIR"]
+want = {}
+with open(os.path.join(d, "corpus", "expected.tsv"), encoding="utf-8") as f:
+    for line in f:
+        name, verdict = line.rstrip("\n").split("\t")
+        want[name] = verdict
+got = {}
+with open(os.path.join(d, "log.jsonl"), encoding="utf-8") as f:
+    for line in f:
+        event = json.loads(line)
+        if event.get("kind") != "file":
+            continue
+        diags = event["diagnostics"]
+        if event["status"] == "ok":
+            verdict = "ok"
+        else:
+            verdict = diags[0]["code"] if diags else event["status"]
+        got[os.path.basename(event["path"])] = verdict
+wrong = [(n, v, got.get(n)) for n, v in sorted(want.items()) if got.get(n) != v]
+extra = sorted(set(got) - set(want))
+for name, v, g in wrong[:10]:
+    print(f"generated-corpus verdicts: {name}: expected {v}, got {g}")
+if wrong or extra or not want:
+    print(f"generated-corpus verdicts: FAILED ({len(wrong)} wrong of "
+          f"{len(want)}, {len(extra)} unexpected files)")
+    sys.exit(1)
+EOF
+rm -rf "$VERDICT_DIR"
+echo "generated-corpus verdicts: ok"
+
 echo "== cache smoke (artifact cache: hits, byte-identity, opt-out) =="
 # Gating: the content-addressed artifact cache end to end through the
 # CLI. Checks: (1) a second run against a freshly-populated --cache-dir

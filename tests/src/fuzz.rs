@@ -76,7 +76,7 @@
 use recmod::kernel::{Ctx, RecMode, Tc, TypeError};
 use recmod::surface::Elaborator;
 use recmod::syntax::ast::{Con, Kind, Ty};
-use recmod::syntax::intern::HC;
+use recmod::syntax::intern::{hc, HC};
 use recmod::telemetry::Limits;
 use recmod_bench::rng::Rng;
 
@@ -552,14 +552,14 @@ fn case_kernel_mu(rng: &mut Rng) -> Result<(), String> {
     let limits = Limits::strict().with_deadline_ms(5_000);
     let equi = Tc::with_mode_and_limits(RecMode::Equi, limits).con_equiv(
         &mut Ctx::new(),
-        &a,
-        &b,
+        &hc(a.clone()),
+        &hc(b.clone()),
         &Kind::Type,
     );
     let iso = Tc::with_mode_and_limits(RecMode::IsoShao, limits).con_equiv(
         &mut Ctx::new(),
-        &a,
-        &b,
+        &hc(a.clone()),
+        &hc(b.clone()),
         &Kind::Type,
     );
     // §5: IsoShao equality is contained in equi-recursive equality, so
@@ -1191,11 +1191,11 @@ fn case_nbe_differential(rng: &mut Rng) -> Result<(), String> {
         let tc = Tc::with_engine(engine, RecMode::Equi, limits);
         let mut ctx = Ctx::new();
         [
-            engine_outcome(tc.whnf(&mut ctx, &a)),
-            engine_outcome(tc.whnf(&mut ctx, &b)),
-            engine_outcome(tc.synth_con(&mut ctx, &a)),
-            engine_outcome(tc.synth_con(&mut ctx, &b)),
-            engine_outcome(tc.con_equiv(&mut ctx, &a, &b, &Kind::Type)),
+            engine_outcome(tc.whnf(&mut ctx, &hc(a.clone()))),
+            engine_outcome(tc.whnf(&mut ctx, &hc(b.clone()))),
+            engine_outcome(tc.synth_con(&mut ctx, &hc(a.clone()))),
+            engine_outcome(tc.synth_con(&mut ctx, &hc(b.clone()))),
+            engine_outcome(tc.con_equiv(&mut ctx, &hc(a.clone()), &hc(b.clone()), &Kind::Type)),
         ]
     };
     let nbe = run(EquivEngine::Nbe);
@@ -1514,7 +1514,7 @@ fn gen_open_ty(rng: &mut Rng, size: usize, binders: usize, cons: &[HC<Con>], tys
 /// rewrite earlier results and repeat earlier rewrites (memo hits), and
 /// a case makes enough distinct rewrites to overwrite slots.
 fn case_subst_memo_differential(rng: &mut Rng) -> Result<(), String> {
-    use recmod::kernel::singleton::selfify;
+    use recmod::kernel::singleton::selfify_hc;
     use recmod::syntax::intern::{hc, sweep_now};
     use recmod::syntax::subst::{
         shift_con_hc, shift_kind_hc, shift_ty_hc, subst_con_con_hc, subst_con_kind,
@@ -1606,9 +1606,9 @@ fn case_subst_memo_differential(rng: &mut Rng) -> Result<(), String> {
                 }
             }
             6 => {
-                let out = hc(selfify(&c, &k));
+                let out = selfify_hc(&c, &k);
                 if !HC::ptr_eq(&out, &hc(ref_selfify(&c, &k))) {
-                    return fail("selfify");
+                    return fail("selfify_hc");
                 }
                 if small_kind(&out) {
                     kinds.push(out);

@@ -47,7 +47,7 @@ fn fig1_constructor_grammar_kinds() {
         (csum([Con::UnitTy, Con::Int]), tkind()),
     ];
     for (c, k) in cons {
-        tc.check_con(&mut ctx, &c, &k)
+        tc.check_con(&mut ctx, &hc(c.clone()), &hc(k.clone()))
             .unwrap_or_else(|e| panic!("{}: {e}", con_to_string(&c, &mut Names::new())));
     }
 }
@@ -77,12 +77,12 @@ fn fig2_higher_order_singleton_deduction() {
     // "if c has kind Πα:T.Q(list(α)), it follows that c = list : T → T."
     let tc = Tc::new();
     let mut ctx = Ctx::new();
-    ctx.with_con(pi(tkind(), tkind()), |ctx| {
+    ctx.with_con(hc(pi(tkind(), tkind())), |ctx| {
         // list : T→T is index 0; declare c with kind Πα:T.Q(list α).
         let c_kind = pi(tkind(), q(capp(cvar(1), cvar(0))));
-        ctx.with_con(c_kind, |ctx| {
+        ctx.with_con(hc(c_kind.clone()), |ctx| {
             // c (index 0) = list (index 1) at kind T → T.
-            tc.con_equiv(ctx, &cvar(0), &cvar(1), &pi(tkind(), tkind()))
+            tc.con_equiv(ctx, &hc(cvar(0)), &hc(cvar(1)), &pi(tkind(), tkind()))
                 .unwrap();
         });
     });
@@ -90,11 +90,11 @@ fn fig2_higher_order_singleton_deduction() {
 
 #[test]
 fn fig2_selfification_matches_definition() {
-    use recmod::kernel::singleton::selfify;
+    use recmod::kernel::singleton::selfify_hc;
     // Q(c : T) = Q(c); Q(c : Πα:κ₁.κ₂) = Πα:κ₁.Q(c α : κ₂).
-    assert_eq!(selfify(&Con::Int, &tkind()), q(Con::Int));
+    assert_eq!(*selfify_hc(&hc(Con::Int), &hc(tkind())), q(Con::Int));
     assert_eq!(
-        selfify(&cvar(0), &pi(tkind(), tkind())),
+        *selfify_hc(&hc(cvar(0)), &hc(pi(tkind(), tkind()))),
         pi(tkind(), q(capp(cvar(1), cvar(0))))
     );
 }
@@ -115,9 +115,9 @@ fn fig3_structures_and_projections() {
 
     ctx.with(Entry::Struct(sig(tkind(), tcon(cvar(0))), true), |ctx| {
         // Fst(s) : T and snd(s) : Con(Fst(s)).
-        tc.check_con(ctx, &fst(0), &tkind()).unwrap();
+        tc.check_con(ctx, &hc(fst(0)), &hc(tkind())).unwrap();
         let typing = tc.synth_term(ctx, &snd(0)).unwrap();
-        tc.ty_eq(ctx, &typing.ty, &tcon(fst(0))).unwrap();
+        tc.ty_eq(ctx, &typing.ty, &hc(tcon(fst(0)))).unwrap();
     });
 }
 
@@ -274,12 +274,14 @@ fn e7_mu_at_singleton_kind_equals_its_definition() {
     let mut ctx = Ctx::new();
     // "the deceptively similar type μα:Q(int).α is equal to int."
     let c = mu(q(Con::Int), cvar(0));
-    tc.con_equiv(&mut ctx, &c, &Con::Int, &tkind()).unwrap();
+    tc.con_equiv(&mut ctx, &hc(c.clone()), &hc(Con::Int), &tkind())
+        .unwrap();
     // "...although μα:T.α is a vacuous, uninhabited type (as usual)."
     let vacuous = mu(tkind(), cvar(0));
-    tc.check_con(&mut ctx, &vacuous, &tkind()).unwrap();
+    tc.check_con(&mut ctx, &hc(vacuous.clone()), &hc(tkind()))
+        .unwrap();
     assert!(tc
-        .con_equiv(&mut ctx, &vacuous, &Con::Int, &tkind())
+        .con_equiv(&mut ctx, &hc(vacuous.clone()), &hc(Con::Int), &tkind())
         .is_err());
 }
 
@@ -297,13 +299,13 @@ fn e8_shao_equation_by_mode() {
     let mut ctx = Ctx::new();
     // Holds in equi and iso+Shao; fails in plain iso.
     Tc::with_mode(RecMode::Equi)
-        .con_equiv(&mut ctx, &m, &m_shao, &tkind())
+        .con_equiv(&mut ctx, &hc(m.clone()), &hc(m_shao.clone()), &tkind())
         .unwrap();
     Tc::with_mode(RecMode::IsoShao)
-        .con_equiv(&mut ctx, &m, &m_shao, &tkind())
+        .con_equiv(&mut ctx, &hc(m.clone()), &hc(m_shao.clone()), &tkind())
         .unwrap();
     assert!(Tc::with_mode(RecMode::Iso)
-        .con_equiv(&mut ctx, &m, &m_shao, &tkind())
+        .con_equiv(&mut ctx, &hc(m.clone()), &hc(m_shao.clone()), &tkind())
         .is_err());
 }
 
@@ -319,7 +321,8 @@ fn e8_nested_mu_collapse() {
         mu(tkind(), csum([Con::UnitTy, cprod(cvar(1), cvar(0))])),
     );
     let flat = collapse_mu(&nested).unwrap();
-    tc.con_equiv(&mut ctx, &nested, &flat, &tkind()).unwrap();
+    tc.con_equiv(&mut ctx, &hc(nested.clone()), &hc(flat.clone()), &tkind())
+        .unwrap();
     assert_eq!(nested_mu_count(&eliminate_nested_mu(&nested)), 0);
 }
 
@@ -339,13 +342,14 @@ fn e8_transparent_list_static_part_is_a_nested_mu_that_collapses() {
     // level μ wrapped around the datatype μ.
     let def = recmod::kernel::singleton::kind_definition(&k).unwrap();
     let tc = Tc::new();
-    let w = tc.whnf(&mut elab.ctx, &def).unwrap();
-    let Con::Mu(_, _) = &w else {
+    let w = tc.whnf(&mut elab.ctx, &hc(def.clone())).unwrap();
+    let Con::Mu(_, _) = &*w else {
         panic!("expected a μ, got {w:?}")
     };
     if nested_mu_count(&w) > 0 {
         let flat = collapse_mu(&w).expect("nested towers collapse");
-        tc.con_equiv(&mut elab.ctx, &w, &flat, &tkind()).unwrap();
+        tc.con_equiv(&mut elab.ctx, &w, &hc(flat), &tkind())
+            .unwrap();
     }
 }
 

@@ -29,7 +29,7 @@ fn equiv_reflexive() {
         let c = gen_regular_mu(size, seed);
         let tc = Tc::new();
         let mut ctx = Ctx::new();
-        tc.con_equiv(&mut ctx, &c, &c, &Kind::Type)
+        tc.con_equiv(&mut ctx, &hc(c.clone()), &hc(c.clone()), &Kind::Type)
             .unwrap_or_else(|e| panic!("seed={seed} size={size}: {e}"));
     }
 }
@@ -41,9 +41,9 @@ fn equiv_symmetric() {
         let (a, b) = gen_unrolled_pair(size, seed);
         let tc = Tc::new();
         let mut ctx = Ctx::new();
-        tc.con_equiv(&mut ctx, &a, &b, &Kind::Type)
+        tc.con_equiv(&mut ctx, &hc(a.clone()), &hc(b.clone()), &Kind::Type)
             .unwrap_or_else(|e| panic!("seed={seed} size={size}: {e}"));
-        tc.con_equiv(&mut ctx, &b, &a, &Kind::Type)
+        tc.con_equiv(&mut ctx, &hc(b.clone()), &hc(a.clone()), &Kind::Type)
             .unwrap_or_else(|e| panic!("seed={seed} size={size} (sym): {e}"));
     }
 }
@@ -56,12 +56,17 @@ fn equiv_transitive_chain() {
         let (nested, flat) = gen_nested_pair(size, seed);
         let tc = Tc::new();
         let mut ctx = Ctx::new();
-        tc.con_equiv(&mut ctx, &nested, &flat, &Kind::Type)
+        tc.con_equiv(
+            &mut ctx,
+            &hc(nested.clone()),
+            &hc(flat.clone()),
+            &Kind::Type,
+        )
+        .unwrap_or_else(|e| panic!("seed={seed} size={size}: {e}"));
+        let unrolled = recmod::kernel::whnf::unroll_mu(&hc(flat.clone())).expect("flat is a μ");
+        tc.con_equiv(&mut ctx, &hc(flat.clone()), &unrolled, &Kind::Type)
             .unwrap_or_else(|e| panic!("seed={seed} size={size}: {e}"));
-        let unrolled = recmod::kernel::whnf::unroll_mu(&flat).expect("flat is a μ");
-        tc.con_equiv(&mut ctx, &flat, &unrolled, &Kind::Type)
-            .unwrap_or_else(|e| panic!("seed={seed} size={size}: {e}"));
-        tc.con_equiv(&mut ctx, &nested, &unrolled, &Kind::Type)
+        tc.con_equiv(&mut ctx, &hc(nested.clone()), &unrolled, &Kind::Type)
             .unwrap_or_else(|e| panic!("seed={seed} size={size} (trans): {e}"));
     }
 }
@@ -75,12 +80,22 @@ fn equiv_congruence() {
         let mut ctx = Ctx::new();
         let arrow_a = Con::Arrow(hc(a.clone()), hc(b.clone()));
         let arrow_b = Con::Arrow(hc(b.clone()), hc(a.clone()));
-        tc.con_equiv(&mut ctx, &arrow_a, &arrow_b, &Kind::Type)
-            .unwrap_or_else(|e| panic!("seed={seed} size={size}: {e}"));
+        tc.con_equiv(
+            &mut ctx,
+            &hc(arrow_a.clone()),
+            &hc(arrow_b.clone()),
+            &Kind::Type,
+        )
+        .unwrap_or_else(|e| panic!("seed={seed} size={size}: {e}"));
         let sum_a = Con::Sum(vec![hc(a.clone()), hc(b.clone())]);
         let sum_b = Con::Sum(vec![hc(b), hc(a)]);
-        tc.con_equiv(&mut ctx, &sum_a, &sum_b, &Kind::Type)
-            .unwrap_or_else(|e| panic!("seed={seed} size={size} (sum): {e}"));
+        tc.con_equiv(
+            &mut ctx,
+            &hc(sum_a.clone()),
+            &hc(sum_b.clone()),
+            &Kind::Type,
+        )
+        .unwrap_or_else(|e| panic!("seed={seed} size={size} (sum): {e}"));
     }
 }
 
@@ -91,7 +106,7 @@ fn whnf_idempotent() {
         let c = gen_regular_mu(size, seed);
         let tc = Tc::new();
         let mut ctx = Ctx::new();
-        let w1 = tc.whnf(&mut ctx, &c).unwrap();
+        let w1 = tc.whnf(&mut ctx, &hc(c.clone())).unwrap();
         let w2 = tc.whnf(&mut ctx, &w1).unwrap();
         assert_eq!(w1, w2, "seed={seed} size={size}");
     }
@@ -104,8 +119,8 @@ fn whnf_preserves_equiv() {
         let (_, b) = gen_unrolled_pair(size, seed);
         let tc = Tc::new();
         let mut ctx = Ctx::new();
-        let w = tc.whnf(&mut ctx, &b).unwrap();
-        tc.con_equiv(&mut ctx, &b, &w, &Kind::Type)
+        let w = tc.whnf(&mut ctx, &hc(b.clone())).unwrap();
+        tc.con_equiv(&mut ctx, &hc(b.clone()), &w, &Kind::Type)
             .unwrap_or_else(|e| panic!("seed={seed} size={size}: {e}"));
     }
 }
@@ -122,15 +137,17 @@ fn iso_mode_is_strictly_weaker() {
         let mut ctx = Ctx::new();
         // The unrolling of a contractive μ is never itself the same μ,
         // so plain iso mode cannot identify them…
-        let equal = tc.con_equiv(&mut ctx, &a, &b, &Kind::Type).is_ok();
+        let equal = tc
+            .con_equiv(&mut ctx, &hc(a.clone()), &hc(b.clone()), &Kind::Type)
+            .is_ok();
         // …except when whnf already collapses both to the same head
         // (possible when the μ is vacuous in its variable).
         if equal {
             let e = Tc::new();
-            let wa = e.whnf(&mut ctx, &a).unwrap();
-            let wb = e.whnf(&mut ctx, &b).unwrap();
+            let wa = e.whnf(&mut ctx, &hc(a.clone())).unwrap();
+            let wb = e.whnf(&mut ctx, &hc(b.clone())).unwrap();
             assert!(
-                wa == wb || !matches!(wa, Con::Mu(_, _)),
+                wa == wb || !matches!(*wa, Con::Mu(_, _)),
                 "seed={seed} size={size}: iso mode equated a μ with its unrolling"
             );
         }
@@ -151,7 +168,7 @@ fn elimination_sound() {
         );
         let tc = Tc::new();
         let mut ctx = Ctx::new();
-        tc.con_equiv(&mut ctx, &nested, &out, &Kind::Type)
+        tc.con_equiv(&mut ctx, &hc(nested.clone()), &hc(out.clone()), &Kind::Type)
             .unwrap_or_else(|e| panic!("seed={seed} size={size}: {e}"));
     }
 }
@@ -177,8 +194,8 @@ fn selfification_is_a_subkind() {
         let c = gen_regular_mu(size, seed);
         let tc = Tc::new();
         let mut ctx = Ctx::new();
-        let k = tc.synth_con(&mut ctx, &c).unwrap();
-        tc.subkind(&mut ctx, &k, &Kind::Type)
+        let k = tc.synth_con(&mut ctx, &hc(c.clone())).unwrap();
+        tc.subkind(&mut ctx, &k, &hc(Kind::Type))
             .unwrap_or_else(|e| panic!("seed={seed} size={size}: {e}"));
     }
 }

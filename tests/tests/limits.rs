@@ -7,6 +7,7 @@ use recmod::kernel::{Ctx, Tc};
 use recmod::surface::ast::{BinOp, Exp};
 use recmod::surface::{Elaborator, Span};
 use recmod::syntax::ast::{Con, Kind, Module, Sig, Term, Ty};
+use recmod::syntax::intern::hc;
 use recmod::telemetry::Limits;
 
 const DEPTH: usize = 10_000;
@@ -88,7 +89,7 @@ fn kernel_reports_limit_on_deep_mu_tower() {
         }
         let tc = Tc::with_limits(Limits::default());
         let err = tc
-            .synth_con(&mut Ctx::new(), &c)
+            .synth_con(&mut Ctx::new(), &hc(c.clone()))
             .expect_err("depth-10000 μ-tower must not kind-check");
         assert!(err.is_limit(), "got: {err}");
     });

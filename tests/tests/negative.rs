@@ -5,6 +5,7 @@
 use recmod::kernel::{Ctx, Tc, TypeError};
 use recmod::syntax::ast::{Con, Kind, Term, Ty};
 use recmod::syntax::dsl::*;
+use recmod::syntax::intern::hc;
 
 fn tc() -> Tc {
     Tc::new()
@@ -14,7 +15,7 @@ fn tc() -> Tc {
 fn unbound_variables() {
     let mut ctx = Ctx::new();
     assert!(matches!(
-        tc().synth_con(&mut ctx, &cvar(0)),
+        tc().synth_con(&mut ctx, &hc(cvar(0))),
         Err(TypeError::Unbound { .. })
     ));
     assert!(matches!(
@@ -30,7 +31,7 @@ fn unbound_variables() {
 #[test]
 fn wrong_sort_lookups() {
     let mut ctx = Ctx::new();
-    ctx.with_con(tkind(), |ctx| {
+    ctx.with_con(hc(tkind()), |ctx| {
         // A constructor binder used as a term/structure.
         assert!(tc().synth_term(ctx, &var(0)).is_err());
         assert!(tc().synth_term(ctx, &snd(0)).is_err());
@@ -127,12 +128,12 @@ fn kind_level_failures() {
     let mut ctx = Ctx::new();
     // Applying a monotype as a constructor function.
     assert!(matches!(
-        tc().synth_con(&mut ctx, &capp(Con::Int, Con::Bool)),
+        tc().synth_con(&mut ctx, &hc(capp(Con::Int, Con::Bool))),
         Err(TypeError::NotAPiKind(_))
     ));
     // Projecting a non-pair constructor.
     assert!(matches!(
-        tc().synth_con(&mut ctx, &cproj1(Con::Int)),
+        tc().synth_con(&mut ctx, &hc(cproj1(Con::Int))),
         Err(TypeError::NotASigmaKind(_))
     ));
     // Singleton of a non-monotype is ill-formed.
@@ -143,11 +144,11 @@ fn kind_level_failures() {
 fn subkinding_failures_have_the_right_variant() {
     let mut ctx = Ctx::new();
     assert!(matches!(
-        tc().subkind(&mut ctx, &tkind(), &q(Con::Int)),
+        tc().subkind(&mut ctx, &hc(tkind()), &hc(q(Con::Int))),
         Err(TypeError::NotASubkind { .. })
     ));
     assert!(matches!(
-        tc().subkind(&mut ctx, &tkind(), &unit_kind()),
+        tc().subkind(&mut ctx, &hc(tkind()), &hc(unit_kind())),
         Err(TypeError::NotASubkind { .. })
     ));
 }
@@ -156,14 +157,14 @@ fn subkinding_failures_have_the_right_variant() {
 fn type_mismatches_have_the_right_variant() {
     let mut ctx = Ctx::new();
     assert!(matches!(
-        tc().ty_eq(&mut ctx, &Ty::Unit, &tcon(Con::Int)),
+        tc().ty_eq(&mut ctx, &hc(Ty::Unit), &hc(tcon(Con::Int))),
         Err(TypeError::TyMismatch { .. })
     ));
     assert!(matches!(
         tc().ty_sub(
             &mut ctx,
-            &partial(tcon(Con::Int), tcon(Con::Int)),
-            &total(tcon(Con::Int), tcon(Con::Int))
+            &hc(partial(tcon(Con::Int), tcon(Con::Int))),
+            &hc(total(tcon(Con::Int), tcon(Con::Int)))
         ),
         Err(TypeError::NotASubtype { .. })
     ));
@@ -177,7 +178,7 @@ fn fuel_exhaustion_is_reported_not_hung() {
     // A large equivalence problem under a tiny budget.
     let (a, b) = recmod_bench::gen_nested_pair(64, 1);
     assert!(matches!(
-        t.con_equiv(&mut ctx, &a, &b, &Kind::Type),
+        t.con_equiv(&mut ctx, &hc(a.clone()), &hc(b.clone()), &Kind::Type),
         Err(TypeError::FuelExhausted { .. })
     ));
 }
