@@ -44,6 +44,7 @@ use std::time::SystemTime;
 use recmod_surface::diag::Diagnostic;
 use recmod_telemetry::bundle::fnv1a;
 use recmod_telemetry::json::{self, Json};
+use recmod_telemetry::metrics::PromText;
 use recmod_telemetry::{Limits, SCHEMA_VERSION};
 
 use crate::FileStatus;
@@ -111,7 +112,7 @@ pub struct Entry {
     pub counters: BTreeMap<String, u64>,
 }
 
-/// How a lookup resolved (telemetry mirrors these as `cache.*`).
+/// How a lookup resolved.
 #[derive(Debug)]
 pub enum Outcome {
     /// A verified entry.
@@ -127,76 +128,91 @@ pub enum Outcome {
 }
 
 /// An open cache directory, shared by all workers of a batch or
-/// service. Interior mutability is limited to the warning log; entry
-/// I/O goes straight to the filesystem, whose rename atomicity is the
-/// real synchronization point.
+/// service. Interior mutability is limited to the warning log and the
+/// event counts; entry I/O goes straight to the filesystem, whose
+/// rename atomicity is the real synchronization point.
 #[derive(Debug)]
 pub struct Cache {
     dir: PathBuf,
     max_bytes: u64,
     warnings: Mutex<Vec<CacheWarning>>,
-    counters: CacheCounters,
+    /// Events since the cache was opened, indexed by [`CacheEvent`].
+    counts: [AtomicU64; EVENTS.len()],
 }
 
-/// Process-wide cache activity counters, shared by every worker using
-/// this [`Cache`]. These mirror the per-thread `cache.*` telemetry
-/// counters: the serve daemon's workers run without a telemetry sink
-/// installed (the S14 counters are batch-scoped), so the service's
-/// `stats`/`metrics` surfaces read these relaxed atomics instead.
-#[derive(Debug, Default)]
-struct CacheCounters {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    stores: AtomicU64,
-    corrupt_skipped: AtomicU64,
-    io_errors: AtomicU64,
-    gc_evicted: AtomicU64,
+/// Something the cache did, counted both on the calling thread's
+/// telemetry sink and on the [`Cache`] itself (see [`EVENTS`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CacheEvent {
+    /// A lookup answered from a verified entry.
+    Hit,
+    /// A lookup that found nothing (or a schema-skewed entry).
+    Miss,
+    /// A verdict written (atomic temp + rename completed).
+    Store,
+    /// An entry skipped for failed parse/checksum (`C002`).
+    CorruptSkipped,
+    /// A read or write lost to I/O trouble (`C001`).
+    IoError,
+    /// An entry evicted by the size-capped GC.
+    GcEvicted,
 }
 
-/// A plain-data snapshot of a [`Cache`]'s activity since it was
-/// opened. `io_errors` counts `C001` degradations and
-/// `corrupt_skipped` counts `C002`s; a `C003` (directory uncreatable)
-/// means no `Cache` exists at all, which the serve layer reports as
-/// `open_failed`.
+/// The cache's events, one row each in [`CacheEvent`] order: the
+/// per-thread telemetry counter the event bumps (batch `--stats` and
+/// per-file deltas) and its key in the `cache.counters` object of the
+/// serve `stats` and `metrics` documents. Prometheus labels
+/// `recmod_cache_events_total` with the counter name past `cache.`.
+pub const EVENTS: [(CacheEvent, &str, &str); 6] = [
+    (CacheEvent::Hit, "cache.hit", "hits"),
+    (CacheEvent::Miss, "cache.miss", "misses"),
+    (CacheEvent::Store, "cache.store", "stores"),
+    (
+        CacheEvent::CorruptSkipped,
+        "cache.corrupt_skipped",
+        "corrupt_skipped",
+    ),
+    (CacheEvent::IoError, "cache.io_error", "io_errors"),
+    (CacheEvent::GcEvicted, "cache.gc_evicted", "gc_evicted"),
+];
+
+/// A plain-data snapshot of a [`Cache`]'s events since it was opened.
+/// A `C003` (directory uncreatable) means no `Cache` exists at all,
+/// which the serve layer reports as `open_failed`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Lookups answered from a verified entry.
-    pub hits: u64,
-    /// Lookups that found nothing (or a schema-skewed entry).
-    pub misses: u64,
-    /// Verdicts written (atomic temp + rename completed).
-    pub stores: u64,
-    /// Entries skipped for failed parse/checksum (`C002`).
-    pub corrupt_skipped: u64,
-    /// Reads/writes lost to I/O trouble (`C001`).
-    pub io_errors: u64,
-    /// Entries evicted by the size-capped GC.
-    pub gc_evicted: u64,
-}
+pub struct CacheStats([u64; EVENTS.len()]);
 
 impl CacheStats {
+    fn get(&self, event: CacheEvent) -> u64 {
+        self.0[event as usize]
+    }
+
     /// Hit ratio in `[0, 1]` over completed lookups; `0` before any.
     pub fn hit_ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
+        let (hits, misses) = (self.get(CacheEvent::Hit), self.get(CacheEvent::Miss));
+        if hits + misses == 0 {
             0.0
         } else {
-            self.hits as f64 / total as f64
+            hits as f64 / (hits + misses) as f64
         }
     }
 
-    /// The counter object embedded in `stats`/`metrics` documents
-    /// (`io_errors` = `C001` events, `corrupt_skipped` = `C002`).
+    /// The counter object embedded in `stats`/`metrics` documents.
     pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("hits", Json::UInt(self.hits)),
-            ("misses", Json::UInt(self.misses)),
-            ("stores", Json::UInt(self.stores)),
-            ("corrupt_skipped", Json::UInt(self.corrupt_skipped)),
-            ("io_errors", Json::UInt(self.io_errors)),
-            ("gc_evicted", Json::UInt(self.gc_evicted)),
-            ("hit_ratio", Json::Float(self.hit_ratio())),
-        ])
+        let counts = EVENTS
+            .iter()
+            .zip(self.0)
+            .map(|(&(_, _, key), n)| (key, Json::UInt(n)));
+        Json::obj(counts.chain([("hit_ratio", Json::Float(self.hit_ratio()))]))
+    }
+
+    /// Appends the events and the hit ratio to a Prometheus document.
+    pub(crate) fn write_prom(&self, out: &mut PromText) {
+        for (&(_, counter, _), n) in EVENTS.iter().zip(self.0) {
+            let event = counter.strip_prefix("cache.").unwrap_or(counter);
+            out.counter("recmod_cache_events_total", &[("event", event)], n);
+        }
+        out.gauge("recmod_cache_hit_ratio", &[], self.hit_ratio());
     }
 }
 
@@ -237,7 +253,7 @@ impl Cache {
                 dir: config.dir.clone(),
                 max_bytes: config.max_bytes,
                 warnings: Mutex::new(Vec::new()),
-                counters: CacheCounters::default(),
+                counts: Default::default(),
             }),
             Err(e) => Err(CacheWarning {
                 code: "C003",
@@ -269,16 +285,17 @@ impl Cache {
         }
     }
 
-    /// Snapshots the process-wide activity counters.
+    /// Counts `event` twice over: on the calling thread's telemetry
+    /// sink, if one is installed, and on this cache's own atomics, which
+    /// serve reads because its workers usually run without a sink.
+    fn record(&self, event: CacheEvent) {
+        recmod_telemetry::count(EVENTS[event as usize].1, 1);
+        self.counts[event as usize].fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Snapshots the events counted since the cache was opened.
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.counters.hits.load(Ordering::Relaxed),
-            misses: self.counters.misses.load(Ordering::Relaxed),
-            stores: self.counters.stores.load(Ordering::Relaxed),
-            corrupt_skipped: self.counters.corrupt_skipped.load(Ordering::Relaxed),
-            io_errors: self.counters.io_errors.load(Ordering::Relaxed),
-            gc_evicted: self.counters.gc_evicted.load(Ordering::Relaxed),
-        }
+        CacheStats(self.counts.each_ref().map(|c| c.load(Ordering::Relaxed)))
     }
 
     /// Drains the deduplicated warning log (call once per batch).
@@ -299,13 +316,11 @@ impl Cache {
         let text = match std::fs::read_to_string(&path) {
             Ok(text) => text,
             Err(e) if e.kind() == ErrorKind::NotFound => {
-                recmod_telemetry::count("cache.miss", 1);
-                self.counters.misses.fetch_add(1, Ordering::Relaxed);
+                self.record(CacheEvent::Miss);
                 return Outcome::Miss;
             }
             Err(e) => {
-                recmod_telemetry::count("cache.io_error", 1);
-                self.counters.io_errors.fetch_add(1, Ordering::Relaxed);
+                self.record(CacheEvent::IoError);
                 self.warn("C001", format!("cannot read {}: {e}", path.display()));
                 return Outcome::IoError;
             }
@@ -328,20 +343,15 @@ impl Cache {
                         let _ = f.set_modified(now);
                     }
                 }
-                recmod_telemetry::count("cache.hit", 1);
-                self.counters.hits.fetch_add(1, Ordering::Relaxed);
+                self.record(CacheEvent::Hit);
                 Outcome::Hit(entry)
             }
             Verified::Skew => {
-                recmod_telemetry::count("cache.miss", 1);
-                self.counters.misses.fetch_add(1, Ordering::Relaxed);
+                self.record(CacheEvent::Miss);
                 Outcome::Skew
             }
             Verified::Corrupt(why) => {
-                recmod_telemetry::count("cache.corrupt_skipped", 1);
-                self.counters
-                    .corrupt_skipped
-                    .fetch_add(1, Ordering::Relaxed);
+                self.record(CacheEvent::CorruptSkipped);
                 self.warn(
                     "C002",
                     format!("corrupt entry {} skipped ({why})", path.display()),
@@ -372,22 +382,23 @@ impl Cache {
             std::fs::write(&tmp, doc).and_then(|()| std::fs::rename(&tmp, self.entry_path(key)));
         match result {
             Ok(()) => {
-                recmod_telemetry::count("cache.store", 1);
-                self.counters.stores.fetch_add(1, Ordering::Relaxed);
+                self.record(CacheEvent::Store);
                 self.gc();
             }
             Err(e) => {
-                recmod_telemetry::count("cache.io_error", 1);
-                self.counters.io_errors.fetch_add(1, Ordering::Relaxed);
+                self.record(CacheEvent::IoError);
                 let _ = std::fs::remove_file(&tmp);
                 self.warn("C001", format!("cannot write entry for {key:016x}: {e}"));
             }
         }
     }
 
-    /// Evicts oldest-mtime entries until the directory's entry bytes
-    /// fit in 3/4 of the cap (hysteresis so back-to-back stores don't
-    /// each rescan). Failures are ignored: GC is best-effort hygiene.
+    /// Runs after every store: lists the whole directory and sums its
+    /// entry sizes, so each store costs O(entries). Over the cap, it
+    /// evicts oldest-mtime entries until the total fits in 3/4 of the
+    /// cap, so the next few stores find the directory under the cap and
+    /// evict nothing, though each still lists it. Failures are ignored:
+    /// GC is best-effort hygiene.
     fn gc(&self) {
         let Ok(read) = std::fs::read_dir(&self.dir) else {
             return;
@@ -414,8 +425,7 @@ impl Cache {
                 break;
             }
             if std::fs::remove_file(&path).is_ok() {
-                recmod_telemetry::count("cache.gc_evicted", 1);
-                self.counters.gc_evicted.fetch_add(1, Ordering::Relaxed);
+                self.record(CacheEvent::GcEvicted);
                 total = total.saturating_sub(len);
             }
         }
@@ -552,6 +562,13 @@ mod tests {
             summaries: vec![("x".into(), "int".into())],
             diags: Vec::new(),
             counters: BTreeMap::from([("kernel.fuel.whnf".to_string(), 7u64)]),
+        }
+    }
+
+    #[test]
+    fn event_rows_follow_the_enum() {
+        for (i, &(event, _, _)) in EVENTS.iter().enumerate() {
+            assert_eq!(event as usize, i, "{event:?} is out of place in EVENTS");
         }
     }
 

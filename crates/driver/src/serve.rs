@@ -111,6 +111,17 @@ pub enum ResponseStatus {
 }
 
 impl ResponseStatus {
+    /// Every status, in declaration order.
+    pub const ALL: [ResponseStatus; 7] = [
+        ResponseStatus::Ok,
+        ResponseStatus::Error,
+        ResponseStatus::Limit,
+        ResponseStatus::Internal,
+        ResponseStatus::Overloaded,
+        ResponseStatus::Draining,
+        ResponseStatus::Invalid,
+    ];
+
     /// Stable status label, matching the batch driver's file statuses
     /// where the classes coincide.
     pub fn label(self) -> &'static str {
@@ -532,87 +543,92 @@ impl Default for ServeConfig {
     }
 }
 
-/// A snapshot of the service's counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServerStats {
+/// Declares the service's request counters, each once: its doc, its
+/// name (a [`ServerStats`] field, its key in the `stats` and `metrics`
+/// documents, and its `event` label on `recmod_serve_requests_total`),
+/// and whether it belongs to the replay-deterministic `metrics` subset.
+/// Generates [`ServerStats`], the atomics behind it, and the one row
+/// list ([`ServerStats::counters`]) that every view renders.
+macro_rules! request_counters {
+    ($($(#[doc = $doc:literal])* $name:ident: deterministic = $det:literal,)*) => {
+        /// A snapshot of the service's counters.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct ServerStats {
+            $($(#[doc = $doc])* pub $name: u64,)*
+        }
+
+        impl ServerStats {
+            /// `(name, deterministic, value)` for every counter, in
+            /// declaration order.
+            pub fn counters(&self) -> impl Iterator<Item = (&'static str, bool, u64)> {
+                [$((stringify!($name), $det, self.$name)),*].into_iter()
+            }
+        }
+
+        #[derive(Default)]
+        struct Counters {
+            $($name: AtomicU64,)*
+        }
+
+        impl Counters {
+            fn snapshot(&self) -> ServerStats {
+                ServerStats {
+                    $($name: self.$name.load(Ordering::Relaxed),)*
+                }
+            }
+        }
+    };
+}
+
+// The scheduling-dependent counters (spawn failures, watchdog flags,
+// and the spawned/joined pair) stay out of the deterministic subset.
+request_counters! {
     /// Requests admitted to the queue.
-    pub accepted: u64,
+    accepted: deterministic = true,
     /// Requests answered (one response each).
-    pub completed: u64,
+    completed: deterministic = true,
     /// Requests shed by admission control.
-    pub shed: u64,
+    shed: deterministic = true,
     /// Requests rejected while draining.
-    pub rejected_draining: u64,
+    rejected_draining: deterministic = true,
     /// Malformed request lines answered with `invalid`.
-    pub invalid: u64,
+    invalid: deterministic = true,
     /// Attempts requeued after a transient failure.
-    pub retries: u64,
+    retries: deterministic = true,
     /// Dead workers replaced by the supervisor.
-    pub respawns: u64,
+    respawns: deterministic = true,
     /// Worker spawn attempts that failed outright.
-    pub spawn_failures: u64,
+    spawn_failures: deterministic = false,
     /// Requests flagged by the watchdog as past deadline + grace.
-    pub watchdog_late: u64,
-    /// Injected faults that fired, by kind.
-    pub injected_panic: u64,
+    watchdog_late: deterministic = false,
+    /// Injected panics that fired.
+    injected_panic: deterministic = true,
     /// Injected allocation-budget trips that fired.
-    pub injected_alloc: u64,
+    injected_alloc: deterministic = true,
     /// Injected deadline storms that fired.
-    pub injected_deadline: u64,
+    injected_deadline: deterministic = true,
     /// Injected worker kills that fired.
-    pub injected_kill: u64,
+    injected_kill: deterministic = true,
     /// Worker threads ever spawned.
-    pub workers_spawned: u64,
+    workers_spawned: deterministic = false,
     /// Worker threads reaped (joined) — equals `workers_spawned` after
     /// a clean shutdown, which is the "no leaked workers" invariant.
-    pub workers_joined: u64,
+    workers_joined: deterministic = false,
     /// Requests whose worker finished with a non-empty diag frame
     /// stack (flight-recorder imbalance; must stay 0).
-    pub frame_imbalance: u64,
+    frame_imbalance: deterministic = true,
 }
 
 impl ServerStats {
-    /// The stats document embedded in `stats` responses.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("accepted", Json::UInt(self.accepted)),
-            ("completed", Json::UInt(self.completed)),
-            ("shed", Json::UInt(self.shed)),
-            ("rejected_draining", Json::UInt(self.rejected_draining)),
-            ("invalid", Json::UInt(self.invalid)),
-            ("retries", Json::UInt(self.retries)),
-            ("respawns", Json::UInt(self.respawns)),
-            ("spawn_failures", Json::UInt(self.spawn_failures)),
-            ("watchdog_late", Json::UInt(self.watchdog_late)),
-            ("injected_panic", Json::UInt(self.injected_panic)),
-            ("injected_alloc", Json::UInt(self.injected_alloc)),
-            ("injected_deadline", Json::UInt(self.injected_deadline)),
-            ("injected_kill", Json::UInt(self.injected_kill)),
-            ("workers_spawned", Json::UInt(self.workers_spawned)),
-            ("workers_joined", Json::UInt(self.workers_joined)),
-            ("frame_imbalance", Json::UInt(self.frame_imbalance)),
-        ])
+    /// The counters as a JSON object, as the `stats` document carries
+    /// them; with `deterministic`, only the replay-deterministic subset.
+    pub fn to_json(&self, deterministic: bool) -> Json {
+        Json::obj(
+            self.counters()
+                .filter(|&(_, det, _)| det || !deterministic)
+                .map(|(name, _, n)| (name, Json::UInt(n))),
+        )
     }
-}
-
-#[derive(Default)]
-struct Counters {
-    accepted: AtomicU64,
-    completed: AtomicU64,
-    shed: AtomicU64,
-    rejected_draining: AtomicU64,
-    invalid: AtomicU64,
-    retries: AtomicU64,
-    respawns: AtomicU64,
-    spawn_failures: AtomicU64,
-    watchdog_late: AtomicU64,
-    injected_panic: AtomicU64,
-    injected_alloc: AtomicU64,
-    injected_deadline: AtomicU64,
-    injected_kill: AtomicU64,
-    workers_spawned: AtomicU64,
-    workers_joined: AtomicU64,
-    frame_imbalance: AtomicU64,
 }
 
 impl Counters {
@@ -627,28 +643,6 @@ impl Counters {
             FaultKind::Deadline => &self.injected_deadline,
             FaultKind::Kill => &self.injected_kill,
         });
-    }
-
-    fn snapshot(&self) -> ServerStats {
-        let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        ServerStats {
-            accepted: get(&self.accepted),
-            completed: get(&self.completed),
-            shed: get(&self.shed),
-            rejected_draining: get(&self.rejected_draining),
-            invalid: get(&self.invalid),
-            retries: get(&self.retries),
-            respawns: get(&self.respawns),
-            spawn_failures: get(&self.spawn_failures),
-            watchdog_late: get(&self.watchdog_late),
-            injected_panic: get(&self.injected_panic),
-            injected_alloc: get(&self.injected_alloc),
-            injected_deadline: get(&self.injected_deadline),
-            injected_kill: get(&self.injected_kill),
-            workers_spawned: get(&self.workers_spawned),
-            workers_joined: get(&self.workers_joined),
-            frame_imbalance: get(&self.frame_imbalance),
-        }
     }
 }
 
@@ -780,36 +774,12 @@ struct Core {
     /// marks are all measured from here.
     epoch: Instant,
     metrics: ServeMetrics,
-    /// Final response statuses, indexed by [`status_index`].
-    status_counts: [AtomicU64; 7],
+    /// Final response statuses, indexed by `status as usize`.
+    status_counts: [AtomicU64; ResponseStatus::ALL.len()],
     /// Per-worker busy nanoseconds (time spent serving attempts).
     worker_busy: Vec<AtomicU64>,
     session: Option<Mutex<SessionProfile>>,
 }
-
-/// Index of a status in [`Core::status_counts`].
-fn status_index(status: ResponseStatus) -> usize {
-    match status {
-        ResponseStatus::Ok => 0,
-        ResponseStatus::Error => 1,
-        ResponseStatus::Limit => 2,
-        ResponseStatus::Internal => 3,
-        ResponseStatus::Overloaded => 4,
-        ResponseStatus::Draining => 5,
-        ResponseStatus::Invalid => 6,
-    }
-}
-
-/// The status labels, in [`status_index`] order.
-const STATUS_LABELS: [&str; 7] = [
-    "ok",
-    "error",
-    "limit",
-    "internal",
-    "overloaded",
-    "draining",
-    "invalid",
-];
 
 /// Locks a service mutex, recovering from poisoning: all guarded state
 /// is plain data (queues, options, counters) that is never left
@@ -848,7 +818,17 @@ impl Core {
     }
 
     fn status_bump(&self, status: ResponseStatus) {
-        self.status_counts[status_index(status)].fetch_add(1, Ordering::Relaxed);
+        self.status_counts[status as usize].fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// `(label, count)` for every response status, in declaration order.
+    fn statuses(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        ResponseStatus::ALL.into_iter().map(|s| {
+            (
+                s.label(),
+                self.status_counts[s as usize].load(Ordering::Relaxed),
+            )
+        })
     }
 
     /// Records a session-profile instant (no-op unless profiling).
@@ -1570,7 +1550,7 @@ impl Server {
     /// health (table occupancy, sweep counts, entries reclaimed by the
     /// between-requests sweeps) as last published by that worker.
     pub fn stats_json(&self) -> Json {
-        let mut doc = self.stats().to_json();
+        let mut doc = self.stats().to_json(false);
         let workers: Vec<Json> = self
             .core
             .worker_intern
@@ -1600,16 +1580,6 @@ impl Server {
         Json::obj(pairs)
     }
 
-    /// Response statuses counted so far, keyed by label.
-    fn status_json(&self) -> Json {
-        let pairs: Vec<(&'static str, Json)> = STATUS_LABELS
-            .iter()
-            .zip(self.core.status_counts.iter())
-            .map(|(label, c)| (*label, Json::UInt(c.load(Ordering::Relaxed))))
-            .collect();
-        Json::obj(pairs)
-    }
-
     /// The live metrics document served by the `metrics` op:
     /// [`METRICS_SCHEMA_VERSION`]-stamped, carrying the request
     /// counters, response-status counts, queue gauges, the four
@@ -1623,34 +1593,16 @@ impl Server {
     /// byte-identical documents.
     pub fn metrics_json(&self, deterministic: bool) -> Json {
         let core = &self.core;
-        let stats = self.stats();
-        let requests = if deterministic {
-            // Excludes watchdog_late, spawn_failures, and the
-            // workers_spawned/joined pair: all scheduling-dependent.
-            Json::obj([
-                ("accepted", Json::UInt(stats.accepted)),
-                ("completed", Json::UInt(stats.completed)),
-                ("shed", Json::UInt(stats.shed)),
-                ("rejected_draining", Json::UInt(stats.rejected_draining)),
-                ("invalid", Json::UInt(stats.invalid)),
-                ("retries", Json::UInt(stats.retries)),
-                ("respawns", Json::UInt(stats.respawns)),
-                ("injected_panic", Json::UInt(stats.injected_panic)),
-                ("injected_alloc", Json::UInt(stats.injected_alloc)),
-                ("injected_deadline", Json::UInt(stats.injected_deadline)),
-                ("injected_kill", Json::UInt(stats.injected_kill)),
-                ("frame_imbalance", Json::UInt(stats.frame_imbalance)),
-            ])
-        } else {
-            stats.to_json()
-        };
         let mut pairs: Vec<(&'static str, Json)> = vec![
             ("schema_version", Json::UInt(SCHEMA_VERSION)),
             ("kind", Json::str("metrics")),
             ("metrics_schema_version", Json::UInt(METRICS_SCHEMA_VERSION)),
             ("deterministic", Json::Bool(deterministic)),
-            ("requests", requests),
-            ("status", self.status_json()),
+            ("requests", self.stats().to_json(deterministic)),
+            (
+                "status",
+                Json::obj(core.statuses().map(|(label, n)| (label, Json::UInt(n)))),
+            ),
             ("work_units", core.metrics.work.snapshot().to_json()),
         ];
         if deterministic {
@@ -1710,32 +1662,12 @@ impl Server {
     /// without a JSON-aware collector.
     pub fn metrics_text(&self) -> String {
         let core = &self.core;
-        let stats = self.stats();
         let mut out = PromText::new();
-        for (event, n) in [
-            ("accepted", stats.accepted),
-            ("completed", stats.completed),
-            ("shed", stats.shed),
-            ("rejected_draining", stats.rejected_draining),
-            ("invalid", stats.invalid),
-            ("retries", stats.retries),
-            ("respawns", stats.respawns),
-            ("spawn_failures", stats.spawn_failures),
-            ("watchdog_late", stats.watchdog_late),
-            ("injected_panic", stats.injected_panic),
-            ("injected_alloc", stats.injected_alloc),
-            ("injected_deadline", stats.injected_deadline),
-            ("injected_kill", stats.injected_kill),
-            ("frame_imbalance", stats.frame_imbalance),
-        ] {
+        for (event, _, n) in self.stats().counters() {
             out.counter("recmod_serve_requests_total", &[("event", event)], n);
         }
-        for (label, c) in STATUS_LABELS.iter().zip(core.status_counts.iter()) {
-            out.counter(
-                "recmod_serve_responses_total",
-                &[("status", label)],
-                c.load(Ordering::Relaxed),
-            );
+        for (label, n) in core.statuses() {
+            out.counter("recmod_serve_responses_total", &[("status", label)], n);
         }
         let uptime = core.now_nanos();
         let (depth, inflight, alive) = {
@@ -1772,18 +1704,7 @@ impl Server {
             1.0,
         );
         if let Some(cache) = &core.artifact_cache {
-            let c = cache.stats();
-            for (event, n) in [
-                ("hit", c.hits),
-                ("miss", c.misses),
-                ("store", c.stores),
-                ("corrupt_skipped", c.corrupt_skipped),
-                ("io_error", c.io_errors),
-                ("gc_evicted", c.gc_evicted),
-            ] {
-                out.counter("recmod_cache_events_total", &[("event", event)], n);
-            }
-            out.gauge("recmod_cache_hit_ratio", &[], c.hit_ratio());
+            cache.stats().write_prom(&mut out);
         }
         out.gauge("recmod_intern_entries", &[], core.intern_entries() as f64);
         for (wid, busy) in core.worker_busy.iter().enumerate() {

@@ -1,4 +1,4 @@
-//! Log-bucketed histograms and gauges for live service telemetry.
+//! Log-bucketed histograms and Prometheus text for live service telemetry.
 //!
 //! The serve daemon needs latency *distributions* (p50/p99/max), not
 //! process-lifetime averages, and it needs them without perturbing the
@@ -198,35 +198,6 @@ impl HistogramSnapshot {
             ("p99", int(self.quantile(0.99))),
             ("buckets", Json::Arr(buckets)),
         ])
-    }
-}
-
-/// A relaxed atomic gauge/accumulator for point-in-time or
-/// monotonically accumulated values (queue depth, per-worker busy
-/// nanoseconds). Same overhead discipline as [`Histogram`]: no locks,
-/// no sink traffic.
-#[derive(Debug, Default)]
-pub struct Gauge(AtomicU64);
-
-impl Gauge {
-    /// A gauge at zero.
-    pub const fn new() -> Gauge {
-        Gauge(AtomicU64::new(0))
-    }
-
-    /// Sets the gauge to `value`.
-    pub fn set(&self, value: u64) {
-        self.0.store(value, Ordering::Relaxed);
-    }
-
-    /// Adds `delta` to the gauge (accumulator use).
-    pub fn add(&self, delta: u64) {
-        self.0.fetch_add(delta, Ordering::Relaxed);
-    }
-
-    /// The current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
     }
 }
 

@@ -71,13 +71,6 @@ mod tests {
             "kernel.eval_steps",
             "kernel.quote_nodes",
             "kernel.env_allocs",
-            // S18 artifact cache counters.
-            "cache.hit",
-            "cache.miss",
-            "cache.store",
-            "cache.corrupt_skipped",
-            "cache.io_error",
-            "cache.gc_evicted",
         ] {
             assert!(is_well_formed(name), "{name} should be well-formed");
         }

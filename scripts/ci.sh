@@ -100,6 +100,16 @@ echo "== history independence (2000 dedicated iterations) =="
 FUZZ_CLASS=history-independence FUZZ_ITERS=2000 \
   cargo test -q -p recmod-tests --release --test fuzz seeded
 
+echo "== chaos serve (2000 dedicated iterations) =="
+# The supervised compile service under seeded fault plans (40% of
+# requests faulted): every request gets exactly one response whose
+# verdict and rendered diagnostics match batch mode's; every request is
+# accepted and completed, none shed; spawned workers all get joined; no
+# compile leaves the frame stack unbalanced; trace ids are unique and
+# span events pair up across retries.
+FUZZ_CLASS=chaos-serve FUZZ_ITERS=2000 \
+  cargo test -q -p recmod-tests --release --test fuzz seeded
+
 echo "== cost-model gate (counters vs tests/golden_costs.json) =="
 # Deterministic per-example counters (fuel, unrolls, cache traffic —
 # never wall clocks) compared against the checked-in baseline. Gating:

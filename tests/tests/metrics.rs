@@ -4,16 +4,20 @@
 //! deliberate `METRICS_SCHEMA_VERSION` bump), histogram percentiles
 //! are exact on synthetic distributions, the deterministic metrics
 //! subset is byte-stable across two identical seeded fault replays,
-//! and request traces round-trip with replay-stable trace ids.
+//! request traces round-trip with replay-stable trace ids, and every
+//! view of a counter reads the same number.
 
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::time::Duration;
 
-use recmod::driver::serve::{Request, Response, ServeConfig, Server, METRICS_SCHEMA_VERSION};
+use recmod::driver::cache::{self, CacheConfig};
+use recmod::driver::serve::{
+    Request, Response, ResponseStatus, ServeConfig, Server, METRICS_SCHEMA_VERSION,
+};
 use recmod::telemetry::fault::FaultPlan;
 use recmod::telemetry::json::Json;
 use recmod::telemetry::metrics::Histogram;
-use recmod::telemetry::{Limits, SCHEMA_VERSION};
+use recmod::telemetry::{names, Limits, SCHEMA_VERSION};
 
 /// A few sources exercising ok, type-error, and unbound-name verdicts.
 const SOURCES: [&str; 5] = [
@@ -443,4 +447,124 @@ fn prometheus_text_renders_the_driven_workload() {
             "malformed exposition line: {line}"
         );
     }
+}
+
+/// The value of the Prometheus sample `family{label="value"}`.
+fn prom_sample(text: &str, family: &str, label: &str, value: &str) -> u64 {
+    let head = format!("{family}{{{label}=\"{value}\"}} ");
+    text.lines()
+        .find_map(|line| line.strip_prefix(head.as_str()))
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no sample `{head}` in:\n{text}"))
+}
+
+/// Every counter is declared once and every view renders that
+/// declaration: after a seeded chaos run on a cached server, each
+/// request counter, response status and cache event reads the same in
+/// the `stats` document, both `metrics` documents and the Prometheus
+/// text.
+#[test]
+fn every_view_reads_the_same_counters() {
+    let dir =
+        std::env::temp_dir().join(format!("recmod-itest-metrics-views-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let server = Server::start(ServeConfig {
+        workers: 2,
+        limits: Limits::strict(),
+        default_deadline_ms: None,
+        backoff_ms: 1,
+        faults: Some(FaultPlan {
+            seed: 0xfeed_beef,
+            rate_ppm: 400_000,
+            only: None,
+        }),
+        cache: Some(CacheConfig::new(&dir)),
+        ..ServeConfig::default()
+    })
+    .expect("server must start");
+    // Three times over, so that unfaulted repeats hit the cache.
+    for _ in 0..3 {
+        drive(&server, false);
+    }
+    let (tx, rx) = channel();
+    assert!(server.handle_line("not json", &tx));
+    let invalid = rx.recv_timeout(Duration::from_secs(120)).expect("answered");
+    assert_eq!(invalid.status, ResponseStatus::Invalid);
+    server.drain();
+
+    let stats = server.stats_json();
+    let full = server.metrics_json(false);
+    let det = server.metrics_json(true);
+    let text = server.metrics_text();
+
+    let counters: Vec<(&str, bool, u64)> = server.stats().counters().collect();
+    assert_eq!(counters.len(), 16, "the request counters");
+    let mut det_names: Vec<&str> = counters
+        .iter()
+        .filter(|&&(_, d, _)| d)
+        .map(|&(name, _, _)| name)
+        .collect();
+    det_names.sort_unstable();
+    assert_eq!(det_names.len(), 12, "the deterministic request counters");
+    assert_eq!(obj_keys(get(&det, "requests")), det_names);
+    for &(name, deterministic, n) in &counters {
+        assert_eq!(as_u64(&stats, name), n, "stats: {name}");
+        assert_eq!(as_u64(get(&full, "requests"), name), n, "metrics: {name}");
+        assert_eq!(
+            prom_sample(&text, "recmod_serve_requests_total", "event", name),
+            n,
+            "prometheus: {name}"
+        );
+        if deterministic {
+            assert_eq!(
+                as_u64(get(&det, "requests"), name),
+                n,
+                "deterministic: {name}"
+            );
+        }
+    }
+    let stat = server.stats();
+    assert_eq!(stat.accepted, 3 * SOURCES.len() as u64);
+    assert_eq!(stat.invalid, 1);
+    assert!(stat.retries > 0, "the plan injected faults that fired");
+    assert_eq!(stat.workers_spawned, stat.workers_joined);
+
+    let mut answered = 0;
+    for status in ResponseStatus::ALL {
+        let label = status.label();
+        let n = as_u64(get(&full, "status"), label);
+        assert_eq!(
+            as_u64(get(&det, "status"), label),
+            n,
+            "deterministic: {label}"
+        );
+        assert_eq!(
+            prom_sample(&text, "recmod_serve_responses_total", "status", label),
+            n,
+            "prometheus: {label}"
+        );
+        answered += n;
+    }
+    assert_eq!(
+        answered,
+        stat.completed + stat.shed + stat.rejected_draining + stat.invalid,
+        "one counted status per response"
+    );
+
+    let stats_cache = get(get(&stats, "cache"), "counters");
+    let metrics_cache = get(get(&full, "cache"), "counters");
+    for (_, counter, key) in cache::EVENTS {
+        assert!(names::is_well_formed(counter), "{counter}");
+        let n = as_u64(stats_cache, key);
+        assert_eq!(as_u64(metrics_cache, key), n, "metrics: {key}");
+        let event = counter.strip_prefix("cache.").expect("cache namespace");
+        assert_eq!(
+            prom_sample(&text, "recmod_cache_events_total", "event", event),
+            n,
+            "prometheus: {event}"
+        );
+    }
+    assert!(as_u64(stats_cache, "hits") > 0, "the repeats hit the cache");
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
 }
