@@ -1219,14 +1219,14 @@ fn serve_one(
             ..Config::profiled()
         });
     }
-    // A request with a fault armed bypasses the cache both ways: the
-    // fault must reach the compile it was aimed at, and the verdict of
-    // a perturbed request is never stored.
-    let key = match (&core.artifact_cache, injection) {
-        (Some(c), None) => Some((c, crate::cache_key(&source, &limits))),
-        _ => None,
-    };
-    let replayed = key.and_then(|(c, k)| {
+    // A request with a fault armed skips the lookup: the fault must
+    // reach the compile it was aimed at. Its verdict is stored only if
+    // no fault fired (see below).
+    let key = core
+        .artifact_cache
+        .as_ref()
+        .map(|c| (c, crate::cache_key(&source, &limits)));
+    let replayed = key.filter(|_| injection.is_none()).and_then(|(c, k)| {
         let looked_up = Instant::now();
         let replayed = {
             // A recorder frame held across the lookup only: replay
@@ -1383,7 +1383,10 @@ fn serve_one(
         core.retry(pending);
         return;
     }
-    if compiled {
+    // A verdict is a pure function of the key unless a fault perturbed
+    // some attempt of this request; an armed fault that never fired
+    // left the compile as it would have been.
+    if compiled && pending.injected.is_empty() {
         if let Some((c, k)) = key {
             crate::store(c, k, &verdict);
         }

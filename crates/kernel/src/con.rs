@@ -88,7 +88,7 @@ impl Tc {
             Con::Proj2(p) => {
                 let pk = self.synth_con(ctx, p)?;
                 let (_, k2) = self.expect_sigma(&pk)?;
-                Ok(subst_con_kind_hc(&k2, &Con::Proj1(p.clone())))
+                Ok(subst_con_kind_hc(&k2, &hc(Con::Proj1(p.clone()))))
             }
             Con::Mu(k, body) => {
                 // Γ ⊢ κ kind   Γ[α:κ] ⊢ c : κ   ⟹   Γ ⊢ μα:κ.c : κ

@@ -261,7 +261,7 @@ impl Tc {
             (Con::Proj2(q1), Con::Proj2(q2)) => {
                 let qk = step(self.path_equiv(ctx, q1, q2, seen), "snd")?;
                 let (_, k2) = self.expect_sigma(&qk)?;
-                Ok(subst_con_kind_hc(&k2, &Con::Proj1(q1.clone())))
+                Ok(subst_con_kind_hc(&k2, &hc(Con::Proj1(q1.clone()))))
             }
             _ => raise(TypeError::ConMismatch {
                 left: show::con(p1),

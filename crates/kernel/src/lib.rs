@@ -60,7 +60,7 @@ pub mod whnf;
 use recmod_syntax::fxhash::{FxHashMap, FxHashSet};
 use std::cell::{Cell, RefCell};
 
-use recmod_syntax::ast::{Con, Kind};
+use recmod_syntax::ast::{Con, Kind, Ty};
 use recmod_syntax::intern::{hc, HC};
 
 pub use ctx::{Ctx, Entry};
@@ -196,6 +196,10 @@ pub struct Tc {
     /// The kind `T`, interned once: the kernel checks constructors
     /// against it at every monotype position.
     type_kind: HC<Kind>,
+    /// The types `int` and `bool`, interned once: every literal,
+    /// primitive and `if` is typed at them.
+    int_ty: HC<Ty>,
+    bool_ty: HC<Ty>,
 }
 
 /// Caches are cleared once they pass this many entries — a crude bound
@@ -262,6 +266,8 @@ impl Tc {
             mu_contractive: RefCell::new(FxHashMap::default()),
             mu_unroll: RefCell::new(FxHashMap::default()),
             type_kind: hc(Kind::Type),
+            int_ty: hc(Ty::Con(hc(Con::Int))),
+            bool_ty: hc(Ty::Con(hc(Con::Bool))),
         }
     }
 
@@ -353,6 +359,16 @@ impl Tc {
     /// The interned kind `T`.
     pub(crate) fn type_kind(&self) -> &HC<Kind> {
         &self.type_kind
+    }
+
+    /// The interned type `int`.
+    pub(crate) fn int_ty(&self) -> &HC<Ty> {
+        &self.int_ty
+    }
+
+    /// The interned type `bool`.
+    pub(crate) fn bool_ty(&self) -> &HC<Ty> {
+        &self.bool_ty
     }
 
     /// Looks up a memoized synthesized kind (NbE engine only).

@@ -56,9 +56,9 @@ pub fn selfify_hc(c: &HC<Con>, k: &HC<Kind>) -> HC<Kind> {
         hc(Kind::Pi(k1.clone(), selfify_hc(&app, k2)))
     } else {
         // Q(c : Σα:κ₁.κ₂) = Q(π₁c : κ₁) × Q(π₂c : κ₂[π₁c/α])
-        let p1 = Con::Proj1(c.clone());
+        let p1 = hc(Con::Proj1(c.clone()));
         let k2i = subst_con_kind_hc(k2, &p1);
-        let l = selfify_hc(&hc(p1), k1);
+        let l = selfify_hc(&p1, k1);
         let r = selfify_hc(&hc(Con::Proj2(c.clone())), &k2i);
         hc(Kind::Sigma(l, shift_kind_hc(&r, 1, 0)))
     };

@@ -65,9 +65,10 @@ impl Tc {
             Term::Snd(i) => {
                 let (sig, valuable) = ctx.lookup_struct(*i)?;
                 match sig {
-                    Sig::Struct(_, t) => {
-                        Ok(Typing::new(subst_con_ty_hc(&t, &Con::Fst(*i)), valuable))
-                    }
+                    Sig::Struct(_, t) => Ok(Typing::new(
+                        subst_con_ty_hc(&t, &hc(Con::Fst(*i))),
+                        valuable,
+                    )),
                     s => raise(TypeError::Other(format!(
                         "structure variable with unresolved signature {}",
                         show::sig(&s)
@@ -133,8 +134,9 @@ impl Tc {
                 let ft = self.synth_term(ctx, f)?;
                 match &*self.expose(ctx, &ft.ty)? {
                     Ty::Forall(k, body) => {
-                        self.check_con(ctx, &hc(c.clone()), k)?;
-                        Ok(Typing::new(subst_con_ty_hc(body, c), ft.valuable))
+                        let c = hc(c.clone());
+                        self.check_con(ctx, &c, k)?;
+                        Ok(Typing::new(subst_con_ty_hc(body, &c), ft.valuable))
                     }
                     other => raise(TypeError::NotPolymorphic(show::ty(other))),
                 }
@@ -150,8 +152,8 @@ impl Tc {
                 self.ty_sub(ctx, &found, t)?;
                 Ok(Typing::new(t.clone(), true))
             }
-            Term::IntLit(_) => Ok(Typing::new(mono(hc(Con::Int)), true)),
-            Term::BoolLit(_) => Ok(Typing::new(mono(hc(Con::Bool)), true)),
+            Term::IntLit(_) => Ok(Typing::new(self.int_ty().clone(), true)),
+            Term::BoolLit(_) => Ok(Typing::new(self.bool_ty().clone(), true)),
             Term::Prim(op, args) => {
                 if args.len() != op.arity() {
                     return raise(TypeError::PrimArity {
@@ -161,21 +163,20 @@ impl Tc {
                     });
                 }
                 let mut valuable = true;
-                let int = mono(hc(Con::Int));
                 for a in args {
                     let at = self.synth_term(ctx, a)?;
-                    self.ty_sub(ctx, &at.ty, &int)?;
+                    self.ty_sub(ctx, &at.ty, self.int_ty())?;
                     valuable &= at.valuable;
                 }
                 let out = match op {
-                    PrimOp::Add | PrimOp::Sub | PrimOp::Mul => Con::Int,
-                    PrimOp::Eq | PrimOp::Lt => Con::Bool,
+                    PrimOp::Add | PrimOp::Sub | PrimOp::Mul => self.int_ty(),
+                    PrimOp::Eq | PrimOp::Lt => self.bool_ty(),
                 };
-                Ok(Typing::new(mono(hc(out)), valuable))
+                Ok(Typing::new(out.clone(), valuable))
             }
             Term::If(c, t, f) => {
                 let ct = self.synth_term(ctx, c)?;
-                self.ty_sub(ctx, &ct.ty, &mono(hc(Con::Bool)))?;
+                self.ty_sub(ctx, &ct.ty, self.bool_ty())?;
                 let tt = self.synth_term(ctx, t)?;
                 let ft = self.synth_term(ctx, f)?;
                 let ty = self.join(ctx, &tt.ty, &ft.ty)?;

@@ -379,7 +379,9 @@ impl Tc {
                     return Ok(None);
                 };
                 match &*pk {
-                    Kind::Sigma(_, k2) => Ok(Some(subst_con_kind_hc(k2, &Con::Proj1(p.clone())))),
+                    Kind::Sigma(_, k2) => {
+                        Ok(Some(subst_con_kind_hc(k2, &hc(Con::Proj1(p.clone())))))
+                    }
                     k => raise(TypeError::NotASigmaKind(show::kind(k))),
                 }
             }

@@ -34,7 +34,7 @@
 //!     carrow(Con::Int, fst(0)),
 //!     lam(tcon(Con::Int), fail(tcon(fst(1)))),
 //! );
-//! let s = split_module(&tc, &mut ctx, &mfix(ann, body)).unwrap();
+//! let s = split_module(&tc, &mut ctx, mfix(ann, body)).unwrap();
 //! assert!(matches!(s.con, Con::Mu(_, _)));     // static: μα:κ.c(α)
 //! assert!(matches!(s.term, Term::Fix(_, _)));  // dynamic: fix(x:σ.e(α,x))
 //! ```

@@ -22,7 +22,7 @@
 use recmod_kernel::{raise, Ctx, Entry, Tc, TcResult, TypeError};
 use recmod_syntax::ast::{Con, Kind, Module, Sig, Term, Ty};
 use recmod_syntax::intern::hc;
-use recmod_syntax::map::{map_con, map_term, VarMap};
+use recmod_syntax::map::{map_con, map_term_mut, VarMap};
 use recmod_syntax::size::{con_size, module_size, term_size};
 use recmod_syntax::subst::{shift_con, subst_con_ty_hc};
 
@@ -85,19 +85,22 @@ impl VarMap for FixBodyRedirect<'_> {
 ///
 /// Recursive modules become a `μ` constructor paired with a term-level
 /// `fix`; sealing is erased (it has no run-time content); structure
-/// variables split into `Fst(s)`/`snd(s)`.
+/// variables split into `Fst(s)`/`snd(s)`. The module is consumed: a
+/// flat structure's parts move into the split as they are, so a caller
+/// that still needs the module clones it first.
 ///
 /// # Errors
 ///
 /// Propagates kernel errors from resolving rds annotations; the input is
 /// assumed well-typed (run the kernel first).
-pub fn split_module(tc: &Tc, ctx: &mut Ctx, m: &Module) -> TcResult<Split> {
+pub fn split_module(tc: &Tc, ctx: &mut Ctx, m: Module) -> TcResult<Split> {
     recmod_telemetry::stage("stage.split", || {
         let _span = recmod_telemetry::span("phase.split");
         recmod_telemetry::count("phase.split_calls", 1);
+        let nodes_in = recmod_telemetry::enabled().then(|| module_size(&m));
         let split = split_inner(tc, ctx, m)?;
-        if recmod_telemetry::enabled() {
-            recmod_telemetry::count("phase.nodes_in", module_size(m) as u64);
+        if let Some(nodes_in) = nodes_in {
+            recmod_telemetry::count("phase.nodes_in", nodes_in as u64);
             recmod_telemetry::count("phase.nodes_out_static", con_size(&split.con) as u64);
             recmod_telemetry::count("phase.nodes_out_dynamic", term_size(&split.term) as u64);
         }
@@ -105,20 +108,17 @@ pub fn split_module(tc: &Tc, ctx: &mut Ctx, m: &Module) -> TcResult<Split> {
     })
 }
 
-fn split_inner(tc: &Tc, ctx: &mut Ctx, m: &Module) -> TcResult<Split> {
+fn split_inner(tc: &Tc, ctx: &mut Ctx, m: Module) -> TcResult<Split> {
     let _depth = tc.descend("phase.split")?;
     match m {
         Module::Var(i) => Ok(Split {
-            con: Con::Fst(*i),
-            term: Term::Snd(*i),
+            con: Con::Fst(i),
+            term: Term::Snd(i),
         }),
-        Module::Struct(c, e) => Ok(Split {
-            con: c.clone(),
-            term: e.clone(),
-        }),
-        Module::Seal(body, _) => split_inner(tc, ctx, body),
+        Module::Struct(con, term) => Ok(Split { con, term }),
+        Module::Seal(body, _) => split_inner(tc, ctx, *body),
         Module::Fix(ann, body) => {
-            let resolved = tc.resolve_sig(ctx, ann)?;
+            let resolved = tc.resolve_sig(ctx, &ann)?;
             let Sig::Struct(kappa, sigma) = &resolved else {
                 return raise(TypeError::Internal(
                     "resolve_sig returned an unresolved rds".to_string(),
@@ -126,22 +126,23 @@ fn split_inner(tc: &Tc, ctx: &mut Ctx, m: &Module) -> TcResult<Split> {
             };
             let base = strip(kappa);
             let inner = ctx.with(Entry::Struct(resolved.clone(), false), |ctx| {
-                split_inner(tc, ctx, body)
+                split_inner(tc, ctx, *body)
             })?;
             // Static half: μα:κ. c(α)   — the structure binder becomes α.
             let mu_body = retarget_fst(&inner.con, 0);
-            let static_part = Con::Mu(hc(base), hc(mu_body));
+            let static_part = hc(Con::Mu(hc(base), hc(mu_body)));
             // Dynamic half: fix(x : σ[μ.../α] . e(μ..., x)).
             let fix_ty = subst_con_ty_hc(sigma, &static_part);
-            let fix_body = map_term(
-                &inner.term,
+            let mut fix_body = inner.term;
+            map_term_mut(
+                &mut fix_body,
                 0,
                 &mut FixBodyRedirect {
                     static_part: &static_part,
                 },
             );
             Ok(Split {
-                con: static_part,
+                con: static_part.take(),
                 term: Term::Fix(fix_ty, Box::new(fix_body)),
             })
         }
@@ -217,7 +218,7 @@ mod tests {
         let tc = Tc::new();
         let mut ctx = Ctx::new();
         let m = strct(Con::Int, int(3));
-        let s = split_module(&tc, &mut ctx, &m).unwrap();
+        let s = split_module(&tc, &mut ctx, m).unwrap();
         assert_eq!(s.con, Con::Int);
         assert_eq!(s.term, int(3));
     }
@@ -226,7 +227,7 @@ mod tests {
     fn variable_splits_into_fst_snd() {
         let tc = Tc::new();
         let mut ctx = Ctx::new();
-        let s = split_module(&tc, &mut ctx, &mvar(2)).unwrap();
+        let s = split_module(&tc, &mut ctx, mvar(2)).unwrap();
         assert_eq!(s.con, fst(2));
         assert_eq!(s.term, snd(2));
     }
@@ -236,7 +237,7 @@ mod tests {
         let tc = Tc::new();
         let mut ctx = Ctx::new();
         let m = seal(strct(Con::Int, int(1)), sig(tkind(), tcon(cvar(0))));
-        let s = split_module(&tc, &mut ctx, &m).unwrap();
+        let s = split_module(&tc, &mut ctx, m).unwrap();
         assert_eq!(s.con, Con::Int);
         assert_eq!(s.term, int(1));
     }
@@ -252,7 +253,7 @@ mod tests {
             lam(tcon(Con::Int), fail(tcon(fst(1)))),
         );
         let m = mfix(ann, body);
-        let s = split_module(&tc, &mut ctx, &m).unwrap();
+        let s = split_module(&tc, &mut ctx, m).unwrap();
 
         let expected_mu = mu(tkind(), carrow(Con::Int, cvar(0)));
         assert_eq!(s.con, expected_mu);
@@ -271,7 +272,7 @@ mod tests {
         let mut ctx = Ctx::new();
         let ann = sig(tkind(), Ty::Unit);
         let m = mfix(ann, strct(carrow(Con::Int, fst(0)), Term::Star));
-        let s = split_module(&tc, &mut ctx, &m).unwrap();
+        let s = split_module(&tc, &mut ctx, m).unwrap();
         assert!(is_pure_structure(&s.clone().into_module()));
     }
 
@@ -284,7 +285,7 @@ mod tests {
         let ann = sig(unit_kind(), partial(tcon(Con::Int), tcon(Con::Int)));
         let body = strct(Con::Star, lam(tcon(Con::Int), app(snd(1), var(0))));
         let m = mfix(ann, body);
-        let s = split_module(&tc, &mut ctx, &m).unwrap();
+        let s = split_module(&tc, &mut ctx, m).unwrap();
         let Term::Fix(_, fix_body) = &s.term else {
             panic!()
         };

@@ -39,8 +39,8 @@ pub struct Verified {
 /// but incomplete; see `recmod_kernel::termeq`).
 pub fn module_eq(tc: &Tc, ctx: &mut Ctx, m1: &Module, m2: &Module) -> TcResult<()> {
     let _span = recmod_telemetry::span("phase.module_eq");
-    let s1 = split_module(tc, ctx, m1)?;
-    let s2 = split_module(tc, ctx, m2)?;
+    let s1 = split_module(tc, ctx, m1.clone())?;
+    let s2 = split_module(tc, ctx, m2.clone())?;
     recmod_kernel::termeq::parts_eq(tc, ctx, (&s1.con, &s1.term), (&s2.con, &s2.term))
 }
 
@@ -60,7 +60,7 @@ pub fn check_split(tc: &Tc, ctx: &mut Ctx, m: &Module) -> TcResult<Verified> {
         let _span = recmod_telemetry::span("phase.verify");
         recmod_telemetry::count("phase.verify_calls", 1);
         let original = tc.synth_module(ctx, m)?;
-        let split = split_module(tc, ctx, m)?;
+        let split = split_module(tc, ctx, m.clone())?;
         let reassembled = split.clone().into_module();
         if !is_pure_structure(&reassembled) {
             return raise(TypeError::Other(

@@ -3,22 +3,29 @@
 //! examples using an informal external language closely modeled after
 //! the syntax of Standard ML").
 
+use std::rc::Rc;
+
 use crate::error::Span;
+
+/// An identifier. The lexer allocates each one once; the parser moves it
+/// into the tree, and the elaborator's environment keys and shapes share
+/// that allocation.
+pub type Name = Rc<str>;
 
 /// A (possibly qualified) name `X.Y.t`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Path {
     /// The name parts, outermost first.
-    pub parts: Vec<String>,
+    pub parts: Vec<Name>,
     /// Source location.
     pub span: Span,
 }
 
 impl Path {
     /// A single-part path.
-    pub fn simple(name: impl Into<String>, span: Span) -> Self {
+    pub fn simple(name: Name, span: Span) -> Self {
         Path {
-            parts: vec![name.into()],
+            parts: vec![name],
             span,
         }
     }
@@ -81,7 +88,7 @@ pub enum Pat {
     /// `_`
     Wild(Span),
     /// A variable.
-    Var(String, Span),
+    Var(Name, Span),
     /// A datatype constructor, with optional argument pattern.
     Con(Path, Option<Box<Pat>>, Span),
     /// A tuple pattern.
@@ -115,7 +122,7 @@ pub enum Exp {
     /// Tuple `(e₁, …, eₙ)` with n ≥ 2.
     Tuple(Vec<Exp>, Span),
     /// `fn (x : ty) => e`
-    Fn(String, TyExp, Box<Exp>, Span),
+    Fn(Name, TyExp, Box<Exp>, Span),
     /// `if e₁ then e₂ else e₃`
     If(Box<Exp>, Box<Exp>, Box<Exp>, Span),
     /// `case e of p₁ => e₁ | …`
@@ -153,7 +160,7 @@ impl Exp {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CtorDecl {
     /// The constructor name.
-    pub name: String,
+    pub name: Name,
     /// The argument type, if any (`C of ty`).
     pub arg: Option<TyExp>,
     /// Source location.
@@ -166,7 +173,7 @@ pub enum Dec {
     /// `type t = ty`
     Type {
         /// The type name.
-        name: String,
+        name: Name,
         /// Its definition.
         def: TyExp,
         /// Source location.
@@ -175,7 +182,7 @@ pub enum Dec {
     /// `datatype t = C₁ of ty | C₂ | …`
     Datatype {
         /// The datatype name.
-        name: String,
+        name: Name,
         /// Its constructors.
         ctors: Vec<CtorDecl>,
         /// Source location.
@@ -184,7 +191,7 @@ pub enum Dec {
     /// `val x = e` / `val x : ty = e`
     Val {
         /// The value name.
-        name: String,
+        name: Name,
         /// Optional ascription.
         ann: Option<TyExp>,
         /// The bound expression.
@@ -195,9 +202,9 @@ pub enum Dec {
     /// `fun f (x : ty) : ty' = e` — recursive.
     Fun {
         /// The function name.
-        name: String,
+        name: Name,
         /// The parameter name.
-        param: String,
+        param: Name,
         /// The parameter type.
         param_ty: TyExp,
         /// The result type.
@@ -230,7 +237,7 @@ pub enum Spec {
     /// `type t` (opaque) or `type t = ty` (transparent)
     Type {
         /// The type name.
-        name: String,
+        name: Name,
         /// The definition, if transparent.
         def: Option<TyExp>,
         /// Source location.
@@ -240,7 +247,7 @@ pub enum Spec {
     /// see paper §4 on the structural interpretation inside rds's.
     Datatype {
         /// The datatype name.
-        name: String,
+        name: Name,
         /// Its constructors.
         ctors: Vec<CtorDecl>,
         /// Source location.
@@ -249,7 +256,7 @@ pub enum Spec {
     /// `val x : ty`
     Val {
         /// The value name.
-        name: String,
+        name: Name,
         /// Its type.
         ty: TyExp,
         /// Source location.
@@ -258,7 +265,7 @@ pub enum Spec {
     /// `structure X : SIG`
     Structure {
         /// The substructure name.
-        name: String,
+        name: Name,
         /// Its signature.
         sig: SigExp,
         /// Source location.
@@ -292,7 +299,7 @@ impl Spec {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SigExp {
     /// A named signature.
-    Name(String, Span),
+    Name(Name, Span),
     /// `sig spec… end`
     Body(Vec<Spec>, Span),
     /// `SIG where type p = ty`
@@ -327,7 +334,7 @@ pub enum StrExp {
     /// Functor application `F (structure X = M)` or `F (M)`.
     App {
         /// The functor name.
-        functor: String,
+        functor: Name,
         /// The argument.
         arg: Box<StrExp>,
         /// Source location.
@@ -362,7 +369,7 @@ impl StrExp {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StrBind {
     /// The structure name.
-    pub name: String,
+    pub name: Name,
     /// Optional ascription `(sig, opaque)`.
     pub ann: Option<(SigExp, bool)>,
     /// The right-hand side.
@@ -377,7 +384,7 @@ pub enum TopDec {
     /// `signature SIG = sigexp`
     Signature {
         /// The signature name.
-        name: String,
+        name: Name,
         /// The definition.
         sig: SigExp,
         /// Source location.
@@ -395,9 +402,9 @@ pub enum TopDec {
     /// `functor F (structure [rec] X : SIG) = M`
     Functor {
         /// The functor name.
-        name: String,
+        name: Name,
         /// The parameter name.
-        param: String,
+        param: Name,
         /// `true` when the parameter signature is recursively dependent
         /// (`structure rec X : SIG` — paper §4's `BuildList`).
         param_rec: bool,
@@ -411,7 +418,7 @@ pub enum TopDec {
     /// Top-level `val x = e`.
     Val {
         /// The value name.
-        name: String,
+        name: Name,
         /// Optional ascription.
         ann: Option<TyExp>,
         /// The bound expression.
@@ -422,9 +429,9 @@ pub enum TopDec {
     /// Top-level `fun f (x:ty) : ty' = e` (recursive).
     Fun {
         /// The function name.
-        name: String,
+        name: Name,
         /// The parameter name.
-        param: String,
+        param: Name,
         /// The parameter type.
         param_ty: TyExp,
         /// The result type.

@@ -19,7 +19,7 @@ use recmod_syntax::ast::{Con, Kind, Term};
 use recmod_syntax::intern::hc;
 use recmod_syntax::subst::shift_con;
 
-use crate::ast::{Path, TyExp};
+use crate::ast::{Name, Path, TyExp};
 use crate::env::{depth_delta, ElabEnv, Entity, StructEntity};
 use crate::error::{ErrorKind, Span, SurfaceError, SurfaceResult};
 use crate::shape::{con_proj, term_proj, DataInfo, Item};
@@ -191,16 +191,21 @@ impl Elaborator {
     /// Resolves a (possibly dotted) structure path to a view of the
     /// denoted structure, expressed at the current depth.
     pub(crate) fn resolve_struct(&self, path: &Path) -> SurfaceResult<StructEntity> {
-        let first = &path.parts[0];
+        self.resolve_struct_parts(&path.parts, path.span)
+    }
+
+    /// [`Elaborator::resolve_struct`] on the path `parts`, located at `span`.
+    fn resolve_struct_parts(&self, parts: &[Name], span: Span) -> SurfaceResult<StructEntity> {
+        let first = &parts[0];
         let entity = self
             .env
             .lookup(first)
-            .ok_or_else(|| SurfaceError::new(path.span, ErrorKind::Unbound(first.clone())))?;
+            .ok_or_else(|| SurfaceError::new(span, ErrorKind::Unbound(first.to_string())))?;
         let Entity::Struct(base) = entity else {
             return Err(SurfaceError::new(
-                path.span,
+                span,
                 ErrorKind::WrongEntity {
-                    name: first.clone(),
+                    name: first.to_string(),
                     expected: "a structure",
                 },
             ));
@@ -211,8 +216,8 @@ impl Elaborator {
             dynamics: base.dynamics_at(self.depth()),
             depth: self.depth(),
         };
-        for part in &path.parts[1..] {
-            cur = self.project_substruct(&cur, part, path.span)?;
+        for part in &parts[1..] {
+            cur = self.project_substruct(&cur, part, span)?;
         }
         Ok(cur)
     }
@@ -224,16 +229,14 @@ impl Elaborator {
         path: &'p Path,
     ) -> SurfaceResult<(StructEntity, &'p str)> {
         debug_assert!(path.parts.len() >= 2);
-        let prefix = Path {
-            parts: path.parts[..path.parts.len() - 1].to_vec(),
-            span: path.span,
+        let Some((field, prefix)) = path.parts.split_last() else {
+            return Err(SurfaceError::internal(
+                path.span,
+                "resolve_prefix on an empty path",
+            ));
         };
-        let st = self.resolve_struct(&prefix)?;
-        let field = path
-            .parts
-            .last()
-            .ok_or_else(|| SurfaceError::internal(path.span, "resolve_prefix on an empty path"))?;
-        Ok((st, field.as_str()))
+        let st = self.resolve_struct_parts(prefix, path.span)?;
+        Ok((st, field))
     }
 
     fn project_substruct(
@@ -282,11 +285,11 @@ impl Elaborator {
                 Some(_) => self.err(
                     path.span,
                     ErrorKind::WrongEntity {
-                        name: name.clone(),
+                        name: name.to_string(),
                         expected: "a type",
                     },
                 ),
-                None => self.err(path.span, ErrorKind::Unbound(name.clone())),
+                None => self.err(path.span, ErrorKind::Unbound(name.to_string())),
             }
         } else {
             let (st, field) = self.resolve_prefix(path)?;
@@ -319,11 +322,11 @@ impl Elaborator {
                 Some(_) => self.err(
                     path.span,
                     ErrorKind::WrongEntity {
-                        name: name.clone(),
+                        name: name.to_string(),
                         expected: "a value",
                     },
                 ),
-                None => self.err(path.span, ErrorKind::Unbound(name.clone())),
+                None => self.err(path.span, ErrorKind::Unbound(name.to_string())),
             }
         } else {
             let (st, field) = self.resolve_prefix(path)?;
@@ -361,7 +364,7 @@ impl Elaborator {
                 _ => self.err(
                     path.span,
                     ErrorKind::WrongEntity {
-                        name: name.clone(),
+                        name: name.to_string(),
                         expected: "a datatype constructor",
                     },
                 ),
@@ -448,14 +451,14 @@ impl Elaborator {
     /// argument types (bound to the `μ` variable).
     pub(crate) fn elab_datatype_con(
         &mut self,
-        name: &str,
+        name: &Name,
         ctors: &[crate::ast::CtorDecl],
     ) -> SurfaceResult<(Con, DataInfo)> {
         // Elaborate summands under the μ binder.
         self.ctx.push(Entry::Con(hc(Kind::Type)));
         let mark = self.env.mark();
         self.env.insert(
-            name,
+            name.clone(),
             Entity::TyAlias {
                 con: Con::Var(0),
                 depth: self.depth(),
@@ -594,14 +597,14 @@ mod tests {
                 arg: Some(TyExp::Prod(
                     vec![
                         TyExp::Int(Span::default()),
-                        TyExp::Path(Path::simple("t", Span::default())),
+                        TyExp::Path(Path::simple("t".into(), Span::default())),
                     ],
                     Span::default(),
                 )),
                 span: Span::default(),
             },
         ];
-        let (mu, info) = e.elab_datatype_con("t", &ctors).unwrap();
+        let (mu, info) = e.elab_datatype_con(&"t".into(), &ctors).unwrap();
         assert_eq!(
             mu,
             Con::Mu(
@@ -622,7 +625,7 @@ mod tests {
     #[test]
     fn unbound_type_reported() {
         let mut e = Elaborator::new();
-        let t = TyExp::Path(Path::simple("mystery", Span::default()));
+        let t = TyExp::Path(Path::simple("mystery".into(), Span::default()));
         assert!(matches!(
             e.elab_ty(&t),
             Err(SurfaceError {

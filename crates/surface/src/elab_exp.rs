@@ -11,7 +11,7 @@ use recmod_syntax::ast::{Con, PrimOp, Term, Ty};
 use recmod_syntax::intern::{hc, HC};
 use recmod_syntax::subst::{shift_con, shift_term};
 
-use crate::ast::{BinOp, Dec, Exp, Pat};
+use crate::ast::{BinOp, Dec, Exp, Name, Pat};
 use crate::elab::{CtorRes, Elaborator};
 use crate::error::{ErrorKind, Span, SurfaceError, SurfaceResult};
 use crate::shape::Item;
@@ -27,9 +27,9 @@ pub(crate) struct BodyAcc {
     /// `lets[i]` is expressed at depth `base_depth + i`.
     pub lets: Vec<Term>,
     /// Static components: `(name, constructor, depth at elaboration)`.
-    pub statics: Vec<(String, Con, usize)>,
+    pub statics: Vec<(Name, Con, usize)>,
     /// Shape fields in declaration order.
-    pub fields: Vec<(String, Item)>,
+    pub fields: Vec<(Name, Item)>,
 }
 
 impl BodyAcc {
@@ -178,21 +178,21 @@ impl Elaborator {
             }
             Dec::Structure(bind) => {
                 let st = self.elab_strbind_inner(bind)?;
+                let statics = shift_con(&st.statics, 1, 0);
                 acc.statics
-                    .push((bind.name.clone(), st.statics.clone(), self.depth()));
-                let pos = self.push_dynamic(acc, st.dynamics.clone(), bind.span)?;
+                    .push((bind.name.clone(), st.statics, self.depth()));
+                self.push_dynamic(acc, st.dynamics, bind.span)?;
                 acc.fields
                     .push((bind.name.clone(), Item::Struct(st.shape.clone())));
                 self.env.insert(
                     bind.name.clone(),
                     crate::env::Entity::Struct(crate::env::StructEntity {
                         shape: st.shape,
-                        statics: shift_con(&st.statics, 1, 0),
+                        statics,
                         dynamics: Term::Var(0),
                         depth: self.depth(),
                     }),
                 );
-                let _ = pos;
                 Ok(())
             }
         }
@@ -201,8 +201,8 @@ impl Elaborator {
     /// `fun f (x : pty) : rty = body` — a recursive function via `fix`.
     pub(crate) fn elab_fun(
         &mut self,
-        name: &str,
-        param: &str,
+        name: &Name,
+        param: &Name,
         param_ty: &crate::ast::TyExp,
         ret_ty: &crate::ast::TyExp,
         body: &Exp,
@@ -214,7 +214,7 @@ impl Elaborator {
         let env_mark = self.env.mark();
         self.ctx.push(Entry::Term(fn_ty.clone(), false));
         self.env.insert(
-            name.to_string(),
+            name.clone(),
             crate::env::Entity::Val {
                 pos: self.depth() - 1,
             },
@@ -222,7 +222,7 @@ impl Elaborator {
         self.ctx
             .push(Entry::Term(hc(Ty::con(shift_con(&pc, 1, 0))), true));
         self.env.insert(
-            param.to_string(),
+            param.clone(),
             crate::env::Entity::Val {
                 pos: self.depth() - 1,
             },
@@ -422,7 +422,7 @@ impl Elaborator {
                     }
                     return Ok(Term::Let(Box::new(scrut_term), Box::new(term)));
                 }
-                Pat::Var(x, _) if !self.is_ctor(&crate::ast::Path::simple(x, span)) => {
+                Pat::Var(x, _) if !self.is_ctor(&crate::ast::Path::simple(x.clone(), span)) => {
                     let typing = self
                         .kernel(|tc, ctx| tc.synth_term(ctx, &scrut_term))
                         .map_err(|e| self.terr(span, e))?;
@@ -703,7 +703,7 @@ impl Elaborator {
         match pat {
             Pat::Con(path, _, _) => Ok(Some(self.resolve_ctor(path)?)),
             Pat::Var(x, sp) => {
-                let p = crate::ast::Path::simple(x, *sp);
+                let p = crate::ast::Path::simple(x.clone(), *sp);
                 if self.is_ctor(&p) {
                     Ok(Some(self.resolve_ctor(&p)?))
                 } else {

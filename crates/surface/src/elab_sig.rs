@@ -16,7 +16,7 @@ use recmod_syntax::ast::{Con, Kind, Term, Ty};
 use recmod_syntax::intern::hc;
 use recmod_syntax::subst::{shift_con, subst_con_ty};
 
-use crate::ast::{SigExp, Spec};
+use crate::ast::{Name, SigExp, Spec};
 use crate::elab::Elaborator;
 use crate::env::{Entity, SigTemplate, StructEntity};
 use crate::error::{ErrorKind, Span, SurfaceError, SurfaceResult};
@@ -38,11 +38,11 @@ impl Elaborator {
                 Some(_) => self.err(
                     *span,
                     ErrorKind::WrongEntity {
-                        name: name.clone(),
+                        name: name.to_string(),
                         expected: "a signature",
                     },
                 ),
-                None => self.err(*span, ErrorKind::Unbound(name.clone())),
+                None => self.err(*span, ErrorKind::Unbound(name.to_string())),
             },
             SigExp::Body(specs, span) => self.elab_sig_body(specs, *span),
             SigExp::WhereType {
@@ -75,7 +75,7 @@ impl Elaborator {
         // Duplicate check.
         let mut seen = std::collections::HashSet::new();
         for spec in specs {
-            if !seen.insert(spec.name().to_string()) {
+            if !seen.insert(spec.name()) {
                 return self.err(spec.span(), ErrorKind::Duplicate(spec.name().to_string()));
             }
         }
@@ -84,10 +84,10 @@ impl Elaborator {
         // ---- pass 1: static kinds (under accumulating Σ binders) ----
         let mark = self.env.mark();
         let mut slot_kinds: Vec<Kind> = Vec::new();
-        let mut fields: Vec<(String, Item)> = Vec::new();
+        let mut fields: Vec<(Name, Item)> = Vec::new();
         // Substructure σ's: (name, σ under its own α, Σ binders in scope
         // when it was elaborated).
-        let mut sub_tys: Vec<(String, Ty, usize)> = Vec::new();
+        let mut sub_tys: Vec<(Name, Ty, usize)> = Vec::new();
         let mut pass1 = || -> SurfaceResult<()> {
             for spec in specs {
                 match spec {
@@ -155,14 +155,14 @@ impl Elaborator {
             let proj = con_proj(Con::Var(0), slot, n_static);
             match item {
                 Item::Ty => self.env.insert(
-                    name.to_string(),
+                    name.clone(),
                     Entity::TyAlias {
                         con: proj,
                         depth: alpha_depth,
                     },
                 ),
                 Item::Data(info) => self.env.insert(
-                    name.to_string(),
+                    name.clone(),
                     Entity::Data {
                         con: proj,
                         depth: alpha_depth,
@@ -170,7 +170,7 @@ impl Elaborator {
                     },
                 ),
                 Item::Struct(sub_shape) => self.env.insert(
-                    name.to_string(),
+                    name.clone(),
                     Entity::Struct(StructEntity {
                         shape: sub_shape.clone(),
                         statics: proj,
@@ -256,7 +256,7 @@ impl Elaborator {
     }
 
     /// Pushes a `Σ` binder for a static slot and binds its surface name.
-    fn push_static_slot(&mut self, name: &str, kind: Kind, sub: Option<Shape>) {
+    fn push_static_slot(&mut self, name: &Name, kind: Kind, sub: Option<Shape>) {
         self.ctx.push(Entry::Con(hc(kind)));
         match sub {
             None => {
@@ -264,7 +264,7 @@ impl Elaborator {
                 // during pass 1 (constructor metadata is not needed in
                 // kinds).
                 self.env.insert(
-                    name.to_string(),
+                    name.clone(),
                     Entity::TyAlias {
                         con: Con::Var(0),
                         depth: self.depth(),
@@ -273,7 +273,7 @@ impl Elaborator {
             }
             Some(shape) => {
                 self.env.insert(
-                    name.to_string(),
+                    name.clone(),
                     Entity::Struct(StructEntity {
                         shape,
                         statics: Con::Var(0),
@@ -290,7 +290,7 @@ impl Elaborator {
     pub(crate) fn refine_template(
         &mut self,
         tmpl: SigTemplate,
-        parts: &[String],
+        parts: &[Name],
         def: &Con,
         span: Span,
     ) -> SurfaceResult<SigTemplate> {
@@ -306,13 +306,13 @@ impl Elaborator {
 fn refine_kind(
     kind: &Kind,
     shape: &Shape,
-    parts: &[String],
+    parts: &[Name],
     def: &Con,
     crossed: usize,
 ) -> Result<Kind, ErrorKind> {
     let name = &parts[0];
     let Some(slot) = shape.static_slot(name) else {
-        return Err(ErrorKind::Unbound(name.clone()));
+        return Err(ErrorKind::Unbound(name.to_string()));
     };
     let n = shape.static_len();
     let Some(item) = shape.find(name) else {
@@ -337,7 +337,7 @@ fn refine_kind(
             match item {
                 Item::Struct(sub_shape) => refine_kind(target, sub_shape, &parts[1..], def, total),
                 _ => Err(ErrorKind::WrongEntity {
-                    name: name.clone(),
+                    name: name.to_string(),
                     expected: "a substructure",
                 }),
             }
@@ -548,14 +548,14 @@ mod tests {
         let mut e = Elaborator::new();
         let tmpl = e.elab_sigexp(sig).unwrap();
         let refined = e
-            .refine_template(tmpl, &["u".to_string()], &Con::Bool, Span::default())
+            .refine_template(tmpl, &["u".into()], &Con::Bool, Span::default())
             .unwrap();
         let Kind::Sigma(_, k2) = &refined.kind else {
             panic!()
         };
         assert_eq!(**k2, Kind::Singleton(recmod_syntax::intern::hc(Con::Bool)));
         // Refining an already-transparent component fails.
-        let again = e.refine_template(refined, &["u".to_string()], &Con::Int, Span::default());
+        let again = e.refine_template(refined, &["u".into()], &Con::Int, Span::default());
         assert!(again.is_err());
     }
 

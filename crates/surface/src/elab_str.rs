@@ -20,7 +20,7 @@ use recmod_syntax::intern::hc;
 use recmod_syntax::map::VarMap;
 use recmod_syntax::subst::{shift_con, shift_kind, shift_term, shift_ty, subst_con_ty};
 
-use crate::ast::{Dec, SigExp, Spec, StrBind, StrExp, TopDec};
+use crate::ast::{Dec, Name, SigExp, Spec, StrBind, StrExp, TopDec};
 use crate::elab::{Elaborator, TopBinding};
 use crate::env::{Entity, FunctorEntity, SigTemplate, StructEntity};
 use crate::error::{ErrorKind, Span, SurfaceError, SurfaceResult};
@@ -42,54 +42,36 @@ impl Elaborator {
         match se {
             StrExp::Path(p) => self.resolve_struct(p),
             StrExp::Body(decs, span) => self.elab_struct_body(decs, *span),
+            // Both `:` and `:>` check the coerced structure against the
+            // signature; true opacity takes effect when the expression is
+            // *bound* (the binding's context entry gets the sealed
+            // signature). See `elab_plain_structure`.
             StrExp::Ascribe {
-                body,
-                sig,
-                opaque,
-                span,
-            } => {
-                let tmpl = self.elab_sigexp(sig)?;
-                let src = self.elab_strexp(body)?;
-                let coerced = self.coerce(&src, &tmpl.shape, *span)?;
-                let target = tmpl.instantiate(self.depth());
-                let module = Module::Struct(coerced.statics.clone(), coerced.dynamics.clone());
-                // Both `:` and `:>` check the coerced structure against
-                // the signature; true opacity takes effect when the
-                // expression is *bound* (the binding's context entry gets
-                // the sealed signature). See `bind_structure`.
-                self.kernel(|tc, ctx| tc.check_module(ctx, &module, &target))
-                    .map_err(|e| self.terr(*span, e))?;
-                let _ = opaque;
-                Ok(StructEntity {
-                    shape: tmpl.shape,
-                    ..coerced
-                })
-            }
+                body, sig, span, ..
+            } => self.elab_ascription(body, sig, *span),
             StrExp::App { functor, arg, span } => {
                 let Some(Entity::Functor(fe)) = self.env.lookup(functor) else {
                     return match self.env.lookup(functor) {
                         Some(_) => self.err(
                             *span,
                             ErrorKind::WrongEntity {
-                                name: functor.clone(),
+                                name: functor.to_string(),
                                 expected: "a functor",
                             },
                         ),
-                        None => self.err(*span, ErrorKind::Unbound(functor.clone())),
+                        None => self.err(*span, ErrorKind::Unbound(functor.to_string())),
                     };
                 };
                 let fe = fe.clone();
                 let src = self.elab_strexp(arg)?;
-                let coerced = self.coerce(&src, &fe.param.shape, *span)?;
+                let coerced = self.coerce(src, &fe.param.shape, *span)?;
                 // Check the (coerced) argument against the parameter
                 // signature — this is where an rds parameter's recursive
                 // type equations are demanded of the argument.
                 let param_sig = self
                     .retarget_template(fe.param.clone())
                     .instantiate(self.depth());
-                let arg_mod = Module::Struct(coerced.statics.clone(), coerced.dynamics.clone());
-                self.kernel(|tc, ctx| tc.check_module(ctx, &arg_mod, &param_sig))
-                    .map_err(|e| self.terr(*span, e))?;
+                let coerced = self.check_struct(coerced, &param_sig, *span)?;
                 // β-reduce the application (the HMM equational rule):
                 // shift the stored body to this depth (keeping its
                 // parameter binder fixed), then substitute the argument's
@@ -109,6 +91,53 @@ impl Elaborator {
                 })
             }
         }
+    }
+
+    /// Elaborates `body : sig` (or `body :> sig`): coerces the body to
+    /// the signature's layout and checks it against the signature.
+    fn elab_ascription(
+        &mut self,
+        body: &StrExp,
+        sig: &SigExp,
+        span: Span,
+    ) -> SurfaceResult<StructEntity> {
+        let tmpl = self.elab_sigexp(sig)?;
+        let src = self.elab_strexp(body)?;
+        let coerced = self.coerce(src, &tmpl.shape, span)?;
+        let target = tmpl.instantiate(self.depth());
+        let checked = self.check_struct(coerced, &target, span)?;
+        Ok(StructEntity {
+            shape: tmpl.shape,
+            ..checked
+        })
+    }
+
+    /// `Γ ⊢ [c, e] : S` for an inline structure. The parts move into the
+    /// module the kernel checks and are taken back out afterwards.
+    fn check_struct(
+        &mut self,
+        es: StructEntity,
+        target: &Sig,
+        span: Span,
+    ) -> SurfaceResult<StructEntity> {
+        let StructEntity {
+            shape,
+            statics,
+            dynamics,
+            depth,
+        } = es;
+        let module = Module::Struct(statics, dynamics);
+        self.kernel(|tc, ctx| tc.check_module(ctx, &module, target))
+            .map_err(|e| self.terr(span, e))?;
+        let Module::Struct(statics, dynamics) = module else {
+            unreachable!("the module was built as a structure")
+        };
+        Ok(StructEntity {
+            shape,
+            statics,
+            dynamics,
+            depth,
+        })
     }
 
     /// Elaborates `struct decs end`.
@@ -135,8 +164,8 @@ impl Elaborator {
                     .collect::<Vec<_>>(),
             );
             let mut term = tuple;
-            for bound in acc.lets.iter().rev() {
-                term = Term::Let(Box::new(bound.clone()), Box::new(term));
+            for bound in acc.lets.drain(..).rev() {
+                term = Term::Let(Box::new(bound), Box::new(term));
             }
             let statics = con_tuple(
                 acc.statics
@@ -167,9 +196,19 @@ impl Elaborator {
         }
     }
 
-    /// Elaborates a nested (in-body) structure binding.
+    /// Elaborates a structure binding's right-hand side, ascribed to its
+    /// annotation if it has one. An annotated binding elaborates as the
+    /// ascription `body : sig` spanning the whole binding would.
     pub(crate) fn elab_strbind_inner(&mut self, bind: &StrBind) -> SurfaceResult<StructEntity> {
-        self.elab_strexp(&apply_ann(bind))
+        match &bind.ann {
+            Some((sig, _)) => {
+                let _j = recmod_telemetry::judgement_span("surface.elab_strexp");
+                self.with_depth(bind.span, |this| {
+                    this.elab_ascription(&bind.body, sig, bind.span)
+                })
+            }
+            None => self.elab_strexp(&bind.body),
+        }
     }
 
     // ------------------------------------------------------------------
@@ -180,15 +219,15 @@ impl Elaborator {
     /// components, reordering, recursing into substructures).
     pub(crate) fn coerce(
         &mut self,
-        src: &StructEntity,
+        src: StructEntity,
         target: &Shape,
         span: Span,
     ) -> SurfaceResult<StructEntity> {
         if src.shape == *target {
-            return Ok(src.clone());
+            return Ok(src);
         }
         let statics = self.coerce_statics(&src.statics, &src.shape, target, span)?;
-        let dynamics = self.coerce_dynamics(src.dynamics.clone(), &src.shape, target, span)?;
+        let dynamics = self.coerce_dynamics(src.dynamics, &src.shape, target, span)?;
         Ok(StructEntity {
             shape: target.clone(),
             statics,
@@ -380,7 +419,7 @@ impl Elaborator {
         result
     }
 
-    fn bind_value(&mut self, name: &str, term: Term, span: Span) -> SurfaceResult<()> {
+    fn bind_value(&mut self, name: &Name, term: Term, span: Span) -> SurfaceResult<()> {
         let typing = self
             .kernel(|tc, ctx| tc.synth_term(ctx, &term))
             .map_err(|e| self.terr(span, e))?;
@@ -390,7 +429,7 @@ impl Elaborator {
         );
         self.ctx.push(Entry::Term(typing.ty, typing.valuable));
         self.env.insert(
-            name.to_string(),
+            name.clone(),
             Entity::Val {
                 pos: self.depth() - 1,
             },
@@ -408,9 +447,8 @@ impl Elaborator {
     }
 
     fn elab_plain_structure(&mut self, bind: &StrBind) -> SurfaceResult<()> {
-        let se = apply_ann(bind);
-        let es = self.elab_strexp(&se)?;
-        let module = Module::Struct(es.statics.clone(), es.dynamics.clone());
+        let es = self.elab_strbind_inner(bind)?;
+        let module = Module::Struct(es.statics, es.dynamics);
         // Opaque ascription: seal the context entry.
         let module = match &bind.ann {
             Some((sig, true)) => {
@@ -422,7 +460,7 @@ impl Elaborator {
         let mt = self
             .kernel(|tc, ctx| tc.synth_module(ctx, &module))
             .map_err(|e| self.terr(bind.span, e))?;
-        let split = recmod_phase::split_module(&self.tc, &mut self.ctx, &module)
+        let split = recmod_phase::split_module(&self.tc, &mut self.ctx, module)
             .map_err(|e| self.terr(bind.span, e))?;
         let describe =
             recmod_syntax::pretty::sig_to_string(&mt.sig, &mut recmod_syntax::pretty::Names::new());
@@ -437,7 +475,7 @@ impl Elaborator {
             }),
         );
         self.bindings.push(TopBinding {
-            name: bind.name.clone(),
+            name: bind.name.to_string(),
             describe,
             dynamic: split.term,
             static_part: Some(split.con),
@@ -454,8 +492,8 @@ impl Elaborator {
 
     fn elab_functor(
         &mut self,
-        name: &str,
-        param: &str,
+        name: &Name,
+        param: &Name,
         param_rec: bool,
         param_sig: &SigExp,
         body: &StrExp,
@@ -482,7 +520,7 @@ impl Elaborator {
         let mark = self.env.mark();
         self.ctx.push(Entry::Struct(resolved, true));
         self.env.insert(
-            param.to_string(),
+            param.clone(),
             Entity::Struct(StructEntity {
                 shape: param_tmpl.shape.clone(),
                 statics: Con::Fst(0),
@@ -508,14 +546,14 @@ impl Elaborator {
         let mt = self
             .kernel(|tc, ctx| tc.synth_module(ctx, &module))
             .map_err(|e| self.terr(span, e))?;
-        let split = recmod_phase::split_module(&self.tc, &mut self.ctx, &module)
+        let split = recmod_phase::split_module(&self.tc, &mut self.ctx, module)
             .map_err(|e| self.terr(span, e))?;
         let describe =
             recmod_syntax::pretty::sig_to_string(&mt.sig, &mut recmod_syntax::pretty::Names::new());
         let param_record = param_tmpl;
         self.ctx.push(Entry::Struct(mt.sig, mt.valuable));
         self.env.insert(
-            name.to_string(),
+            name.clone(),
             Entity::Functor(FunctorEntity {
                 statics: Con::Fst(0),
                 dynamics: Term::Snd(0),
@@ -546,7 +584,7 @@ impl Elaborator {
     /// §4, available as [`crate::extrude`].
     pub(crate) fn elab_rds_sig(
         &mut self,
-        self_name: &str,
+        self_name: &Name,
         sig: &SigExp,
         span: Span,
     ) -> SurfaceResult<SigTemplate> {
@@ -556,7 +594,7 @@ impl Elaborator {
         self.ctx
             .push(Entry::Struct(Sig::Struct(hc(stripped), hc(Ty::Unit)), true));
         self.env.insert(
-            self_name.to_string(),
+            self_name.clone(),
             Entity::Struct(StructEntity {
                 shape: skeleton,
                 statics: Con::Fst(0),
@@ -792,7 +830,7 @@ impl Elaborator {
                     break;
                 }
             };
-            match self.coerce(&es, &t.shape, b.span) {
+            match self.coerce(es, &t.shape, b.span) {
                 Ok(c) => members.push(c),
                 Err(e) => {
                     failure = Some(e);
@@ -806,15 +844,13 @@ impl Elaborator {
             return Err(e);
         }
 
-        let body_mod = Module::Struct(
-            con_tuple(members.iter().map(|m| m.statics.clone()).collect()),
-            term_tuple(members.iter().map(|m| m.dynamics.clone()).collect()),
-        );
+        let (statics, dynamics) = members.into_iter().map(|m| (m.statics, m.dynamics)).unzip();
+        let body_mod = Module::Struct(con_tuple(statics), term_tuple(dynamics));
         let fix_mod = Module::Fix(Box::new(ann_sig), Box::new(body_mod));
         let mt = self
             .kernel(|tc, ctx| tc.synth_module(ctx, &fix_mod))
             .map_err(|e| self.terr(span, e))?;
-        let split = recmod_phase::split_module(&self.tc, &mut self.ctx, &fix_mod)
+        let split = recmod_phase::split_module(&self.tc, &mut self.ctx, fix_mod)
             .map_err(|e| self.terr(span, e))?;
         let describe =
             recmod_syntax::pretty::sig_to_string(&mt.sig, &mut recmod_syntax::pretty::Names::new());
@@ -822,7 +858,7 @@ impl Elaborator {
         let hidden = self.fresh("rec");
         self.ctx.push(Entry::Struct(mt.sig, true));
         self.env.insert(
-            hidden.clone(),
+            hidden.as_str().into(),
             Entity::Struct(StructEntity {
                 shape: group_shape,
                 statics: Con::Fst(0),
@@ -876,7 +912,7 @@ impl Elaborator {
             }
             StrExp::App { functor, arg, span } => {
                 let Some(Entity::Functor(fe)) = self.env.lookup(functor) else {
-                    return self.err(*span, ErrorKind::Unbound(functor.clone()));
+                    return self.err(*span, ErrorKind::Unbound(functor.to_string()));
                 };
                 let fe = fe.clone();
                 let (ac, ashape) = self.statics_of_strexp(arg)?;
@@ -972,11 +1008,11 @@ impl Elaborator {
                 Some(_) => self.err(
                     *span,
                     ErrorKind::WrongEntity {
-                        name: name.clone(),
+                        name: name.to_string(),
                         expected: "a signature",
                     },
                 ),
-                None => self.err(*span, ErrorKind::Unbound(name.clone())),
+                None => self.err(*span, ErrorKind::Unbound(name.to_string())),
             },
             SigExp::WhereType { base, .. } => self.sig_skeleton(base),
             SigExp::Body(specs, _) => {
@@ -1011,19 +1047,6 @@ impl Elaborator {
     }
 }
 
-/// Folds an optional binding annotation into the structure expression.
-fn apply_ann(bind: &StrBind) -> StrExp {
-    match &bind.ann {
-        Some((sig, opaque)) => StrExp::Ascribe {
-            body: Box::new(bind.body.clone()),
-            sig: sig.clone(),
-            opaque: *opaque,
-            span: bind.span,
-        },
-        None => bind.body.clone(),
-    }
-}
-
 /// The all-opaque frame kind of a shape: `T` per type slot, recursively.
 fn skeleton_strip_kind(shape: &Shape) -> Kind {
     kind_tuple(
@@ -1054,7 +1077,7 @@ fn fill_opaque_slots(
 ) -> Result<Kind, ErrorKind> {
     fn go(
         kind: &Kind,
-        slots: &[(String, ItemKind)],
+        slots: &[(Name, ItemKind)],
         idx: usize,
         body_con: &Con,
         body_shape: &Shape,
@@ -1138,11 +1161,11 @@ fn fill_opaque_slots(
         }
     }
 
-    let slots: Vec<(String, ItemKind)> = sig_shape
+    let slots: Vec<(Name, ItemKind)> = sig_shape
         .static_fields()
         .map(|(n, item, _)| {
             (
-                n.to_string(),
+                n.clone(),
                 match item {
                     Item::Struct(s) => ItemKind::Sub(s.clone()),
                     _ => ItemKind::Leaf,

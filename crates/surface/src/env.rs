@@ -8,6 +8,7 @@
 use recmod_syntax::ast::{Con, Kind, Term, Ty};
 use recmod_syntax::subst::{shift_con, shift_kind, shift_term, shift_ty};
 
+use crate::ast::Name;
 use crate::shape::{DataInfo, Shape};
 
 /// An elaborated signature: the pieces of an internal `[α:κ.σ]` plus the
@@ -164,7 +165,7 @@ pub fn depth_delta(stored: usize, at: usize) -> isize {
 /// A name → entity map with block scoping.
 #[derive(Debug, Default)]
 pub struct ElabEnv {
-    entries: Vec<(String, Entity)>,
+    entries: Vec<(Name, Entity)>,
 }
 
 impl ElabEnv {
@@ -174,8 +175,8 @@ impl ElabEnv {
     }
 
     /// Binds `name` (shadowing any previous binding).
-    pub fn insert(&mut self, name: impl Into<String>, entity: Entity) {
-        self.entries.push((name.into(), entity));
+    pub fn insert(&mut self, name: Name, entity: Entity) {
+        self.entries.push((name, entity));
     }
 
     /// Looks a name up, innermost binding first.
@@ -183,7 +184,7 @@ impl ElabEnv {
         self.entries
             .iter()
             .rev()
-            .find(|(n, _)| n == name)
+            .find(|(n, _)| **n == *name)
             .map(|(_, e)| e)
     }
 
@@ -205,9 +206,9 @@ mod tests {
     #[test]
     fn lookup_prefers_inner_bindings() {
         let mut env = ElabEnv::new();
-        env.insert("x", Entity::Val { pos: 0 });
+        env.insert("x".into(), Entity::Val { pos: 0 });
         let m = env.mark();
-        env.insert("x", Entity::Val { pos: 5 });
+        env.insert("x".into(), Entity::Val { pos: 5 });
         assert_eq!(env.lookup("x"), Some(&Entity::Val { pos: 5 }));
         env.reset(m);
         assert_eq!(env.lookup("x"), Some(&Entity::Val { pos: 0 }));

@@ -245,7 +245,7 @@ pub fn lex_recover(src: &str, limits: &Limits) -> (Vec<Spanned>, Vec<SurfaceErro
                     "raise" => Tok::Raise,
                     "true" => Tok::True,
                     "false" => Tok::False,
-                    _ => Tok::Ident(word.to_string()),
+                    _ => Tok::Ident(word.into()),
                 };
                 out.push(Spanned {
                     tok,

@@ -111,12 +111,13 @@ impl Parser {
         self.toks[self.pos].span
     }
 
-    fn bump(&mut self) -> Spanned {
-        let t = self.toks[self.pos].clone();
+    /// Steps past the current token, returning its span.
+    fn bump(&mut self) -> Span {
+        let sp = self.span();
         if self.pos + 1 < self.toks.len() {
             self.pos += 1;
         }
-        t
+        sp
     }
 
     fn eat(&mut self, t: Tok) -> bool {
@@ -130,7 +131,7 @@ impl Parser {
 
     fn expect(&mut self, t: Tok) -> SurfaceResult<Span> {
         if *self.peek() == t {
-            Ok(self.bump().span)
+            Ok(self.bump())
         } else {
             Err(self.err(format!("expected `{t}`, found `{}`", self.peek())))
         }
@@ -140,13 +141,16 @@ impl Parser {
         SurfaceError::new(self.span(), ErrorKind::Parse(msg))
     }
 
-    fn ident(&mut self) -> SurfaceResult<(String, Span)> {
-        match self.peek().clone() {
-            Tok::Ident(name) => {
-                let sp = self.bump().span;
-                Ok((name, sp))
+    fn ident(&mut self) -> SurfaceResult<(Name, Span)> {
+        // The parser never backtracks, so the name moves out of the token
+        // and a placeholder that owns nothing takes its place.
+        match std::mem::replace(&mut self.toks[self.pos].tok, Tok::Eof) {
+            Tok::Ident(name) => Ok((name, self.bump())),
+            other => {
+                let err = self.err(format!("expected an identifier, found `{other}`"));
+                self.toks[self.pos].tok = other;
+                Err(err)
             }
-            other => Err(self.err(format!("expected an identifier, found `{other}`"))),
         }
     }
 
@@ -252,7 +256,7 @@ impl Parser {
     fn topdec(&mut self) -> SurfaceResult<TopDec> {
         match self.peek() {
             Tok::Signature => {
-                let sp = self.bump().span;
+                let sp = self.bump();
                 let (name, _) = self.ident()?;
                 self.expect(Tok::Eq)?;
                 let sig = self.sigexp()?;
@@ -263,7 +267,7 @@ impl Parser {
                 })
             }
             Tok::Structure => {
-                let sp = self.bump().span;
+                let sp = self.bump();
                 let rec_ = self.eat(Tok::Rec);
                 let mut binds = vec![self.strbind()?];
                 while self.eat(Tok::And) {
@@ -277,7 +281,7 @@ impl Parser {
                 })
             }
             Tok::Functor => {
-                let sp = self.bump().span;
+                let sp = self.bump();
                 let (name, _) = self.ident()?;
                 self.expect(Tok::LParen)?;
                 self.expect(Tok::Structure)?;
@@ -298,7 +302,7 @@ impl Parser {
                 })
             }
             Tok::Val => {
-                let sp = self.bump().span;
+                let sp = self.bump();
                 let (name, _) = self.ident()?;
                 let ann = if self.eat(Tok::Colon) {
                     Some(self.tyexp()?)
@@ -331,7 +335,7 @@ impl Parser {
 
     /// `fun f (x : ty) : ty' = e`, with the `fun` keyword still pending.
     #[allow(clippy::type_complexity)]
-    fn fun_tail(&mut self) -> SurfaceResult<(String, String, TyExp, TyExp, Exp, Span)> {
+    fn fun_tail(&mut self) -> SurfaceResult<(Name, Name, TyExp, TyExp, Exp, Span)> {
         let sp = self.expect(Tok::Fun)?;
         let (name, _) = self.ident()?;
         self.expect(Tok::LParen)?;
@@ -400,9 +404,9 @@ impl Parser {
     }
 
     fn strexp_base(&mut self) -> SurfaceResult<StrExp> {
-        match self.peek().clone() {
+        match self.peek() {
             Tok::Struct => {
-                let sp = self.bump().span;
+                let sp = self.bump();
                 let mut decs = Vec::new();
                 while *self.peek() != Tok::End {
                     decs.push(self.dec()?);
@@ -445,9 +449,9 @@ impl Parser {
     }
 
     fn sigexp_inner(&mut self) -> SurfaceResult<SigExp> {
-        let mut base = match self.peek().clone() {
+        let mut base = match self.peek() {
             Tok::Sig => {
-                let sp = self.bump().span;
+                let sp = self.bump();
                 let mut specs = Vec::new();
                 while *self.peek() != Tok::End {
                     specs.push(self.spec()?);
@@ -455,8 +459,8 @@ impl Parser {
                 let end = self.expect(Tok::End)?;
                 SigExp::Body(specs, sp.to(end))
             }
-            Tok::Ident(name) => {
-                let sp = self.bump().span;
+            Tok::Ident(_) => {
+                let (name, sp) = self.ident()?;
                 SigExp::Name(name, sp)
             }
             other => {
@@ -483,7 +487,7 @@ impl Parser {
     fn spec(&mut self) -> SurfaceResult<Spec> {
         match self.peek() {
             Tok::Type => {
-                let sp = self.bump().span;
+                let sp = self.bump();
                 let (name, nsp) = self.ident()?;
                 if self.eat(Tok::Eq) {
                     let def = self.tyexp()?;
@@ -505,7 +509,7 @@ impl Parser {
                 Ok(Spec::Datatype { name, ctors, span })
             }
             Tok::Val => {
-                let sp = self.bump().span;
+                let sp = self.bump();
                 let (name, _) = self.ident()?;
                 self.expect(Tok::Colon)?;
                 let ty = self.tyexp()?;
@@ -516,7 +520,7 @@ impl Parser {
                 })
             }
             Tok::Structure => {
-                let sp = self.bump().span;
+                let sp = self.bump();
                 let (name, _) = self.ident()?;
                 self.expect(Tok::Colon)?;
                 let sig = self.sigexp()?;
@@ -530,7 +534,7 @@ impl Parser {
         }
     }
 
-    fn datatype_tail(&mut self) -> SurfaceResult<(String, Vec<CtorDecl>, Span)> {
+    fn datatype_tail(&mut self) -> SurfaceResult<(Name, Vec<CtorDecl>, Span)> {
         let sp = self.expect(Tok::Datatype)?;
         let (name, _) = self.ident()?;
         self.expect(Tok::Eq)?;
@@ -565,7 +569,7 @@ impl Parser {
     fn dec_inner(&mut self) -> SurfaceResult<Dec> {
         match self.peek() {
             Tok::Type => {
-                let sp = self.bump().span;
+                let sp = self.bump();
                 let (name, _) = self.ident()?;
                 self.expect(Tok::Eq)?;
                 let def = self.tyexp()?;
@@ -580,7 +584,7 @@ impl Parser {
                 Ok(Dec::Datatype { name, ctors, span })
             }
             Tok::Val => {
-                let sp = self.bump().span;
+                let sp = self.bump();
                 let (name, _) = self.ident()?;
                 let ann = if self.eat(Tok::Colon) {
                     Some(self.tyexp()?)
@@ -608,7 +612,7 @@ impl Parser {
                 })
             }
             Tok::Structure => {
-                let sp = self.bump().span;
+                let sp = self.bump();
                 let mut bind = self.strbind()?;
                 bind.span = sp.to(bind.span);
                 Ok(Dec::Structure(bind))
@@ -652,17 +656,17 @@ impl Parser {
     }
 
     fn ty_atom(&mut self) -> SurfaceResult<TyExp> {
-        match self.peek().clone() {
-            Tok::Ident(name) if name == "int" => {
-                let sp = self.bump().span;
+        match self.peek() {
+            Tok::Ident(name) if &**name == "int" => {
+                let sp = self.bump();
                 Ok(TyExp::Int(sp))
             }
-            Tok::Ident(name) if name == "bool" => {
-                let sp = self.bump().span;
+            Tok::Ident(name) if &**name == "bool" => {
+                let sp = self.bump();
                 Ok(TyExp::Bool(sp))
             }
-            Tok::Ident(name) if name == "unit" => {
-                let sp = self.bump().span;
+            Tok::Ident(name) if &**name == "unit" => {
+                let sp = self.bump();
                 Ok(TyExp::Unit(sp))
             }
             Tok::Ident(_) => Ok(TyExp::Path(self.path()?)),
@@ -683,7 +687,7 @@ impl Parser {
     }
 
     fn pat_inner(&mut self) -> SurfaceResult<Pat> {
-        match self.peek().clone() {
+        match self.peek() {
             Tok::Ident(_) => {
                 let path = self.path()?;
                 // `C atpat` is a constructor application pattern.
@@ -712,9 +716,9 @@ impl Parser {
     }
 
     fn atpat(&mut self) -> SurfaceResult<Pat> {
-        match self.peek().clone() {
+        match self.peek() {
             Tok::Wild => {
-                let sp = self.bump().span;
+                let sp = self.bump();
                 Ok(Pat::Wild(sp))
             }
             Tok::Ident(_) => {
@@ -730,7 +734,7 @@ impl Parser {
                 }
             }
             Tok::LParen => {
-                let sp = self.bump().span;
+                let sp = self.bump();
                 let mut parts = vec![self.pat()?];
                 while self.eat(Tok::Comma) {
                     parts.push(self.pat()?);
@@ -758,7 +762,7 @@ impl Parser {
     fn exp_inner(&mut self) -> SurfaceResult<Exp> {
         match self.peek() {
             Tok::Fn => {
-                let sp = self.bump().span;
+                let sp = self.bump();
                 self.expect(Tok::LParen)?;
                 let (x, _) = self.ident()?;
                 self.expect(Tok::Colon)?;
@@ -770,7 +774,7 @@ impl Parser {
                 Ok(Exp::Fn(x, ty, Box::new(body), span))
             }
             Tok::If => {
-                let sp = self.bump().span;
+                let sp = self.bump();
                 let c = self.exp()?;
                 self.expect(Tok::Then)?;
                 let t = self.exp()?;
@@ -780,7 +784,7 @@ impl Parser {
                 Ok(Exp::If(Box::new(c), Box::new(t), Box::new(f), span))
             }
             Tok::Case => {
-                let sp = self.bump().span;
+                let sp = self.bump();
                 let scrut = self.exp()?;
                 self.expect(Tok::Of)?;
                 let mut arms = Vec::new();
@@ -797,7 +801,7 @@ impl Parser {
                 Ok(Exp::Case(Box::new(scrut), arms, sp.to(end)))
             }
             Tok::Let => {
-                let sp = self.bump().span;
+                let sp = self.bump();
                 let mut decs = Vec::new();
                 while *self.peek() != Tok::In {
                     decs.push(self.dec()?);
@@ -808,7 +812,7 @@ impl Parser {
                 Ok(Exp::Let(decs, Box::new(body), sp.to(end)))
             }
             Tok::Raise => {
-                let sp = self.bump().span;
+                let sp = self.bump();
                 // Accept `raise Fail` (any identifier is allowed as the
                 // exception name; only Fail exists).
                 let (_, esp) = self.ident()?;
@@ -875,24 +879,24 @@ impl Parser {
     }
 
     fn at_exp(&mut self) -> SurfaceResult<Exp> {
-        match self.peek().clone() {
-            Tok::Int(n) => {
-                let sp = self.bump().span;
+        match self.peek() {
+            &Tok::Int(n) => {
+                let sp = self.bump();
                 Ok(Exp::Int(n, sp))
             }
             Tok::True => {
-                let sp = self.bump().span;
+                let sp = self.bump();
                 Ok(Exp::Bool(true, sp))
             }
             Tok::False => {
-                let sp = self.bump().span;
+                let sp = self.bump();
                 Ok(Exp::Bool(false, sp))
             }
             Tok::Ident(_) => Ok(Exp::Path(self.path()?)),
             Tok::LParen => {
-                let sp = self.bump().span;
+                let sp = self.bump();
                 if *self.peek() == Tok::RParen {
-                    let end = self.bump().span;
+                    let end = self.bump();
                     return Ok(Exp::Unit(sp.to(end)));
                 }
                 let first = self.exp()?;
@@ -983,7 +987,7 @@ mod tests {
         else {
             panic!()
         };
-        assert_eq!(name, "LIST");
+        assert_eq!(&**name, "LIST");
         assert_eq!(specs.len(), 5);
         assert!(matches!(specs[0], Spec::Type { def: None, .. }));
     }
@@ -1003,7 +1007,7 @@ mod tests {
             panic!()
         };
         assert!(rec_);
-        assert_eq!(binds[0].name, "List");
+        assert_eq!(&*binds[0].name, "List");
         let Some((SigExp::Body(specs, _), false)) = &binds[0].ann else {
             panic!()
         };
@@ -1011,7 +1015,7 @@ mod tests {
             panic!()
         };
         assert_eq!(ctors.len(), 2);
-        assert_eq!(ctors[1].name, "CONS");
+        assert_eq!(&*ctors[1].name, "CONS");
     }
 
     #[test]
@@ -1044,7 +1048,7 @@ mod tests {
         else {
             panic!()
         };
-        assert_eq!(name, "BuildList");
+        assert_eq!(&**name, "BuildList");
         assert!(param_rec);
         let TopDec::Structure { binds, .. } = &p.decls[1] else {
             panic!()
@@ -1057,7 +1061,7 @@ mod tests {
         let e = parse_exp("case l of NIL => 0 | CONS (n, rest) => n").unwrap();
         let Exp::Case(_, arms, _) = e else { panic!() };
         assert_eq!(arms.len(), 2);
-        assert!(matches!(&arms[0].0, Pat::Var(n, _) if n == "NIL"));
+        assert!(matches!(&arms[0].0, Pat::Var(n, _) if &**n == "NIL"));
         let Pat::Con(p, Some(arg), _) = &arms[1].0 else {
             panic!()
         };

@@ -16,6 +16,8 @@ use std::rc::Rc;
 use recmod_syntax::ast::{Con, Term, Ty};
 use recmod_syntax::intern::hc;
 
+use crate::ast::Name;
+
 /// Metadata for a datatype component: its constructors in declaration
 /// order. Shapes must stay free of de Bruijn indices (they travel across
 /// binding depths), so only names and arities are recorded; argument
@@ -23,7 +25,7 @@ use recmod_syntax::intern::hc;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DataInfo {
     /// `(constructor name, takes an argument)`, in declaration order.
-    pub ctors: Rc<[(String, bool)]>,
+    pub ctors: Rc<[(Name, bool)]>,
 }
 
 impl DataInfo {
@@ -32,7 +34,7 @@ impl DataInfo {
         self.ctors
             .iter()
             .enumerate()
-            .find(|(_, (n, _))| n == name)
+            .find(|(_, (n, _))| **n == *name)
             .map(|(i, (_, has_arg))| (i, *has_arg))
     }
 }
@@ -56,7 +58,7 @@ pub enum Item {
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Shape {
     /// The named fields, in declaration order.
-    pub fields: Rc<[(String, Item)]>,
+    pub fields: Rc<[(Name, Item)]>,
 }
 
 impl Shape {
@@ -67,7 +69,10 @@ impl Shape {
 
     /// Looks up a field by name.
     pub fn find(&self, name: &str) -> Option<&Item> {
-        self.fields.iter().find(|(n, _)| n == name).map(|(_, i)| i)
+        self.fields
+            .iter()
+            .find(|(n, _)| **n == *name)
+            .map(|(_, i)| i)
     }
 
     /// The position of `name` among the *static* slots, if it has one.
@@ -75,7 +80,7 @@ impl Shape {
         let mut slot = 0;
         for (n, item) in self.fields.iter() {
             let has_static = matches!(item, Item::Ty | Item::Data(_) | Item::Struct(_));
-            if n == name {
+            if **n == *name {
                 return has_static.then_some(slot);
             }
             if has_static {
@@ -90,7 +95,7 @@ impl Shape {
         let mut slot = 0;
         for (n, item) in self.fields.iter() {
             let has_dyn = matches!(item, Item::Val | Item::Struct(_));
-            if n == name {
+            if **n == *name {
                 return has_dyn.then_some(slot);
             }
             if has_dyn {
@@ -117,28 +122,28 @@ impl Shape {
     }
 
     /// Iterates `(name, item, static_slot)` over fields with static slots.
-    pub fn static_fields(&self) -> impl Iterator<Item = (&str, &Item, usize)> {
+    pub fn static_fields(&self) -> impl Iterator<Item = (&Name, &Item, usize)> {
         self.fields
             .iter()
             .filter(|(_, i)| matches!(i, Item::Ty | Item::Data(_) | Item::Struct(_)))
             .enumerate()
-            .map(|(slot, (n, i))| (n.as_str(), i, slot))
+            .map(|(slot, (n, i))| (n, i, slot))
     }
 
     /// Iterates `(name, item, dyn_slot)` over fields with dynamic slots.
-    pub fn dyn_fields(&self) -> impl Iterator<Item = (&str, &Item, usize)> {
+    pub fn dyn_fields(&self) -> impl Iterator<Item = (&Name, &Item, usize)> {
         self.fields
             .iter()
             .filter(|(_, i)| matches!(i, Item::Val | Item::Struct(_)))
             .enumerate()
-            .map(|(slot, (n, i))| (n.as_str(), i, slot))
+            .map(|(slot, (n, i))| (n, i, slot))
     }
 
     /// Finds the datatype (if any) that declares constructor `ctor`,
     /// returning the datatype field name and its info.
-    pub fn data_of_ctor(&self, ctor: &str) -> Option<(&str, &DataInfo)> {
+    pub fn data_of_ctor(&self, ctor: &str) -> Option<(&Name, &DataInfo)> {
         self.fields.iter().find_map(|(n, item)| match item {
-            Item::Data(info) if info.find(ctor).is_some() => Some((n.as_str(), info)),
+            Item::Data(info) if info.find(ctor).is_some() => Some((n, info)),
             _ => None,
         })
     }
@@ -260,7 +265,7 @@ mod tests {
     fn ctor_lookup() {
         let s = sample();
         let (dt, info) = s.data_of_ctor("CONS").unwrap();
-        assert_eq!(dt, "t");
+        assert_eq!(&**dt, "t");
         assert_eq!(info.find("CONS"), Some((1, true)));
         assert_eq!(info.find("NIL"), Some((0, false)));
         assert!(s.data_of_ctor("nope").is_none());

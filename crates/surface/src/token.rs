@@ -93,7 +93,7 @@ pub enum Tok {
     /// An integer literal.
     Int(i64),
     /// An identifier (either case; the parser distinguishes by role).
-    Ident(String),
+    Ident(crate::ast::Name),
     /// End of input.
     Eof,
 }

@@ -191,35 +191,61 @@ pub fn map_ty<M: VarMap>(t: &Ty, d: usize, m: &mut M) -> Ty {
 
 /// Applies `m` to every variable occurrence in `e`, starting at depth `d`.
 pub fn map_term<M: VarMap>(e: &Term, d: usize, m: &mut M) -> Term {
+    let mut out = e.clone();
+    map_term_mut(&mut out, d, m);
+    out
+}
+
+/// [`map_term`] on a term the caller owns: rewrites it in place, so its
+/// boxes are reused rather than rebuilt. Children are visited left to
+/// right, a binder's annotation before its body.
+pub fn map_term_mut<M: VarMap>(e: &mut Term, d: usize, m: &mut M) {
     match e {
-        Term::Var(i) => m.tvar(d, *i),
-        Term::Snd(i) => m.snd(d, *i),
-        Term::Star => Term::Star,
-        Term::Lam(t, b) => Term::Lam(map_ty_hc(t, d, m), Box::new(map_term(b, d + 1, m))),
-        Term::App(f, a) => Term::App(Box::new(map_term(f, d, m)), Box::new(map_term(a, d, m))),
-        Term::Pair(a, b) => Term::Pair(Box::new(map_term(a, d, m)), Box::new(map_term(b, d, m))),
-        Term::Proj1(a) => Term::Proj1(Box::new(map_term(a, d, m))),
-        Term::Proj2(a) => Term::Proj2(Box::new(map_term(a, d, m))),
-        Term::TLam(k, b) => Term::TLam(map_kind_hc(k, d, m), Box::new(map_term(b, d + 1, m))),
-        Term::TApp(f, c) => Term::TApp(Box::new(map_term(f, d, m)), map_con(c, d, m)),
-        Term::Fix(t, b) => Term::Fix(map_ty_hc(t, d, m), Box::new(map_term(b, d + 1, m))),
-        Term::IntLit(n) => Term::IntLit(*n),
-        Term::BoolLit(b) => Term::BoolLit(*b),
-        Term::Prim(op, args) => Term::Prim(*op, args.iter().map(|a| map_term(a, d, m)).collect()),
-        Term::If(c, t, f) => Term::If(
-            Box::new(map_term(c, d, m)),
-            Box::new(map_term(t, d, m)),
-            Box::new(map_term(f, d, m)),
-        ),
-        Term::Inj(i, c, e) => Term::Inj(*i, map_con(c, d, m), Box::new(map_term(e, d, m))),
-        Term::Case(s, bs) => Term::Case(
-            Box::new(map_term(s, d, m)),
-            bs.iter().map(|b| map_term(b, d + 1, m)).collect(),
-        ),
-        Term::Roll(c, e) => Term::Roll(map_con(c, d, m), Box::new(map_term(e, d, m))),
-        Term::Unroll(e) => Term::Unroll(Box::new(map_term(e, d, m))),
-        Term::Fail(t) => Term::Fail(map_ty_hc(t, d, m)),
-        Term::Let(e, b) => Term::Let(Box::new(map_term(e, d, m)), Box::new(map_term(b, d + 1, m))),
+        Term::Var(i) => {
+            let i = *i;
+            *e = m.tvar(d, i);
+        }
+        Term::Snd(i) => {
+            let i = *i;
+            *e = m.snd(d, i);
+        }
+        Term::Star | Term::IntLit(_) | Term::BoolLit(_) => {}
+        Term::Lam(t, b) | Term::Fix(t, b) => {
+            *t = map_ty_hc(t, d, m);
+            map_term_mut(b, d + 1, m);
+        }
+        Term::App(a, b) | Term::Pair(a, b) => {
+            map_term_mut(a, d, m);
+            map_term_mut(b, d, m);
+        }
+        Term::Proj1(a) | Term::Proj2(a) | Term::Unroll(a) => map_term_mut(a, d, m),
+        Term::TLam(k, b) => {
+            *k = map_kind_hc(k, d, m);
+            map_term_mut(b, d + 1, m);
+        }
+        Term::TApp(f, c) => {
+            map_term_mut(f, d, m);
+            *c = map_con(c, d, m);
+        }
+        Term::Prim(_, args) => args.iter_mut().for_each(|a| map_term_mut(a, d, m)),
+        Term::If(c, t, f) => {
+            map_term_mut(c, d, m);
+            map_term_mut(t, d, m);
+            map_term_mut(f, d, m);
+        }
+        Term::Inj(_, c, a) | Term::Roll(c, a) => {
+            *c = map_con(c, d, m);
+            map_term_mut(a, d, m);
+        }
+        Term::Case(s, bs) => {
+            map_term_mut(s, d, m);
+            bs.iter_mut().for_each(|b| map_term_mut(b, d + 1, m));
+        }
+        Term::Fail(t) => *t = map_ty_hc(t, d, m),
+        Term::Let(a, b) => {
+            map_term_mut(a, d, m);
+            map_term_mut(b, d + 1, m);
+        }
     }
 }
 

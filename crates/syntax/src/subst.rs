@@ -184,8 +184,9 @@ pub fn shift_ty_hc(t: &HC<Ty>, by: isize, cutoff: usize) -> HC<Ty> {
 struct SubstCon<'a> {
     target: usize,
     replacement: &'a Con,
-    /// The replacement's canonical pointer, interned on the first memo
-    /// probe of the call; it also keeps the replacement's id live.
+    /// The replacement's canonical pointer: the caller's own, or interned
+    /// on the first memo probe of the call; it also keeps the
+    /// replacement's id live.
     interned: Option<HC<Con>>,
 }
 
@@ -196,6 +197,16 @@ impl<'a> SubstCon<'a> {
             target: 0,
             replacement,
             interned: None,
+        }
+    }
+
+    /// Substitution of an interned `replacement` for index `0`: the memo
+    /// keys by the caller's pointer, so the call interns nothing for it.
+    fn held(replacement: &'a HC<Con>) -> Self {
+        SubstCon {
+            target: 0,
+            replacement,
+            interned: Some(replacement.clone()),
         }
     }
 
@@ -274,13 +285,13 @@ pub fn subst_con_con(body: &Con, c: &Con) -> Con {
 
 /// [`subst_con_con`] at the pointer level: a body that does not mention
 /// the binder comes back as the identical pointer.
-pub fn subst_con_con_hc(body: &HC<Con>, c: &Con) -> HC<Con> {
-    map_con_hc(body, 0, &mut SubstCon::new(c))
+pub fn subst_con_con_hc(body: &HC<Con>, c: &HC<Con>) -> HC<Con> {
+    map_con_hc(body, 0, &mut SubstCon::held(c))
 }
 
 /// [`subst_con_kind`] at the pointer level.
-pub fn subst_con_kind_hc(k: &HC<Kind>, c: &Con) -> HC<Kind> {
-    map_kind_hc(k, 0, &mut SubstCon::new(c))
+pub fn subst_con_kind_hc(k: &HC<Kind>, c: &HC<Con>) -> HC<Kind> {
+    map_kind_hc(k, 0, &mut SubstCon::held(c))
 }
 
 /// `t[c/α]` for types (index `0`; removes the binder).
@@ -290,8 +301,8 @@ pub fn subst_con_ty(t: &Ty, c: &Con) -> Ty {
 
 /// [`subst_con_ty`] at the pointer level: a type that does not mention
 /// the binder comes back as the identical pointer.
-pub fn subst_con_ty_hc(t: &HC<Ty>, c: &Con) -> HC<Ty> {
-    map_ty_hc(t, 0, &mut SubstCon::new(c))
+pub fn subst_con_ty_hc(t: &HC<Ty>, c: &HC<Con>) -> HC<Ty> {
+    map_ty_hc(t, 0, &mut SubstCon::held(c))
 }
 
 /// `e[c/α]` for terms (index `0`; removes the binder).
@@ -523,14 +534,14 @@ mod tests {
     fn noop_subst_returns_identical_pointer() {
         // Substituting for a binder the body never mentions.
         let body = crate::intern::hc(carrow(Con::Int, cvar(1)));
-        let out = subst_con_con_hc(&body, &Con::Bool);
+        let out = subst_con_con_hc(&body, &crate::intern::hc(Con::Bool));
         // Not pointer-identical (index 1 decrements to 0), but a body
         // strictly below the binder is:
         let closed = crate::intern::hc(carrow(Con::Int, cvar(0)));
         // fv_bound = 1 > 0 → the var *is* the target; rebuilds.
         assert_eq!(*out, carrow(Con::Int, cvar(0)));
         let fully_closed = crate::intern::hc(carrow(Con::Int, Con::Bool));
-        let same = subst_con_con_hc(&fully_closed, &Con::Bool);
+        let same = subst_con_con_hc(&fully_closed, &crate::intern::hc(Con::Bool));
         assert!(HC::ptr_eq(&fully_closed, &same));
         drop(closed);
     }
@@ -554,14 +565,46 @@ mod tests {
             *shift_con_hc(&c, 3, 0),
             clam(tkind(), carrow(cvar(0), cvar(4)))
         );
-        // A substitution interns its replacement once, then hits.
+        // A substitution keys by the caller's pointer to its
+        // replacement, so a repeat makes no probe either.
         let body = crate::intern::hc(carrow(cvar(0), cvar(0)));
-        let first = subst_con_con_hc(&body, &Con::Int);
+        let int = crate::intern::hc(Con::Int);
+        let first = subst_con_con_hc(&body, &int);
         let before = probes();
-        let again = subst_con_con_hc(&body, &Con::Int);
-        assert_eq!(probes(), before + 1);
+        let again = subst_con_con_hc(&body, &int);
+        assert_eq!(probes(), before, "a repeat makes no intern probe");
         assert!(HC::ptr_eq(&first, &again));
         assert_eq!(*again, carrow(Con::Int, Con::Int));
+    }
+
+    #[test]
+    fn term_shifts_cross_every_binder() {
+        use crate::dsl::*;
+        // One of every term former, with indices on both sides of the
+        // cutoff under each kind of binder.
+        let sum = csum([Con::Int, cvar(2)]);
+        let term = |v: [usize; 9]| {
+            let_(
+                app(
+                    lam(tcon(cvar(v[0])), pair(var(0), var(v[1]))),
+                    tapp(tlam(tkind(), proj1(snd(v[2]))), fst(v[3])),
+                ),
+                fix(
+                    partial(tcon(Con::Int), tcon(cvar(v[4]))),
+                    ite(
+                        prim(crate::ast::PrimOp::Lt, int(1), var(v[5])),
+                        case(inj(1, sum.clone(), var(v[6])), [var(0), proj2(var(v[7]))]),
+                        unroll(roll(sum.clone(), fail(tcon(fst(v[8]))))),
+                    ),
+                ),
+            )
+        };
+        let t = term([1, 3, 2, 4, 5, 2, 7, 9, 6]);
+        let shifted = term([3, 5, 4, 6, 7, 2, 9, 11, 8]);
+        assert_eq!(shift_term(&t, 2, 1), shifted);
+        let mut in_place = t;
+        crate::map::map_term_mut(&mut in_place, 0, &mut Shift { by: 2, cutoff: 1 });
+        assert_eq!(in_place, shifted);
     }
 
     #[test]
@@ -576,8 +619,14 @@ mod tests {
         for by in [-3, -1, 1, 7] {
             assert!(HC::ptr_eq(&shift_ty_hc(&t, by, 0), &t));
         }
-        assert!(HC::ptr_eq(&subst_con_ty_hc(&t, &Con::Bool), &t));
-        assert!(HC::ptr_eq(&subst_con_ty_hc(&t, &cvar(4)), &t));
+        assert!(HC::ptr_eq(
+            &subst_con_ty_hc(&t, &crate::intern::hc(Con::Bool)),
+            &t
+        ));
+        assert!(HC::ptr_eq(
+            &subst_con_ty_hc(&t, &crate::intern::hc(cvar(4))),
+            &t
+        ));
     }
 
     #[test]

@@ -77,7 +77,7 @@ fn main() {
         ),
     );
     let fact_mod = mfix(fact_ann, strct(Con::Star, fact));
-    let split = split_module(&tc, &mut ctx, &fact_mod).expect("splits");
+    let split = split_module(&tc, &mut ctx, fact_mod).expect("splits");
     let mut interp = recmod::eval::Interp::new();
     for n in [0i64, 1, 5, 10] {
         let v = interp

@@ -27,6 +27,13 @@ cargo build --release --workspace
 echo "== cargo test =="
 cargo test --workspace -q
 
+echo "== allocation budget (release) =="
+# Gating: a counting global allocator bounds the allocations of one
+# compile of each tests/corpus file and of a six-datatype recursive
+# group at the measured count plus 10%, so a deep copy brought back onto
+# the parse, elaborate or split path fails here.
+cargo test -q -p recmod-tests --release --test allocs
+
 echo "== bounded fuzz (2400 seeded iterations, 200 per class) =="
 FUZZ_ITERS=2400 cargo test -q -p recmod-tests --release --test fuzz
 

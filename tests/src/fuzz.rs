@@ -1583,7 +1583,7 @@ fn case_subst_memo_differential(rng: &mut Rng) -> Result<(), String> {
                 }
             }
             2 | 3 => {
-                let rep = cons[rng.range(0, cons.len())].take();
+                let rep = cons[rng.range(0, cons.len())].clone();
                 let out = subst_con_con_hc(&c, &rep);
                 if !HC::ptr_eq(&out, &hc(ref_subst_con(&c, &rep))) {
                     return fail("subst_con_con_hc");
@@ -1593,7 +1593,7 @@ fn case_subst_memo_differential(rng: &mut Rng) -> Result<(), String> {
                 }
             }
             4 | 5 => {
-                let rep = cons[rng.range(0, cons.len())].take();
+                let rep = cons[rng.range(0, cons.len())].clone();
                 let out = subst_con_kind_hc(&k, &rep);
                 let reference = hc(ref_subst_kind(&k, &rep));
                 if !HC::ptr_eq(&out, &reference)
@@ -1630,7 +1630,7 @@ fn case_subst_memo_differential(rng: &mut Rng) -> Result<(), String> {
                 }
             }
             8 => {
-                let rep = cons[rng.range(0, cons.len())].take();
+                let rep = cons[rng.range(0, cons.len())].clone();
                 let out = subst_con_ty_hc(&t, &rep);
                 if !HC::ptr_eq(&out, &hc(ref_subst_ty(&t, &rep))) {
                     return fail("subst_con_ty_hc");

@@ -147,7 +147,7 @@ fn fig4_split_has_the_equation_shape() {
         lam(tcon(Con::Int), fail(tcon(carrow(Con::Int, fst(1))))),
     );
     let m = mfix(ann, body);
-    let s = split_module(&tc, &mut ctx, &m).unwrap();
+    let s = split_module(&tc, &mut ctx, m).unwrap();
     assert_eq!(s.con, mu(tkind(), carrow(Con::Int, cvar(0))));
     assert!(matches!(s.term, Term::Fix(_, _)));
 }
@@ -188,7 +188,7 @@ fn fig4_split_output_evaluates() {
         ),
     );
     let m = mfix(ann, strct(Con::Star, fact));
-    let s = split_module(&tc, &mut ctx, &m).unwrap();
+    let s = split_module(&tc, &mut ctx, m).unwrap();
     let result = Interp::new().run(&app(s.term, int(5))).unwrap();
     assert_eq!(result.as_int().unwrap(), 120);
 }
@@ -367,7 +367,9 @@ fn fig4_is_a_module_equality() {
     let ann = sig(unit_kind(), partial(tcon(Con::Int), tcon(Con::Int)));
     let body = strct(Con::Star, lam(tcon(Con::Int), app(snd(1), var(0))));
     let m = mfix(ann, body);
-    let interpretation = split_module(&tc, &mut ctx, &m).unwrap().into_module();
+    let interpretation = split_module(&tc, &mut ctx, m.clone())
+        .unwrap()
+        .into_module();
     recmod::phase::verify::module_eq(&tc, &mut ctx, &m, &interpretation).unwrap();
     // And equality is not trivial: a different module is rejected.
     let other = strct(Con::Star, lam(tcon(Con::Int), int(0)));

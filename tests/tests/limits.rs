@@ -107,7 +107,7 @@ fn phase_split_reports_limit_on_deep_module() {
             m = Module::Seal(Box::new(m), Box::new(sig.clone()));
         }
         let tc = Tc::with_limits(Limits::default());
-        let err = recmod::phase::split_module(&tc, &mut Ctx::new(), &m)
+        let err = recmod::phase::split_module(&tc, &mut Ctx::new(), m)
             .expect_err("depth-10000 seal tower must not split");
         assert!(err.is_limit(), "got: {err}");
     });

@@ -1,8 +1,9 @@
 //! The compile service's artifact-cache path. A server opened on a
 //! cache directory that a batch run filled must answer every cacheable
 //! source from the cache, re-rendered under the request's own display
-//! name, exactly as an uncached batch run under that name would; and a
-//! request with a fault armed must bypass the cache in both directions.
+//! name, exactly as an uncached batch run under that name would. A
+//! request with a fault armed must skip the lookup, and its verdict is
+//! stored only if the fault never fired.
 
 use std::path::{Path, PathBuf};
 use std::sync::mpsc::channel;
@@ -122,6 +123,43 @@ fn a_request_with_an_armed_fault_is_compiled_and_not_stored() {
     assert_eq!(r.attempts, 2, "the retry compiled too");
     assert_same_verdict(r, &reference[0]);
     assert_eq!(counter(&counters, "hits"), Some(0));
+    assert_eq!(counter(&counters, "stores"), Some(0));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_request_whose_armed_fault_never_fires_is_stored() {
+    // A one-declaration program crosses a handful of judgement
+    // boundaries; pick a plan whose first injection waits for more.
+    let source = "val x = 1 + 2\n";
+    let plan = (0..)
+        .map(|seed| FaultPlan::always(seed, Some(FaultKind::Panic)))
+        .find(|p| p.decide(0).is_some_and(|inj| inj.after >= 48))
+        .expect("some seed triggers late");
+    let dir = tmp_dir("unfired");
+    let jobs = [Job::new("served.rm", source)];
+    let reference = batch(&jobs, None);
+
+    let (responses, counters) = serve(&jobs, &dir, Some(plan));
+    let r = &responses[0];
+    assert!(r.injected.is_empty(), "the armed fault never fired");
+    assert_eq!(r.attempts, 1);
+    assert_same_verdict(r, &reference[0]);
+    assert_eq!(
+        counter(&counters, "hits"),
+        Some(0),
+        "the lookup was skipped"
+    );
+    assert_eq!(
+        counter(&counters, "stores"),
+        Some(1),
+        "the verdict was stored"
+    );
+
+    // The same request on an unfaulted server is answered from the cache.
+    let (responses, counters) = serve(&jobs, &dir, None);
+    assert_same_verdict(&responses[0], &reference[0]);
+    assert_eq!(counter(&counters, "hits"), Some(1));
     assert_eq!(counter(&counters, "stores"), Some(0));
     let _ = std::fs::remove_dir_all(&dir);
 }
