@@ -23,11 +23,24 @@
 //! the static depth is the length the environment would have at that
 //! binder, and `EvalStats::max_env_depth` reads it directly.
 //!
-//! The translation keeps **exactly one `Code` node per `Term` node**
-//! (even `roll`/`unroll`, which do nothing at run time, keep a node).
-//! The interpreter charges one step per node it enters, so step counts,
-//! fuel, recursion depth and deadline checks are the same as they would
-//! be walking the `Term` itself.
+//! Two shapes with no run-time content are fused into one node each
+//! (superinstructions), so the interpreter runs them without
+//! re-entering its tree walk:
+//!
+//! * `(λx:τ.x) e`, the wrapper an annotation `(e : τ)` elaborates to,
+//!   becomes [`Code::Ascribe`]: no closure is built and no frame opened;
+//! * a chain of `π₁`/`π₂`/`roll`/`unroll` holding at least one
+//!   projection becomes [`Code::Path`], which walks the value by
+//!   reference.
+//!
+//! A chain of `roll`/`unroll` alone stays one [`Code::Coerce`] per
+//! link, which the interpreter runs in a loop in the same frame.
+//!
+//! **Each node charges the `Term` nodes it stands for**: a fused node
+//! charges one step (and one level of recursion depth) for every `Term`
+//! node it replaces, at the point the `Term` walk would have, so step
+//! counts, fuel, recursion depth and deadline checks are the same as
+//! they would be walking the `Term` itself.
 
 use std::rc::Rc;
 
@@ -59,8 +72,20 @@ pub struct Lambda {
     pub(crate) depth: usize,
 }
 
-/// A type-erased program node. Variants mirror [`Term`] one-to-one,
-/// minus the type information the evaluator never reads; the binders
+/// One link of a [`Code::Path`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Link {
+    /// `π₁`.
+    Fst,
+    /// `π₂`.
+    Snd,
+    /// `roll` or `unroll`: no run-time effect.
+    Coerce,
+}
+
+/// A type-erased program node. Variants mirror [`Term`], minus the type
+/// information the evaluator never reads, plus the fused
+/// [`Ascribe`](Code::Ascribe) and [`Path`](Code::Path); the binders
 /// `let`, `case` and `fix` carry their static depth.
 #[derive(Debug)]
 pub enum Code {
@@ -75,12 +100,16 @@ pub enum Code {
     Lam(Rc<Lambda>),
     /// Application.
     App(Box<Code>, Box<Code>),
+    /// `(λx:τ.x) e`, with the static depth of `x`. Charged as its three
+    /// `Term` nodes (the application, the `λ` and the variable) and
+    /// counted as a closure, but no closure is built.
+    Ascribe(Box<Code>, usize),
     /// Pair construction.
     Pair(Box<Code>, Box<Code>),
-    /// First projection.
-    Proj1(Box<Code>),
-    /// Second projection.
-    Proj2(Box<Code>),
+    /// A chain of `π₁`/`π₂`/`roll`/`unroll` over its base, links listed
+    /// innermost first; at least one link is a projection. Charged one
+    /// step and one level of depth per link.
+    Path(Box<[Link]>, Box<Code>),
     /// `Λα:κ.e`; applied, it binds a dummy argument.
     TLam(Rc<Lambda>),
     /// Type application; the constructor argument is erased.
@@ -95,7 +124,8 @@ pub enum Code {
     Inj(usize, Box<Code>),
     /// Case analysis; each branch binds the payload.
     Case(Box<Code>, Box<[Code]>, usize),
-    /// `roll` or `unroll`: no run-time effect, but still one step.
+    /// `roll` or `unroll` outside a projection chain: no run-time
+    /// effect, but still one step.
     Coerce(Box<Code>),
     /// `fail[σ]`.
     Fail,
@@ -145,10 +175,16 @@ impl Eraser {
             Term::BoolLit(b) => Code::Const(Rc::new(Value::Bool(*b))),
             Term::Lam(_, body) => Code::Lam(self.lambda(body)?),
             Term::TLam(_, body) => Code::TLam(self.lambda(body)?),
-            Term::App(f, a) => Code::App(self.boxed(f)?, self.boxed(a)?),
+            Term::App(f, a) => match &**f {
+                // The variable is the λ's own parameter, so the λ
+                // captures nothing and fusing it changes no capture list.
+                Term::Lam(_, body) if matches!(**body, Term::Var(0)) => {
+                    Code::Ascribe(self.boxed(a)?, self.depth + 1)
+                }
+                _ => Code::App(self.boxed(f)?, self.boxed(a)?),
+            },
             Term::Pair(a, b) => Code::Pair(self.boxed(a)?, self.boxed(b)?),
-            Term::Proj1(p) => Code::Proj1(self.boxed(p)?),
-            Term::Proj2(p) => Code::Proj2(self.boxed(p)?),
+            Term::Proj1(_) | Term::Proj2(_) | Term::Roll(..) | Term::Unroll(_) => self.chain(t)?,
             Term::TApp(f, _) => Code::TApp(self.boxed(f)?),
             Term::Fix(_, body) => Code::Fix(Box::new(self.under(body)?), self.depth + 1),
             Term::Prim(op, args) => match args.as_slice() {
@@ -165,13 +201,34 @@ impl Eraser {
                     .collect::<EvalResult<_>>()?;
                 Code::Case(scrut, branches, self.depth + 1)
             }
-            Term::Roll(_, body) | Term::Unroll(body) => Code::Coerce(self.boxed(body)?),
             Term::Fail(_) => Code::Fail,
             Term::Let(bound, body) => {
                 let bound = self.boxed(bound)?;
                 Code::Let(bound, Box::new(self.under(body)?), self.depth + 1)
             }
         })
+    }
+
+    /// Erases a maximal chain of `π₁`/`π₂`/`roll`/`unroll` starting at
+    /// `t`: a [`Code::Path`] when it projects, else nested coercions.
+    fn chain(&mut self, mut t: &Term) -> EvalResult<Code> {
+        let mut links = Vec::new();
+        loop {
+            let (link, inner) = match t {
+                Term::Proj1(p) => (Link::Fst, p),
+                Term::Proj2(p) => (Link::Snd, p),
+                Term::Roll(_, p) | Term::Unroll(p) => (Link::Coerce, p),
+                _ => break,
+            };
+            links.push(link);
+            t = inner;
+        }
+        let base = self.boxed(t)?;
+        if links.iter().all(|&l| l == Link::Coerce) {
+            return Ok(*links.iter().fold(base, |c, _| Box::new(Code::Coerce(c))));
+        }
+        links.reverse();
+        Ok(Code::Path(links.into(), base))
     }
 
     fn boxed(&mut self, t: &Term) -> EvalResult<Box<Code>> {
@@ -229,7 +286,8 @@ mod tests {
     use recmod_syntax::ast::Con;
     use recmod_syntax::dsl::*;
 
-    /// Nodes in a term and in its erasure, counted the same way.
+    /// Nodes in a term: the steps the `Term` walk charged for running
+    /// each of them once.
     fn term_nodes(t: &Term) -> usize {
         1 + match t {
             Term::Var(_)
@@ -254,26 +312,36 @@ mod tests {
         }
     }
 
-    fn code_nodes(c: &Code) -> usize {
-        1 + match c {
-            Code::Var(_) | Code::Open | Code::Const(_) | Code::Fail => 0,
-            Code::Lam(l) | Code::TLam(l) => code_nodes(&l.body),
-            Code::Proj1(b)
-            | Code::Proj2(b)
-            | Code::TApp(b)
-            | Code::Fix(b, _)
-            | Code::Inj(_, b)
-            | Code::Coerce(b) => code_nodes(b),
+    /// The steps the interpreter charges for running every node of `c`
+    /// once: one per node, except that a fused node charges each `Term`
+    /// node it stands for.
+    fn charged(c: &Code) -> usize {
+        match c {
+            Code::Var(_) | Code::Open | Code::Const(_) | Code::Fail => 1,
+            Code::Lam(l) | Code::TLam(l) => 1 + charged(&l.body),
+            // The application, the λ and its variable.
+            Code::Ascribe(e, _) => 3 + charged(e),
+            Code::Path(links, base) => links.len() + charged(base),
+            Code::TApp(b) | Code::Fix(b, _) | Code::Inj(_, b) | Code::Coerce(b) => 1 + charged(b),
             Code::App(a, b) | Code::Pair(a, b) | Code::Let(a, b, _) | Code::Prim(_, a, b) => {
-                code_nodes(a) + code_nodes(b)
+                1 + charged(a) + charged(b)
             }
-            Code::If(c, t, f) => code_nodes(c) + code_nodes(t) + code_nodes(f),
-            Code::Case(s, bs, _) => code_nodes(s) + bs.iter().map(code_nodes).sum::<usize>(),
+            Code::If(c, t, f) => 1 + charged(c) + charged(t) + charged(f),
+            Code::Case(s, bs, _) => 1 + charged(s) + bs.iter().map(charged).sum::<usize>(),
         }
     }
 
+    fn assert_charges_its_term(t: &Term) {
+        let code = erase(t).unwrap();
+        assert_eq!(charged(&code), term_nodes(t), "{code:?}");
+    }
+
+    fn ascribe(e: Term) -> Term {
+        app(lam(tcon(Con::Int), var(0)), e)
+    }
+
     #[test]
-    fn one_code_node_per_term_node() {
+    fn the_code_tree_charges_its_terms_nodes() {
         let listc = mu(tkind(), csum([Con::UnitTy, cprod(Con::Int, cvar(0))]));
         let unrolled = csum([Con::UnitTy, cprod(Con::Int, listc.clone())]);
         let nil = roll(listc.clone(), inj(0, unrolled.clone(), Term::Star));
@@ -283,7 +351,7 @@ mod tests {
                 tlam(tkind(), lam(tcon(Con::Int), app(var(2), var(0)))),
             ),
             case(
-                unroll(nil),
+                unroll(nil.clone()),
                 [
                     ite(boolean(true), int(1), fail(tcon(Con::Int))),
                     prim(
@@ -294,8 +362,52 @@ mod tests {
                 ],
             ),
         );
-        let code = erase(&t).unwrap();
-        assert_eq!(code_nodes(&code), term_nodes(&t));
+        assert_charges_its_term(&t);
+        // Nested ascriptions, over a leaf and over an application.
+        assert_charges_its_term(&ascribe(ascribe(int(1))));
+        assert_charges_its_term(&let_(
+            int(1),
+            ascribe(ascribe(app(lam(tcon(Con::Int), var(0)), ascribe(var(0))))),
+        ));
+        // A chain over a non-variable, and `roll`/`unroll` inside one.
+        assert_charges_its_term(&proj1(proj2(pair(int(1), pair(int(2), int(3))))));
+        let chain = let_(
+            pair(nil.clone(), int(1)),
+            roll(listc.clone(), proj1(unroll(proj2(roll(listc, var(0)))))),
+        );
+        assert_charges_its_term(&chain);
+        // A chain of coercions alone, and an ascription inside a path.
+        assert_charges_its_term(&unroll(unroll(nil)));
+        assert_charges_its_term(&proj1(ascribe(pair(int(1), int(2)))));
+    }
+
+    #[test]
+    fn fused_shapes_erase_to_their_nodes() {
+        // let p = (1, (2, 3)) in (λx.x) (π₁ (unroll (π₂ p)))
+        let listc = mu(tkind(), cvar(0));
+        let t = let_(
+            pair(int(1), pair(int(2), int(3))),
+            ascribe(proj1(unroll(proj2(var(0))))),
+        );
+        let Code::Let(_, body, 1) = erase(&t).unwrap() else {
+            panic!("expected a let at depth 1")
+        };
+        let Code::Ascribe(path, 2) = *body else {
+            panic!("expected an ascription whose variable is at depth 2")
+        };
+        let Code::Path(links, base) = *path else {
+            panic!("expected a path")
+        };
+        assert_eq!(&*links, &[Link::Snd, Link::Coerce, Link::Fst][..]);
+        assert!(matches!(*base, Code::Var(Slot::Local(0))));
+        // Coercions alone stay coercions; a λ applied to something else
+        // than its own variable stays an application.
+        let coerced = roll(listc.clone(), unroll(int(1)));
+        assert!(
+            matches!(erase(&coerced).unwrap(), Code::Coerce(inner) if matches!(*inner, Code::Coerce(_)))
+        );
+        let applied = app(lam(tcon(Con::Int), int(0)), int(1));
+        assert!(matches!(erase(&applied).unwrap(), Code::App(..)));
     }
 
     #[test]

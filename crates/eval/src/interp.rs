@@ -12,17 +12,26 @@
 //! live on one frame stack: `let`, `case` and `fix` push a slot and
 //! pop it on exit, an application opens a frame whose slot 0 is the
 //! argument, and a closure carries a flat array of the values its body
-//! uses from outside. The code tree has one node per term node, and the
-//! interpreter counts one step per node it enters; the E1 experiment
-//! table uses the counter to measure the paper's §3.1 claim about the
-//! asymptotic cost of opaque recursive modules.
+//! uses from outside. The walk does not recurse where the `Term` walk
+//! had nothing left to do: a variable or literal operand is read in
+//! place, the body of a `let`, `case`, `if` or coercion is run in a
+//! loop in the same frame, and the fused ascriptions and projection
+//! chains run without entering their parts.
+//!
+//! Each node charges the `Term` nodes it stands for: one step, and one
+//! level of recursion depth, per `Term` node, at the point the `Term`
+//! walk entered it. So steps, fuel, the depth limit and the deadline
+//! (read every 4096 steps) fire exactly where walking the `Term` would
+//! have; the E1 experiment table uses the step counter to measure the
+//! paper's §3.1 claim about the asymptotic cost of opaque recursive
+//! modules.
 
 use std::cell::OnceCell;
 use std::rc::Rc;
 
 use recmod_syntax::ast::{PrimOp, Term};
 
-use crate::code::{erase, Code, Lambda, Slot};
+use crate::code::{erase, Code, Lambda, Link, Slot};
 use crate::error::{EvalError, EvalResult};
 use crate::value::Value;
 
@@ -42,9 +51,11 @@ pub const DEFAULT_MAX_DEPTH: u64 = 50_000;
 /// boundary alongside the result.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EvalStats {
-    /// Evaluation steps (one per code node entered).
+    /// Evaluation steps: one per `Term` node entered (a fused code node
+    /// charges each node it stands for).
     pub steps: u64,
-    /// Function and type-function closures allocated.
+    /// Function and type-function closures built, counting the `λx.x`
+    /// of each ascription, which the fused node does not build.
     pub closures: u64,
     /// `fix` promises created and backpatched.
     pub backpatches: u64,
@@ -52,6 +63,10 @@ pub struct EvalStats {
     /// depth of a binder entered (see [`Code`]).
     pub max_env_depth: u64,
 }
+
+/// The interpreter's internal result. The error is boxed so a `Result`
+/// of a value is two words on the hot path; [`Interp::run`] unboxes it.
+type Run<T> = Result<T, Box<EvalError>>;
 
 /// An instrumented evaluator.
 #[derive(Debug)]
@@ -145,117 +160,240 @@ impl Interp {
     /// [`EvalError::Stuck`] before any step is taken.
     pub fn run(&mut self, e: &Term) -> EvalResult<Rc<Value>> {
         let code = erase(e)?;
-        self.eval(&[], &code)
+        self.eval(&[], &code).map_err(|e| *e)
     }
 
     /// Evaluates `c` in the current frame, with `caps` the running
-    /// closure's captures, guarding the recursion depth.
-    fn eval(&mut self, caps: &[Rc<Value>], c: &Code) -> EvalResult<Rc<Value>> {
-        self.depth += 1;
-        if self.depth > self.max_depth {
-            self.depth -= 1;
-            return Err(EvalError::DepthExceeded);
-        }
-        let out = self.step(caps, c);
-        self.depth -= 1;
+    /// closure's captures.
+    fn eval(&mut self, caps: &[Rc<Value>], c: &Code) -> Run<Rc<Value>> {
+        let top = self.stack.len();
+        self.eval_to(caps, c, top)
+    }
+
+    /// Evaluates `c`, then restores the recursion depth and truncates
+    /// the frame stack to `top`, on every outcome, errors included, so
+    /// the stack is empty between runs.
+    fn eval_to(&mut self, caps: &[Rc<Value>], c: &Code, top: usize) -> Run<Rc<Value>> {
+        let depth = self.depth;
+        let out = self.walk(caps, c);
+        self.depth = depth;
+        self.stack.truncate(top);
         out
     }
 
-    /// One step: charge fuel for the node `c`, then evaluate it.
-    fn step(&mut self, caps: &[Rc<Value>], c: &Code) -> EvalResult<Rc<Value>> {
-        self.stats.steps += 1;
-        if self.stats.steps > self.fuel {
-            return Err(EvalError::FuelExhausted);
+    /// Enters `c` and runs it. The body of a `let`, `case`, `if` or
+    /// coercion is entered in the same loop and frame, one level deeper,
+    /// as the `Term` walk would have entered it; [`eval_to`](Self::eval_to)
+    /// undoes the depth and the bindings this pushes.
+    fn walk(&mut self, caps: &[Rc<Value>], mut c: &Code) -> Run<Rc<Value>> {
+        loop {
+            self.enter()?;
+            match c {
+                Code::Var(slot) => return Ok(self.slot(caps, *slot)?.forced_rc()?.clone()),
+                Code::Open => return Err(Box::new(EvalError::OpenTerm)),
+                Code::Const(v) => return Ok(v.clone()),
+                Code::Lam(lam) => {
+                    let captured = self.capture(caps, lam)?;
+                    return Ok(Rc::new(Value::Closure(lam.clone(), captured)));
+                }
+                Code::App(f, a) => {
+                    let fv = self.operand(caps, f)?;
+                    let av = self.operand(caps, a)?;
+                    return match fv.forced()? {
+                        Value::Closure(lam, captured) => self.call(lam, captured, av),
+                        _ => Err(stuck("a function")),
+                    };
+                }
+                Code::Ascribe(e, depth) => {
+                    // The `λ`: one step, one level down, and the closure
+                    // the `Term` walk would have built.
+                    self.enter_leaf()?;
+                    self.stats.closures += 1;
+                    let v = self.operand(caps, e)?;
+                    // Applying it enters its body, the variable, which
+                    // would force `v`: no result is ever a promise (a
+                    // promise only sits in a slot or a capture, and
+                    // reading one forces it), so `v` is already forced.
+                    self.note_depth(*depth);
+                    self.enter_leaf()?;
+                    return Ok(v);
+                }
+                Code::Pair(a, b) => {
+                    let av = self.operand(caps, a)?;
+                    let bv = self.operand(caps, b)?;
+                    return Ok(Rc::new(Value::Pair(av, bv)));
+                }
+                Code::Path(links, base) => return self.path(caps, links, base),
+                Code::TLam(lam) => {
+                    let captured = self.capture(caps, lam)?;
+                    return Ok(Rc::new(Value::TClosure(lam.clone(), captured)));
+                }
+                Code::TApp(f) => {
+                    let fv = self.operand(caps, f)?;
+                    return match fv.forced()? {
+                        // The constructor argument is erased; bind a
+                        // dummy so the body's slots line up.
+                        Value::TClosure(lam, captured) => {
+                            self.call(lam, captured, self.unit.clone())
+                        }
+                        _ => Err(stuck("a type function")),
+                    };
+                }
+                Code::Fix(body, depth) => {
+                    let cell = Rc::new(OnceCell::new());
+                    let promise = Rc::new(Value::Promise(cell.clone()));
+                    self.note_depth(*depth);
+                    let top = self.stack.len();
+                    self.stack.push(promise);
+                    let v = self.eval_to(caps, body, top)?;
+                    // Each `fix` makes a fresh cell, so this is its only fill.
+                    let _ = cell.set(v.clone());
+                    self.stats.backpatches += 1;
+                    return Ok(v);
+                }
+                Code::Prim(op, a, b) => {
+                    let a = self.int_operand(caps, a)?;
+                    let b = self.int_operand(caps, b)?;
+                    return Ok(match op {
+                        PrimOp::Add => Rc::new(Value::Int(a.wrapping_add(b))),
+                        PrimOp::Sub => Rc::new(Value::Int(a.wrapping_sub(b))),
+                        PrimOp::Mul => Rc::new(Value::Int(a.wrapping_mul(b))),
+                        PrimOp::Eq => self.boolean(a == b),
+                        PrimOp::Lt => self.boolean(a < b),
+                    });
+                }
+                Code::If(cond, t, f) => {
+                    let taken = match self.leaf(caps, cond)? {
+                        Some(v) => v.as_bool()?,
+                        None => self.eval(caps, cond)?.as_bool()?,
+                    };
+                    c = if taken { t } else { f };
+                }
+                Code::Inj(i, body) => {
+                    let v = self.operand(caps, body)?;
+                    return Ok(Rc::new(Value::Inj(*i, v)));
+                }
+                Code::Case(scrut, branches, depth) => {
+                    let sv = self.operand(caps, scrut)?;
+                    let Value::Inj(i, payload) = sv.forced()? else {
+                        return Err(stuck("a sum value"));
+                    };
+                    let Some(branch) = branches.get(*i) else {
+                        return Err(stuck("a branch for this injection"));
+                    };
+                    let payload = payload.clone();
+                    self.note_depth(*depth);
+                    self.stack.push(payload);
+                    c = branch;
+                }
+                Code::Coerce(body) => c = body,
+                Code::Fail => return Err(Box::new(EvalError::Failure)),
+                Code::Let(bound, body, depth) => {
+                    let v = self.operand(caps, bound)?;
+                    self.note_depth(*depth);
+                    self.stack.push(v);
+                    c = body;
+                }
+            }
         }
-        // Deadlines are wall-clock; amortize the clock read over many
-        // steps (4096 steps run in a few microseconds).
-        if self.stats.steps.is_multiple_of(4096) && self.limits.deadline_passed() {
-            return Err(EvalError::Limit(self.limits.deadline_error("eval")));
+    }
+
+    /// Runs a [`Code::Path`] whose outermost link has been entered:
+    /// enters the other links one level deeper each, then the base, and
+    /// follows the links by reference.
+    fn path(&mut self, caps: &[Rc<Value>], links: &[Link], base: &Code) -> Run<Rc<Value>> {
+        for _ in 1..links.len() {
+            self.enter()?;
         }
+        if let Some(v) = self.leaf(caps, base)? {
+            return Ok(follow(v, links)?.clone());
+        }
+        let v = self.eval(caps, base)?;
+        Ok(follow(&v, links)?.clone())
+    }
+
+    /// Charges a variable or literal operand and reads it in place,
+    /// forced, without entering the walk; `None` for any other node.
+    #[inline(always)]
+    fn leaf<'a>(&'a mut self, caps: &'a [Rc<Value>], c: &'a Code) -> Run<Option<&'a Rc<Value>>> {
         match c {
-            Code::Var(slot) => self.slot(caps, *slot)?.force(),
-            Code::Open => Err(EvalError::OpenTerm),
-            Code::Const(v) => Ok(v.clone()),
-            Code::Lam(lam) => {
-                let captured = self.capture(caps, lam)?;
-                Ok(Rc::new(Value::Closure(lam.clone(), captured)))
+            Code::Var(slot) => {
+                self.enter_leaf()?;
+                Ok(Some(self.slot(caps, *slot)?.forced_rc()?))
             }
-            Code::App(f, a) => {
-                let fv = self.eval(caps, f)?;
-                let av = self.eval(caps, a)?;
-                match fv.forced()? {
-                    Value::Closure(lam, captured) => self.call(lam, captured, av),
-                    _ => Err(EvalError::Stuck("a function")),
-                }
+            Code::Const(v) => {
+                self.enter_leaf()?;
+                Ok(Some(v))
             }
-            Code::Pair(a, b) => {
-                let av = self.eval(caps, a)?;
-                let bv = self.eval(caps, b)?;
-                Ok(Rc::new(Value::Pair(av, bv)))
-            }
-            Code::Proj1(p) => match self.eval(caps, p)?.forced()? {
-                Value::Pair(a, _) => Ok(a.clone()),
-                _ => Err(EvalError::Stuck("a pair")),
-            },
-            Code::Proj2(p) => match self.eval(caps, p)?.forced()? {
-                Value::Pair(_, b) => Ok(b.clone()),
-                _ => Err(EvalError::Stuck("a pair")),
-            },
-            Code::TLam(lam) => {
-                let captured = self.capture(caps, lam)?;
-                Ok(Rc::new(Value::TClosure(lam.clone(), captured)))
-            }
-            Code::TApp(f) => match self.eval(caps, f)?.forced()? {
-                // The constructor argument is erased; bind a dummy so
-                // the body's slots line up.
-                Value::TClosure(lam, captured) => self.call(lam, captured, self.unit.clone()),
-                _ => Err(EvalError::Stuck("a type function")),
-            },
-            Code::Fix(body, depth) => {
-                let cell = Rc::new(OnceCell::new());
-                let promise = Rc::new(Value::Promise(cell.clone()));
-                let v = self.under(caps, promise, *depth, body)?;
-                // Each `fix` makes a fresh cell, so this is its only fill.
-                let _ = cell.set(v.clone());
-                self.stats.backpatches += 1;
-                Ok(v)
-            }
-            Code::Prim(op, a, b) => {
-                let a = self.eval(caps, a)?.as_int()?;
-                let b = self.eval(caps, b)?.as_int()?;
-                Ok(match op {
-                    PrimOp::Add => Rc::new(Value::Int(a.wrapping_add(b))),
-                    PrimOp::Sub => Rc::new(Value::Int(a.wrapping_sub(b))),
-                    PrimOp::Mul => Rc::new(Value::Int(a.wrapping_mul(b))),
-                    PrimOp::Eq => self.boolean(a == b),
-                    PrimOp::Lt => self.boolean(a < b),
-                })
-            }
-            Code::If(c, t, f) => {
-                if self.eval(caps, c)?.as_bool()? {
-                    self.eval(caps, t)
-                } else {
-                    self.eval(caps, f)
-                }
-            }
-            Code::Inj(i, body) => {
-                let v = self.eval(caps, body)?;
-                Ok(Rc::new(Value::Inj(*i, v)))
-            }
-            Code::Case(scrut, branches, depth) => match self.eval(caps, scrut)?.forced()? {
-                Value::Inj(i, payload) => match branches.get(*i) {
-                    Some(branch) => self.under(caps, payload.clone(), *depth, branch),
-                    None => Err(EvalError::Stuck("a branch for this injection")),
-                },
-                _ => Err(EvalError::Stuck("a sum value")),
-            },
-            Code::Coerce(body) => self.eval(caps, body),
-            Code::Fail => Err(EvalError::Failure),
-            Code::Let(bound, body, depth) => {
-                let v = self.eval(caps, bound)?;
-                self.under(caps, v, *depth, body)
+            _ => Ok(None),
+        }
+    }
+
+    /// Evaluates an operand: a leaf in place, anything else by a walk.
+    // Inlined into the walk when optimizing, where it is hot. A debug
+    // build gives every inlined copy its own stack slots, and the walk's
+    // frame bounds how deep an object program can recurse on the
+    // pipeline thread's stack, so there it stays a call.
+    #[cfg_attr(not(debug_assertions), inline(always))]
+    fn operand(&mut self, caps: &[Rc<Value>], c: &Code) -> Run<Rc<Value>> {
+        if let Some(v) = self.leaf(caps, c)? {
+            return Ok(v.clone());
+        }
+        self.eval(caps, c)
+    }
+
+    /// Evaluates an integer operand; a leaf is read without a clone.
+    /// Inlined like [`operand`](Self::operand).
+    #[cfg_attr(not(debug_assertions), inline(always))]
+    fn int_operand(&mut self, caps: &[Rc<Value>], c: &Code) -> Run<i64> {
+        Ok(match self.leaf(caps, c)? {
+            Some(v) => v.as_int()?,
+            None => self.eval(caps, c)?.as_int()?,
+        })
+    }
+
+    /// Enters a node one level below the current one and holds that
+    /// depth while it runs.
+    #[inline(always)]
+    fn enter(&mut self) -> Run<()> {
+        self.enter_leaf()?;
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// Enters a node that returns at once: checks the depth limit one
+    /// level down, then charges the step against the fuel and, every
+    /// 4096 steps, the deadline.
+    #[inline(always)]
+    fn enter_leaf(&mut self) -> Run<()> {
+        if self.depth < self.max_depth {
+            self.stats.steps += 1;
+            if self.stats.steps <= self.fuel && !self.stats.steps.is_multiple_of(4096) {
+                return Ok(());
             }
         }
+        self.limit_check()
+    }
+
+    /// The rest of [`enter_leaf`](Self::enter_leaf), kept out of line so
+    /// the error paths do not grow the walk's frame: the depth limit
+    /// (the step not charged), the fuel, then the deadline, which is
+    /// wall-clock and so read only every 4096 steps.
+    #[cold]
+    #[inline(never)]
+    fn limit_check(&mut self) -> Run<()> {
+        if self.depth >= self.max_depth {
+            return Err(Box::new(EvalError::DepthExceeded));
+        }
+        if self.stats.steps > self.fuel {
+            return Err(Box::new(EvalError::FuelExhausted));
+        }
+        if self.limits.deadline_passed() {
+            return Err(Box::new(EvalError::Limit(
+                self.limits.deadline_error("eval"),
+            )));
+        }
+        Ok(())
     }
 
     /// The value in a slot of the current frame or of `caps`. Erasure
@@ -279,38 +417,14 @@ impl Interp {
         Ok(captured.into_boxed_slice())
     }
 
-    /// Applies a closure: runs its body in a new frame holding `arg`.
-    /// Like [`under`](Self::under), it pops what it pushed on every
-    /// outcome, so the stack is empty between runs, errors included.
-    fn call(
-        &mut self,
-        lam: &Lambda,
-        captured: &[Rc<Value>],
-        arg: Rc<Value>,
-    ) -> EvalResult<Rc<Value>> {
+    /// Applies a closure: runs its body in a new frame holding `arg`,
+    /// popped on every outcome.
+    fn call(&mut self, lam: &Lambda, captured: &[Rc<Value>], arg: Rc<Value>) -> Run<Rc<Value>> {
         self.note_depth(lam.depth);
         let caller = std::mem::replace(&mut self.base, self.stack.len());
         self.stack.push(arg);
-        let out = self.eval(captured, &lam.body);
-        self.stack.truncate(self.base);
+        let out = self.eval_to(captured, &lam.body, self.base);
         self.base = caller;
-        out
-    }
-
-    /// Runs `body` with `v` bound in one more slot of the current frame;
-    /// `depth` is the binder's static depth.
-    fn under(
-        &mut self,
-        caps: &[Rc<Value>],
-        v: Rc<Value>,
-        depth: usize,
-        body: &Code,
-    ) -> EvalResult<Rc<Value>> {
-        self.note_depth(depth);
-        let top = self.stack.len();
-        self.stack.push(v);
-        let out = self.eval(caps, body);
-        self.stack.truncate(top);
         out
     }
 
@@ -323,6 +437,26 @@ impl Interp {
     fn note_depth(&mut self, depth: usize) {
         self.stats.max_env_depth = self.stats.max_env_depth.max(depth as u64);
     }
+}
+
+/// A stuck-state error.
+fn stuck(expected: &'static str) -> Box<EvalError> {
+    Box::new(EvalError::Stuck(expected))
+}
+
+/// Follows a path's links, innermost first, from `v` by reference.
+/// A coercion does nothing; a projection forces the pair first.
+fn follow<'v>(mut v: &'v Rc<Value>, links: &[Link]) -> EvalResult<&'v Rc<Value>> {
+    for &link in links {
+        if link == Link::Coerce {
+            continue;
+        }
+        let Value::Pair(a, b) = v.forced()? else {
+            return Err(EvalError::Stuck("a pair"));
+        };
+        v = if link == Link::Fst { a } else { b };
+    }
+    Ok(v)
 }
 
 /// Runs `f` on a dedicated thread with a large stack (`stack_mb`
@@ -595,6 +729,36 @@ mod tests {
         interp.reset_steps();
         assert_eq!(interp.run(&good).unwrap().as_int().unwrap(), 8);
         assert_eq!(interp.stats(), fresh.stats());
+    }
+
+    #[test]
+    fn limits_stop_inside_fused_nodes_at_the_terms_step() {
+        // let p = (1, (2, 3)) in (λx.x) (π₁ (π₂ p)): twelve `Term`
+        // nodes, the last six in an ascription around a path.
+        let e = let_(
+            pair(int(1), pair(int(2), int(3))),
+            app(lam(tcon(Con::Int), var(0)), proj1(proj2(var(0)))),
+        );
+        let mut interp = Interp::new();
+        assert_eq!(interp.run(&e).unwrap().as_int().unwrap(), 2);
+        assert_eq!(interp.steps(), 12);
+        // Fuel `f` fails on step `f + 1`, wherever that falls.
+        for fuel in 0..12 {
+            let mut interp = Interp::with_fuel(fuel);
+            assert_eq!(interp.run(&e).err(), Some(EvalError::FuelExhausted));
+            assert_eq!(interp.steps(), fuel + 1);
+        }
+        // The path's variable is the fifth level: a limit of four stops
+        // there, after the application, the λ and both links.
+        let mut interp = Interp::with_limits(DEFAULT_EVAL_FUEL, 4);
+        assert_eq!(interp.run(&e).err(), Some(EvalError::DepthExceeded));
+        let want = EvalStats {
+            steps: 10,
+            closures: 1,
+            backpatches: 0,
+            max_env_depth: 1,
+        };
+        assert_eq!(interp.stats(), want);
     }
 
     #[test]

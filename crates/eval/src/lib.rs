@@ -7,12 +7,16 @@
 //!
 //! Recursive values (`fix`) are implemented by backpatching; the value
 //! restriction enforced by `recmod-kernel` guarantees the recursive
-//! binding is never demanded before it is constructed. The interpreter
-//! counts steps, which the E1 experiment table uses to reproduce the
-//! paper's §3.1 claim that the *opaque* recursive-module implementation
-//! of lists "leads to poor behavior in practice" (each `cons`/`uncons`
-//! traverses the whole list) while the §4 transparent implementation has
-//! constant-time operations.
+//! binding is never demanded before it is constructed.
+//!
+//! The term is erased once into a type-free code tree in which type
+//! ascriptions and projection chains are fused into single nodes; each
+//! node charges the `Term` nodes it stands for, so the interpreter
+//! counts the steps walking the `Term` would take. The E1 experiment
+//! table uses that count to reproduce the paper's §3.1 claim that the
+//! *opaque* recursive-module implementation of lists "leads to poor
+//! behavior in practice" (each `cons`/`uncons` traverses the whole list)
+//! while the §4 transparent implementation has constant-time operations.
 //!
 //! # Example
 //!
@@ -35,7 +39,7 @@ pub mod error;
 pub mod interp;
 pub mod value;
 
-pub use code::{Code, Lambda, Slot};
+pub use code::{Code, Lambda, Link, Slot};
 pub use error::{EvalError, EvalResult};
 pub use interp::{run_big_stack, EvalStats, Interp, DEFAULT_EVAL_FUEL};
 pub use value::Value;

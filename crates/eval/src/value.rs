@@ -36,11 +36,16 @@ pub enum Value {
 impl Value {
     /// Follows promise indirections, failing on an unfilled promise.
     pub fn force(self: &Rc<Self>) -> EvalResult<Rc<Value>> {
+        self.forced_rc().cloned()
+    }
+
+    /// [`force`](Value::force) by reference: the shared value itself.
+    pub(crate) fn forced_rc(self: &Rc<Self>) -> EvalResult<&Rc<Value>> {
         let mut v = self;
         while let Value::Promise(cell) = &**v {
             v = cell.get().ok_or(EvalError::BlackHole)?;
         }
-        Ok(v.clone())
+        Ok(v)
     }
 
     /// [`force`](Value::force) by reference: no reference count moves.

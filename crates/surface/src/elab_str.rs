@@ -14,6 +14,8 @@
 //!   interpretation — reproducing both the inefficient opaque `List` and
 //!   the ill-typed opaque `Expr`/`Decl`.
 
+use std::rc::Rc;
+
 use recmod_kernel::Entry;
 use recmod_syntax::ast::{Con, Kind, Module, Sig, Term, Ty};
 use recmod_syntax::intern::hc;
@@ -62,7 +64,7 @@ impl Elaborator {
                         None => self.err(*span, ErrorKind::Unbound(functor.to_string())),
                     };
                 };
-                let fe = fe.clone();
+                let fe = Rc::clone(fe);
                 let src = self.elab_strexp(arg)?;
                 let coerced = self.coerce(src, &fe.param.shape, *span)?;
                 // Check the (coerced) argument against the parameter
@@ -554,7 +556,7 @@ impl Elaborator {
         self.ctx.push(Entry::Struct(mt.sig, mt.valuable));
         self.env.insert(
             name.clone(),
-            Entity::Functor(FunctorEntity {
+            Entity::Functor(Rc::new(FunctorEntity {
                 statics: Con::Fst(0),
                 dynamics: Term::Snd(0),
                 depth: self.depth(),
@@ -563,7 +565,7 @@ impl Elaborator {
                 body_con: body_es.statics,
                 body_term: body_es.dynamics,
                 body_depth,
-            }),
+            })),
         );
         self.bindings.push(TopBinding {
             name: name.to_string(),
@@ -914,7 +916,7 @@ impl Elaborator {
                 let Some(Entity::Functor(fe)) = self.env.lookup(functor) else {
                     return self.err(*span, ErrorKind::Unbound(functor.to_string()));
                 };
-                let fe = fe.clone();
+                let fe = Rc::clone(fe);
                 let (ac, ashape) = self.statics_of_strexp(arg)?;
                 let coerced = self.coerce_statics(&ac, &ashape, &fe.param.shape, *span)?;
                 let delta = self.depth() as isize + 1 - fe.body_depth as isize;

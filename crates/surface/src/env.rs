@@ -5,6 +5,8 @@
 //! context shift the syntax by the depth difference. This keeps all de
 //! Bruijn bookkeeping in one place ([`StructEntity::statics_at`] and friends).
 
+use std::rc::Rc;
+
 use recmod_syntax::ast::{Con, Kind, Term, Ty};
 use recmod_syntax::subst::{shift_con, shift_kind, shift_term, shift_ty};
 
@@ -151,8 +153,9 @@ pub enum Entity {
     },
     /// A structure.
     Struct(StructEntity),
-    /// A functor.
-    Functor(FunctorEntity),
+    /// A functor, shared: an application reads it while it elaborates
+    /// the argument in the same environment.
+    Functor(Rc<FunctorEntity>),
     /// A named signature.
     SigDef(SigTemplate),
 }

@@ -21,10 +21,55 @@ enum Sort {
     Struct,
 }
 
+/// A generated binder name: a letter and, past the first round of
+/// letters, a number (`a`, `b1`, `x2`, `s1`). Names are `Copy` and
+/// written straight into the output, so naming a binder and printing a
+/// variable build no strings.
+#[derive(Debug, Clone, Copy)]
+struct Name {
+    letter: char,
+    number: Option<usize>,
+}
+
+impl Name {
+    /// The `n`th name of a cycle through `letters` letters from `first`.
+    fn cycling(first: u8, letters: usize, n: usize) -> Self {
+        Name {
+            letter: (first + (n % letters) as u8) as char,
+            number: (n >= letters).then_some(n / letters),
+        }
+    }
+}
+
+impl fmt::Display for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.number {
+            Some(n) => write!(f, "{}{n}", self.letter),
+            None => write!(f, "{}", self.letter),
+        }
+    }
+}
+
+/// A variable as printed: its binder's name, or `#n` for an index `n`
+/// past the environment.
+enum Ident {
+    Bound(Name),
+    Free(usize),
+}
+
+impl fmt::Display for Ident {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Ident::Bound(name) => name.fmt(f),
+            Ident::Free(i) => write!(f, "#{i}"),
+        }
+    }
+}
+
 /// A printing environment: one name per enclosing binder.
 #[derive(Debug, Default, Clone)]
 pub struct Names {
-    names: Vec<String>,
+    names: Vec<Name>,
     con_count: usize,
     term_count: usize,
     struct_count: usize,
@@ -36,34 +81,25 @@ impl Names {
         Self::default()
     }
 
-    fn push(&mut self, sort: Sort) -> String {
+    fn push(&mut self, sort: Sort) -> Name {
         let name = match sort {
             Sort::Con => {
-                let n = self.con_count;
                 self.con_count += 1;
-                let letter = (b'a' + (n % 6) as u8) as char;
-                if n < 6 {
-                    format!("{letter}")
-                } else {
-                    format!("{letter}{}", n / 6)
-                }
+                Name::cycling(b'a', 6, self.con_count - 1)
             }
             Sort::Term => {
-                let n = self.term_count;
                 self.term_count += 1;
-                let letter = (b'x' + (n % 3) as u8) as char;
-                if n < 3 {
-                    format!("{letter}")
-                } else {
-                    format!("{letter}{}", n / 3)
-                }
+                Name::cycling(b'x', 3, self.term_count - 1)
             }
             Sort::Struct => {
                 self.struct_count += 1;
-                format!("s{}", self.struct_count)
+                Name {
+                    letter: 's',
+                    number: Some(self.struct_count),
+                }
             }
         };
-        self.names.push(name.clone());
+        self.names.push(name);
         name
     }
 
@@ -76,11 +112,11 @@ impl Names {
         }
     }
 
-    fn lookup(&self, i: usize) -> String {
+    fn lookup(&self, i: usize) -> Ident {
         if i < self.names.len() {
-            self.names[self.names.len() - 1 - i].clone()
+            Ident::Bound(self.names[self.names.len() - 1 - i])
         } else {
-            format!("#{}", i - self.names.len())
+            Ident::Free(i - self.names.len())
         }
     }
 }
@@ -185,7 +221,7 @@ fn write_kind(f: &mut String, k: &Kind, names: &mut Names, prec: u8) -> fmt::Res
 
 fn write_con(f: &mut String, c: &Con, names: &mut Names, prec: u8) -> fmt::Result {
     match c {
-        Con::Var(i) => f.write_str(&names.lookup(*i)),
+        Con::Var(i) => write!(f, "{}", names.lookup(*i)),
         Con::Fst(i) => write!(f, "Fst({})", names.lookup(*i)),
         Con::Star => f.write_str("*"),
         Con::Lam(k, b) => paren(f, prec > 0, |f| {
@@ -290,7 +326,7 @@ fn write_ty(f: &mut String, t: &Ty, names: &mut Names, prec: u8) -> fmt::Result 
 
 fn write_term(f: &mut String, e: &Term, names: &mut Names, prec: u8) -> fmt::Result {
     match e {
-        Term::Var(i) => f.write_str(&names.lookup(*i)),
+        Term::Var(i) => write!(f, "{}", names.lookup(*i)),
         Term::Snd(i) => write!(f, "snd({})", names.lookup(*i)),
         Term::Star => f.write_str("*"),
         Term::Lam(t, b) => paren(f, prec > 0, |f| {
@@ -454,7 +490,7 @@ fn write_sig(f: &mut String, sg: &Sig, names: &mut Names) -> fmt::Result {
 
 fn write_module(f: &mut String, m: &Module, names: &mut Names) -> fmt::Result {
     match m {
-        Module::Var(i) => f.write_str(&names.lookup(*i)),
+        Module::Var(i) => write!(f, "{}", names.lookup(*i)),
         Module::Struct(c, e) => {
             f.push('[');
             write_con(f, c, names, 0)?;

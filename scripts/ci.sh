@@ -34,8 +34,8 @@ echo "== allocation budget (release) =="
 # the parse, elaborate or split path fails here.
 cargo test -q -p recmod-tests --release --test allocs
 
-echo "== bounded fuzz (2400 seeded iterations, 200 per class) =="
-FUZZ_ITERS=2400 cargo test -q -p recmod-tests --release --test fuzz
+echo "== bounded fuzz (2600 seeded iterations, 200 per class) =="
+FUZZ_ITERS=2600 cargo test -q -p recmod-tests --release --test fuzz
 
 echo "== NbE engine differential (2000 dedicated iterations) =="
 # The NbE machine vs the legacy substitution engine on random well- and
@@ -60,6 +60,18 @@ echo "== expression differential (2000 dedicated iterations) =="
 # captures across function levels. The pipeline's value must equal a
 # reference interpreter's.
 FUZZ_CLASS=expression-differential FUZZ_ITERS=2000 \
+  cargo test -q -p recmod-tests --release --test fuzz seeded
+
+echo "== eval accounting differential (2000 dedicated iterations) =="
+# The evaluator fuses ascription wrappers and projection chains into
+# single nodes that charge the Term nodes they stand for. Random
+# expression programs, E1 list programs, corpus programs and random
+# untyped core terms run on it and on the Term-walking reference
+# interpreter (tests/src/reference_eval.rs), with fuel set to stop at
+# each step of the last few fused nodes, the depth limit tightened, and
+# a deadline storm: the value or error and all four EvalStats counters
+# must be identical.
+FUZZ_CLASS=eval-accounting-differential FUZZ_ITERS=2000 \
   cargo test -q -p recmod-tests --release --test fuzz seeded
 
 echo "== module differential (2000 dedicated iterations) =="

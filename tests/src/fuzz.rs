@@ -1,7 +1,7 @@
 //! The seeded fuzzing + differential harness.
 //!
 //! Every case is fully determined by one `u64` seed (SplitMix64), so a
-//! failure report is a reproduction recipe. A seed drives one of twelve
+//! failure report is a reproduction recipe. A seed drives one of thirteen
 //! case classes:
 //!
 //! * **Expression differential** — a random well-typed expression
@@ -68,6 +68,14 @@
 //!   renewed after compiling another program, and beside another
 //!   thread's compile; verdicts, stable codes, rendered diagnostics and
 //!   the fuel spent per operation must be identical.
+//! * **Eval accounting differential** — a random expression program,
+//!   an E1 list program, a corpus program or a random untyped core term
+//!   rich in ascriptions and projection chains is run by the shipped
+//!   evaluator and by the `Term`-walking reference interpreter
+//!   ([`crate::reference_eval`]), with fuel set to stop the run at each
+//!   step of the last few nodes the evaluator fuses, with the depth
+//!   limit tightened, and under a deadline storm; the value or error
+//!   and all four `EvalStats` counters must be identical.
 //!
 //! The driver ([`run_case`]) reports `Err(description)` on any
 //! disagreement; panics are caught by the caller (`tests/fuzz.rs`)
@@ -1746,12 +1754,329 @@ fn case_history_independence(rng: &mut Rng) -> Result<(), String> {
 }
 
 // ---------------------------------------------------------------------
+// Class 12: eval accounting differential (fused nodes vs the Term walk)
+// ---------------------------------------------------------------------
+
+/// Fuel for a reference run of a random core term, which may diverge.
+const CORE_TERM_FUEL: u64 = 20_000;
+
+/// How many of the last fused steps of a run the fuel sweep stops at.
+const LAST_FUSED_STEPS: usize = 12;
+
+/// A random core term, untyped: it may get stuck, demand an unfilled
+/// `fix` promise, read an unbound variable or diverge, and every such
+/// outcome must be the reference's at the same step. It is rich in the
+/// shapes the evaluator fuses: `(λx.x) e` wrappers and chains of
+/// projections, `roll` and `unroll`. `scope` counts the enclosing
+/// binders.
+fn gen_core_term(rng: &mut Rng, size: usize, scope: usize) -> recmod::syntax::ast::Term {
+    use recmod::syntax::ast::{PrimOp, Term};
+    use recmod::syntax::dsl::*;
+    let ty = || tcon(Con::Int);
+    if size <= 1 {
+        return match rng.below(12) {
+            0..=4 if scope > 0 => var(rng.below(scope as u64) as usize),
+            5 => var(scope + rng.below(2) as usize),
+            6 => Term::Star,
+            7 => boolean(rng.chance(1, 2)),
+            8 if rng.chance(1, 3) => fail(ty()),
+            9 if rng.chance(1, 3) => snd(0),
+            _ => int(rng.range_i64(-2, 9)),
+        };
+    }
+    let s = size - 1;
+    let half = s / 2;
+    match rng.below(17) {
+        0 => lam(ty(), gen_core_term(rng, s, scope + 1)),
+        1 | 2 => app(lam(ty(), var(0)), gen_core_term(rng, s, scope)),
+        3 => app(
+            gen_core_term(rng, half, scope),
+            gen_core_term(rng, s - half, scope),
+        ),
+        4 => app(
+            lam(ty(), gen_core_term(rng, half, scope + 1)),
+            gen_core_term(rng, s - half, scope),
+        ),
+        5 | 6 => {
+            let links = rng.range(1, 5);
+            let base = if scope > 0 && rng.chance(1, 2) {
+                var(rng.below(scope as u64) as usize)
+            } else {
+                gen_core_term(rng, s, scope)
+            };
+            (0..links).fold(base, |t, _| match rng.below(4) {
+                0 => proj1(t),
+                1 => proj2(t),
+                2 => roll(Con::Int, t),
+                _ => unroll(t),
+            })
+        }
+        7 => pair(
+            gen_core_term(rng, half, scope),
+            gen_core_term(rng, s - half, scope),
+        ),
+        8 => let_(
+            gen_core_term(rng, half, scope),
+            gen_core_term(rng, s - half, scope + 1),
+        ),
+        9 => fix(ty(), gen_core_term(rng, s, scope + 1)),
+        10 => ite(
+            gen_core_term(rng, s / 3, scope),
+            gen_core_term(rng, s / 3, scope),
+            gen_core_term(rng, s - 2 * (s / 3), scope),
+        ),
+        11 => {
+            let op = [
+                PrimOp::Add,
+                PrimOp::Sub,
+                PrimOp::Mul,
+                PrimOp::Eq,
+                PrimOp::Lt,
+            ][rng.below(5) as usize];
+            prim(
+                op,
+                gen_core_term(rng, half, scope),
+                gen_core_term(rng, s - half, scope),
+            )
+        }
+        12 => inj(
+            rng.below(3) as usize,
+            csum([Con::Int, Con::Bool]),
+            gen_core_term(rng, s, scope),
+        ),
+        13 => {
+            let arms = rng.range(1, 4);
+            let scrut = gen_core_term(rng, half, scope);
+            let each = (s - half) / arms;
+            let branches: Vec<Term> = (0..arms)
+                .map(|_| gen_core_term(rng, each.max(1), scope + 1))
+                .collect();
+            case(scrut, branches)
+        }
+        14 => tlam(tkind(), gen_core_term(rng, s, scope + 1)),
+        15 => tapp(gen_core_term(rng, s, scope), Con::Int),
+        _ => ascribe_chain(rng, s, scope),
+    }
+}
+
+/// `(λx.x) ((λx.x) … e)`: ascriptions nested directly.
+fn ascribe_chain(rng: &mut Rng, size: usize, scope: usize) -> recmod::syntax::ast::Term {
+    use recmod::syntax::dsl::*;
+    let wraps = rng.range(2, 4);
+    (0..wraps).fold(gen_core_term(rng, size, scope), |t, _| {
+        app(lam(tcon(Con::Int), var(0)), t)
+    })
+}
+
+/// Renders a shipped-interpreter value like its `Display`, stopping
+/// after `budget` nodes (a value can reach itself through a promise).
+fn render_value(v: &recmod::eval::Value, budget: &mut usize, out: &mut String) {
+    use recmod::eval::Value;
+    use std::fmt::Write as _;
+    if *budget == 0 {
+        out.push('…');
+        return;
+    }
+    *budget -= 1;
+    match v {
+        Value::Unit => out.push('*'),
+        Value::Int(n) => {
+            let _ = write!(out, "{n}");
+        }
+        Value::Bool(b) => {
+            let _ = write!(out, "{b}");
+        }
+        Value::Pair(a, b) => {
+            out.push('(');
+            render_value(a, budget, out);
+            out.push_str(", ");
+            render_value(b, budget, out);
+            out.push(')');
+        }
+        Value::Inj(i, v) => {
+            let _ = write!(out, "inj{i} ");
+            render_value(v, budget, out);
+        }
+        Value::Closure(..) => out.push_str("<fn>"),
+        Value::TClosure(..) => out.push_str("<tfn>"),
+        Value::Promise(cell) => match cell.get() {
+            Some(v) => render_value(v, budget, out),
+            None => out.push_str("<blackhole>"),
+        },
+    }
+}
+
+/// What one run observably produced: the rendered value or the error,
+/// and every counter.
+type EvalOutcome = (
+    Result<String, recmod::eval::EvalError>,
+    recmod::eval::EvalStats,
+);
+
+/// Runs `term` under the given limits on the shipped interpreter and on
+/// the reference, with a deadline storm armed when `storm` is set (so
+/// the first deadline read, at step 4096, fires), and requires the same
+/// outcome. Returns the reference, whose notes drive the sweeps.
+fn accounting_agrees(
+    label: &str,
+    term: &recmod::syntax::ast::Term,
+    fuel: u64,
+    max_depth: u64,
+    storm: bool,
+) -> Result<crate::reference_eval::Reference, String> {
+    use recmod::telemetry::fault;
+    if storm {
+        fault::arm(fault::Injection {
+            kind: fault::FaultKind::Deadline,
+            after: 1,
+        });
+        fault::tick();
+    }
+    const RENDER_BUDGET: usize = 400;
+    let mut ours = recmod::eval::Interp::with_limits(fuel, max_depth);
+    let got = ours.run(term).map(|v| {
+        let (mut s, mut budget) = (String::new(), RENDER_BUDGET);
+        render_value(&v, &mut budget, &mut s);
+        s
+    });
+    let got: EvalOutcome = (got, ours.stats());
+    let limits = Limits {
+        eval_fuel: fuel,
+        eval_depth: max_depth,
+        ..Limits::default()
+    };
+    let mut reference = crate::reference_eval::Reference::new(fuel, max_depth, limits);
+    let want = reference.run(term).map(|v| {
+        let (mut s, mut budget) = (String::new(), RENDER_BUDGET);
+        crate::reference_eval::render(&v, &mut budget, &mut s);
+        s
+    });
+    let want: EvalOutcome = (want, reference.stats());
+    if storm {
+        fault::disarm();
+    }
+    if got == want {
+        Ok(reference)
+    } else {
+        Err(format!(
+            "{label} at fuel {fuel}, depth limit {max_depth}{}: evaluator gave {got:?}, \
+             the Term walk {want:?}",
+            if storm { ", deadline storm" } else { "" }
+        ))
+    }
+}
+
+/// A program for the accounting differential: a random expression
+/// program, an E1 list program, a corpus program, or a random core
+/// term. Returns a label, the closed term and the fuel of its first run.
+fn accounting_program(rng: &mut Rng) -> Result<(String, recmod::syntax::ast::Term, u64), String> {
+    let compiled = |src: &str| -> Result<recmod::syntax::ast::Term, String> {
+        recmod::compile(src)
+            .map(|c| c.program())
+            .map_err(|e| format!("pipeline rejected {src}: {e}"))
+    };
+    let fuel = recmod::eval::DEFAULT_EVAL_FUEL;
+    Ok(match rng.below(4) {
+        0 => {
+            let want = if rng.chance(1, 2) {
+                GenTy::Int
+            } else {
+                GenTy::Bool
+            };
+            let depth = rng.range(1, 6);
+            let e = gen_exp(rng, &mut Vec::new(), MAX_FN_NESTING, want, depth);
+            let mut src = String::new();
+            render(&e, 0, &mut src);
+            let term = compiled(&src)?;
+            (src, term, fuel)
+        }
+        1 => {
+            let opaque = rng.chance(1, 2);
+            let n = rng.range(0, 13);
+            let src = recmod::corpus::list_program(opaque, n);
+            let label = format!("list_program(opaque={opaque}, n={n})");
+            (label, compiled(&src)?, fuel)
+        }
+        2 => {
+            let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("corpus/ok");
+            let mut sources: Vec<(String, String)> = recmod::corpus::all()
+                .into_iter()
+                .filter(|e| e.well_typed)
+                .map(|e| (e.name.to_string(), e.source.to_string()))
+                .collect();
+            sources.push((
+                "EXPR_DECL_RDS + driver".to_string(),
+                format!(
+                    "{}{}",
+                    recmod::corpus::EXPR_DECL_RDS,
+                    recmod::corpus::EXPR_DECL_DRIVER
+                ),
+            ));
+            for name in ["functions.rm", "structure.rm", "values.rm"] {
+                let src = std::fs::read_to_string(dir.join(name))
+                    .map_err(|e| format!("reading tests/corpus/ok/{name}: {e}"))?;
+                sources.push((format!("tests/corpus/ok/{name}"), src));
+            }
+            let (label, src) = sources.swap_remove(rng.below(sources.len() as u64) as usize);
+            (label, compiled(&src)?, fuel)
+        }
+        _ => {
+            let size = rng.range(2, 40);
+            let term = gen_core_term(rng, size, 0);
+            (format!("{term:?}"), term, CORE_TERM_FUEL)
+        }
+    })
+}
+
+fn case_eval_accounting(rng: &mut Rng) -> Result<(), String> {
+    use recmod::eval::interp::DEFAULT_MAX_DEPTH;
+    let (label, term, fuel) = accounting_program(rng)?;
+    let first = accounting_agrees(&label, &term, fuel, DEFAULT_MAX_DEPTH, false)?;
+    let steps = first.stats().steps.min(fuel);
+    let deepest = first.max_depth_reached;
+    let mut fused = first.fused;
+    fused.retain(|&(step, _)| step <= steps);
+    fused.sort_unstable();
+    fused.dedup();
+    // Stop the run at each of the last fused steps, and at a few
+    // earlier ones: fuel `m - 1` fails on step `m`.
+    let mut picks: Vec<(u64, u64)> = fused.iter().rev().take(LAST_FUSED_STEPS).copied().collect();
+    for _ in 0..4 {
+        if !fused.is_empty() {
+            picks.push(fused[rng.below(fused.len() as u64) as usize]);
+        }
+    }
+    let mut fuels: Vec<u64> = picks.iter().map(|&(step, _)| step - 1).collect();
+    fuels.extend([steps.saturating_sub(1), steps, rng.below(steps + 1)]);
+    fuels.sort_unstable();
+    fuels.dedup();
+    for f in fuels {
+        accounting_agrees(&label, &term, f, DEFAULT_MAX_DEPTH, false)?;
+    }
+    // Tighten the depth limit to just under each picked node, and
+    // under the deepest point of the run.
+    let mut depths: Vec<u64> = picks.iter().map(|&(_, depth)| depth - 1).collect();
+    depths.extend([deepest.saturating_sub(1), rng.below(deepest + 1)]);
+    depths.sort_unstable();
+    depths.dedup();
+    for d in depths {
+        accounting_agrees(&label, &term, fuel, d, false)?;
+    }
+    // The deadline is read every 4096 steps; a storm makes the first
+    // read fail.
+    if steps >= 4096 {
+        accounting_agrees(&label, &term, fuel, DEFAULT_MAX_DEPTH, true)?;
+    }
+    Ok(())
+}
+
+// ---------------------------------------------------------------------
 // Driver
 // ---------------------------------------------------------------------
 
 /// Number of case classes; a seed's class is `seed % CLASS_COUNT`, so
 /// any `CLASS_COUNT` consecutive seeds cover every class once.
-pub const CLASS_COUNT: u64 = 12;
+pub const CLASS_COUNT: u64 = 13;
 
 /// Human-readable class name for a seed (for failure reports).
 pub fn case_class(seed: u64) -> &'static str {
@@ -1767,7 +2092,8 @@ pub fn case_class(seed: u64) -> &'static str {
         8 => "chaos-serve",
         9 => "nbe-differential",
         10 => "subst-memo-differential",
-        _ => "history-independence",
+        11 => "history-independence",
+        _ => "eval-accounting-differential",
     }
 }
 
@@ -1788,7 +2114,8 @@ pub fn run_case(seed: u64) -> Result<(), String> {
         8 => case_chaos_serve(&mut rng),
         9 => case_nbe_differential(&mut rng),
         10 => case_subst_memo_differential(&mut rng),
-        _ => case_history_independence(&mut rng),
+        11 => case_history_independence(&mut rng),
+        _ => case_eval_accounting(&mut rng),
     }
 }
 

@@ -2,8 +2,8 @@
 //! printed seed: `run_case(seed)` in `recmod_tests::fuzz` regenerates
 //! it exactly.
 //!
-//! `FUZZ_ITERS` scales the run (CI's mixed run uses 2400, 200 for
-//! each of the 12 classes); the default, 30 per class, keeps `cargo
+//! `FUZZ_ITERS` scales the run (CI's mixed run uses 2600, 200 for
+//! each of the 13 classes); the default, 30 per class, keeps `cargo
 //! test` fast. `FUZZ_CLASS=<name>` restricts the run to one case class
 //! (e.g. `chaos-serve` for a dedicated chaos campaign — see
 //! EXPERIMENTS.md R2); iterations then count only cases of that class.
